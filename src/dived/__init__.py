@@ -4,7 +4,6 @@ event-detection datasets."""
 from .assembly import SliceSpec, TrainingInstance, assemble, render_instance
 from .curation import (
     CurationReport,
-    EventRecord,
     GeneratedSample,
     curate_definitions,
     curate_samples,
@@ -48,7 +47,6 @@ __all__ = [
     "Backend",
     "CurationReport",
     "DivedError",
-    "EventRecord",
     "EventTypeNode",
     "GenRequest",
     "GenResponse",

@@ -4,23 +4,21 @@ Turns a (pruned) generated dataset into serialized instruction instances:
 positives, sentence-reusing negatives with target "None", sibling
 hard-negatives, optional ontology context, and the definition-removal
 ablation variant. All sampling is seeded and derived per event, so output is
-a pure function of (dataset, ontology, spec) regardless of scheduling.
+a pure function of (dataset, spec) regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import jsonl
-from .curation import EventRecord
 from .errors import DivedError
-from .llm_client import MissingPlaceholderError
-from .ontology import Ontology
+from .llm_client import _PLACEHOLDER_RE, MissingPlaceholderError
+from .ontology import EventTypeNode, Ontology
 from .ontology import siblings as ontology_siblings
 
 logger = logging.getLogger(__name__)
@@ -96,91 +94,83 @@ def _rng(seed: int, *scope: str) -> random.Random:
     return random.Random("|".join([str(seed), *scope]))
 
 
-def _cousin_pool(ontology: Ontology, event: str) -> list[str]:
-    """Descendants of the event's ancestors, nearest ancestor first, excluding
-    the event's own subtree, its siblings, and the ancestors themselves."""
-    node = ontology.get(event)
-    subtree = {n.name for n in node.iter_preorder()}
-    skip = subtree | {a.name for a in node.ancestors()}
+def _cousin_pool(node: EventTypeNode) -> list[EventTypeNode]:
+    """Descendants of the node's ancestors, nearest ancestor first, excluding
+    the node's own subtree, its siblings, and the ancestors themselves."""
+    skip = set(node.iter_preorder()) | set(node.ancestors())
     if node.parent is not None:
-        skip |= {c.name for c in node.parent.children}
-    pool: list[str] = []
-    seen = set(skip)
+        skip.update(node.parent.children)
+    pool: list[EventTypeNode] = []
     for ancestor in node.ancestors():
         for desc in ancestor.iter_preorder():
-            if desc.name not in seen:
-                seen.add(desc.name)
-                pool.append(desc.name)
+            if desc not in skip:
+                skip.add(desc)
+                pool.append(desc)
     return pool
 
 
-def assemble(
-    dataset: Sequence[EventRecord], ontology: Ontology, spec: SliceSpec
-) -> list[TrainingInstance]:
+def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
     """Build instances for one slice of the dataset.
 
-    Selects n_events events (seeded, without replacement), per event
-    n_samples samples and n_definitions definitions; definitions are assigned
-    to positives round-robin so the instance count is invariant along the
-    definition axis. Every positive is followed by n_negatives negatives that
-    reuse its sentence with target "None": the first n_hard_negatives drawn
-    from siblings in the ontology, the rest from non-sibling events with no
-    gold sample for this sentence. When an event has fewer siblings than
+    Only events with at least one sample are drawn, as positives or as
+    negatives; the others are ontology context only. Selects n_events events
+    (seeded, without replacement), per event n_samples samples and
+    n_definitions definitions; definitions are assigned to positives
+    round-robin so the instance count is invariant along the definition
+    axis. Every positive is followed by n_negatives negatives that reuse its
+    sentence with target "None": the first n_hard_negatives drawn from
+    siblings in the ontology, the rest from non-sibling events with no gold
+    sample for this sentence. When an event has fewer siblings than
     requested, the shortfall is filled from cousins and then random
     non-occurring events; those fillers are plain negatives (kind
     "negative"), since only true siblings count as hard negatives.
     """
-    records = list(dataset)
-    if len(records) < spec.n_events:
-        raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(records)}")
-    if spec.n_negatives > 0 and len(records) < 2:
+    events = [node for node in dataset.iter_nodes() if node.samples]
+    if len(events) < spec.n_events:
+        raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
+    if spec.n_negatives > 0 and len(events) < 2:
         raise NoNegativeCandidatesError("negative instances need at least 2 events in the dataset")
 
-    by_name = {r.event: r for r in records}
-    sentences = {r.event: {s.sentence for s in r.samples} for r in records}
+    sentences = {node: {s.sentence for s in node.samples} for node in events}
+    candidates = {node for node in events if node.definitions}
 
     select_rng = _rng(spec.seed, "select")
-    chosen = sorted(select_rng.sample(range(len(records)), spec.n_events))
-    selected = [records[i] for i in chosen]
+    chosen = sorted(select_rng.sample(range(len(events)), spec.n_events))
+    selected = [events[i] for i in chosen]
 
-    for rec in selected:
-        if len(rec.definitions) < spec.n_definitions:
+    for node in selected:
+        if len(node.definitions) < spec.n_definitions:
             raise InsufficientDataError(
-                f"event {rec.event!r} has {len(rec.definitions)} definitions, need {spec.n_definitions}"
+                f"event {node.name!r} has {len(node.definitions)} definitions, need {spec.n_definitions}"
             )
-        if len(rec.samples) < spec.n_samples:
+        if len(node.samples) < spec.n_samples:
             raise InsufficientDataError(
-                f"event {rec.event!r} has {len(rec.samples)} samples, need {spec.n_samples}"
+                f"event {node.name!r} has {len(node.samples)} samples, need {spec.n_samples}"
             )
 
-    def context(event: str) -> OntologyContext | None:
+    def context(node: EventTypeNode) -> OntologyContext | None:
         if not spec.with_ontology:
             return None
-        node = ontology.get(event)
         return OntologyContext(
             parent=node.parent.name if node.parent is not None else None,
             children=tuple(c.name for c in node.children),
         )
 
-    def definition_of(event: str) -> str:
-        defs = by_name[event].definitions
-        return defs[0] if defs else ""
-
     instances: list[TrainingInstance] = []
     fallback_count = 0
-    for rec in selected:
-        event = rec.event
+    for node in selected:
+        event = node.name
         defs_rng = _rng(spec.seed, event, "defs")
         samples_rng = _rng(spec.seed, event, "samples")
         negatives_rng = _rng(spec.seed, event, "negatives")
 
-        sel_defs = [rec.definitions[i] for i in defs_rng.sample(range(len(rec.definitions)), spec.n_definitions)]
-        sel_samples = [rec.samples[i] for i in sorted(samples_rng.sample(range(len(rec.samples)), spec.n_samples))]
+        sel_defs = [node.definitions[i] for i in defs_rng.sample(range(len(node.definitions)), spec.n_definitions)]
+        sel_samples = [node.samples[i] for i in sorted(samples_rng.sample(range(len(node.samples)), spec.n_samples))]
 
-        all_siblings = ontology_siblings(ontology, event)
-        sibling_names = [s.name for s in all_siblings if s.name in by_name and by_name[s.name].definitions]
-        sibling_set = {s.name for s in all_siblings}
-        cousins = [c for c in _cousin_pool(ontology, event) if c in by_name and by_name[c].definitions]
+        all_siblings = ontology_siblings(dataset, event)
+        sibling_pool = [s for s in all_siblings if s in candidates]
+        sibling_set = set(all_siblings)
+        cousins = [c for c in _cousin_pool(node) if c in candidates]
 
         for si, sample in enumerate(sel_samples):
             definition = sel_defs[si % spec.n_definitions]
@@ -189,7 +179,7 @@ def assemble(
                     instance_id=f"{event}|s{si}|p",
                     event_name=event,
                     definition=definition if spec.with_definition else "",
-                    ontology_context=context(event),
+                    ontology_context=context(node),
                     sentence=sample.sentence,
                     target=sample.trigger,
                     kind="positive",
@@ -199,16 +189,16 @@ def assemble(
                 continue
 
             sentence = sample.sentence
-            used: set[str] = set()
+            used: set[EventTypeNode] = set()
 
-            def eligible(pool: Iterable[str]) -> list[str]:
-                return [c for c in pool if c != event and c not in used and sentence not in sentences[c]]
+            def eligible(pool: Iterable[EventTypeNode]) -> list[EventTypeNode]:
+                return [c for c in pool if c is not node and c not in used and sentence not in sentences[c]]
 
-            negative_events: list[tuple[str, str]] = []  # (event, kind)
-            sib_pool = eligible(sibling_names)
+            negative_events: list[tuple[EventTypeNode, str]] = []  # (event, kind)
+            sib_pool = eligible(sibling_pool)
             hard = negatives_rng.sample(sib_pool, min(spec.n_hard_negatives, len(sib_pool)))
             used.update(hard)
-            negative_events.extend((name, "hard_negative") for name in hard)
+            negative_events.extend((neg, "hard_negative") for neg in hard)
 
             shortfall = spec.n_hard_negatives - len(hard)
             if shortfall > 0:
@@ -216,17 +206,17 @@ def assemble(
                 cousin_pool = eligible(cousins)
                 fill = negatives_rng.sample(cousin_pool, min(shortfall, len(cousin_pool)))
                 used.update(fill)
-                negative_events.extend((name, "negative") for name in fill)
+                negative_events.extend((neg, "negative") for neg in fill)
                 shortfall -= len(fill)
 
             plain_needed = (spec.n_negatives - spec.n_hard_negatives) + shortfall
-            plain_pool = eligible(r.event for r in records if r.event not in sibling_set and r.definitions)
+            plain_pool = eligible(c for c in events if c not in sibling_set and c in candidates)
             plain = negatives_rng.sample(plain_pool, min(plain_needed, len(plain_pool)))
             if len(plain) < plain_needed:
                 # Non-sibling candidates exhausted (small trees): top up from
                 # the remaining siblings, still as plain negatives.
                 used.update(plain)
-                overflow_pool = eligible(sibling_names)
+                overflow_pool = eligible(sibling_pool)
                 overflow = negatives_rng.sample(overflow_pool, min(plain_needed - len(plain), len(overflow_pool)))
                 plain.extend(overflow)
             if len(plain) < plain_needed:
@@ -234,15 +224,15 @@ def assemble(
                     f"event {event!r}, sample {si}: need {plain_needed - len(plain)} more "
                     f"negative candidates than the dataset offers"
                 )
-            negative_events.extend((name, "negative") for name in plain)
+            negative_events.extend((neg, "negative") for neg in plain)
 
-            for ni, (neg_event, kind) in enumerate(negative_events):
+            for ni, (neg, kind) in enumerate(negative_events):
                 instances.append(
                     TrainingInstance(
                         instance_id=f"{event}|s{si}|n{ni}",
-                        event_name=neg_event,
-                        definition=definition_of(neg_event) if spec.with_definition else "",
-                        ontology_context=context(neg_event),
+                        event_name=neg.name,
+                        definition=neg.definitions[0] if spec.with_definition else "",
+                        ontology_context=context(neg),
                         sentence=sentence,
                         target=NONE_TARGET,
                         kind=kind,
@@ -266,9 +256,6 @@ DEFAULT_INSTANCE_TEMPLATE = (
     "Sentence: {sentence}\n"
     "Answer with the trigger word, or None if the event does not occur.\n"
 )
-
-_PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
-
 
 def render_instance(
     instance: TrainingInstance, template: str = DEFAULT_INSTANCE_TEMPLATE

@@ -209,9 +209,8 @@ def cmd_curate_defs(args: argparse.Namespace) -> int:
     _, report = curation.curate_definitions_for_trees(
         ontology.trees, backend, max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"])
     )
-    records = curation.records_from_ontology(ontology)
-    curation.write_dataset(records, resolved["out"])
-    counts = {"events": len(records), "definitions": report.parsed, "failures": len(report.failures)}
+    events = curation.write_dataset(ontology, resolved["out"])
+    counts = {"events": events, "definitions": report.parsed, "failures": len(report.failures)}
     write_manifests("curate-defs", resolved, [resolved["ontology"]], [resolved["out"]], counts)
     print(f"curate-defs: {report.parsed}/{report.requested} definitions")
     return _report_failures(report)
@@ -221,81 +220,70 @@ def cmd_curate_samples(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _require(resolved, "dataset", "out")
     per_event = int(resolved["per_event"])
-    records = curation.read_dataset(resolved["dataset"])
-    ontology = curation.ontology_from_dataset(records, source=str(resolved["dataset"]))
+    dataset = curation.read_dataset(resolved["dataset"])
     backend = _backend(resolved)
-    samples, report = curation.curate_samples_for_trees(
-        ontology.trees, backend, per_event=per_event,
+    _, report = curation.curate_samples_for_trees(
+        dataset.trees, backend, per_event=per_event,
         max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
     )
-    by_event: dict[str, list[curation.GeneratedSample]] = {}
-    for sample in samples:
-        by_event.setdefault(sample.event_name, []).append(sample)
 
     for _ in range(int(resolved["regenerate"])):
-        short = {name for name in ontology.names() if len(by_event.get(name, [])) < per_event}
-        if not short:
+        trees = [t for t in dataset.trees if any(len(n.samples) < per_event for n in t.iter_preorder())]
+        if not trees:
             break
-        trees = [t for t in ontology.trees if any(n.name in short for n in t.iter_preorder())]
-        extra, report = curation.curate_samples_for_trees(
+        before = {node: node.samples for tree in trees for node in tree.iter_preorder()}
+        _, report = curation.curate_samples_for_trees(
             trees, backend, per_event=per_event,
             max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
         )
-        regen: dict[str, list[curation.GeneratedSample]] = {}
-        for sample in extra:
-            regen.setdefault(sample.event_name, []).append(sample)
-        for name, new in regen.items():
-            if len(new) > len(by_event.get(name, [])):
-                by_event[name] = new
+        for node, old in before.items():
+            if len(old) >= len(node.samples):
+                node.samples = old
 
-    out_records = curation.records_from_ontology(ontology, by_event)
-    curation.write_dataset(out_records, resolved["out"])
-    total = sum(len(v) for v in by_event.values())
-    counts = {"events": len(out_records), "samples": total,
+    events = curation.write_dataset(dataset, resolved["out"])
+    total = sum(len(node.samples) for node in dataset.iter_nodes())
+    counts = {"events": events, "samples": total,
               "dropped_invalid": report.dropped_invalid, "failures": len(report.failures)}
     write_manifests("curate-samples", resolved, [resolved["dataset"]], [resolved["out"]], counts)
-    print(f"curate-samples: {total} samples for {len(out_records)} events ({report.dropped_invalid} invalid dropped)")
+    print(f"curate-samples: {total} samples for {events} events ({report.dropped_invalid} invalid dropped)")
     return _report_failures(report)
 
 
 def cmd_expand_defs(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _require(resolved, "dataset", "out")
-    records = curation.read_dataset(resolved["dataset"])
-    ontology = curation.ontology_from_dataset(records, source=str(resolved["dataset"]))
-    samples_by_event = {r.event: list(r.samples) for r in records}
+    dataset = curation.read_dataset(resolved["dataset"])
     backend = _backend(resolved)
     added = curation.expand_definitions_for_nodes(
-        list(ontology.iter_nodes()), backend, count=int(resolved["count"]),
+        list(dataset.iter_nodes()), backend, count=int(resolved["count"]),
         max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
     )
-    out_records = curation.records_from_ontology(ontology, samples_by_event)
-    curation.write_dataset(out_records, resolved["out"])
+    events = curation.write_dataset(dataset, resolved["out"])
     total_added = sum(len(v) for v in added.values())
-    counts = {"events": len(out_records), "paraphrases_added": total_added}
+    counts = {"events": events, "paraphrases_added": total_added}
     write_manifests("expand-defs", resolved, [resolved["dataset"]], [resolved["out"]], counts)
-    print(f"expand-defs: {total_added} paraphrases added across {len(out_records)} events")
+    print(f"expand-defs: {total_added} paraphrases added across {events} events")
     return 0
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _require(resolved, "dataset", "out", "audit")
-    records = curation.read_dataset(resolved["dataset"])
-    survivors, audits = pruning.prune_dataset(records, threshold=float(resolved["threshold"]))
-    curation.write_dataset(survivors, resolved["out"])
+    dataset = curation.read_dataset(resolved["dataset"])
+    events_in = len(dataset)
+    pruned, audits = pruning.prune_dataset(dataset, threshold=float(resolved["threshold"]))
+    events_out = curation.write_dataset(pruned, resolved["out"])
     pruning.write_audit(audits, resolved["audit"])
-    counts = {"events_in": len(records), "events_removed": len(audits), "events_out": len(survivors)}
+    counts = {"events_in": events_in, "events_removed": len(audits), "events_out": events_out}
     write_manifests("prune", resolved, [resolved["dataset"]], [resolved["out"], resolved["audit"]], counts)
-    print(f"prune: {len(records)} events -> {len(survivors)} (removed {len(audits)})")
+    print(f"prune: {events_in} events -> {events_out} (removed {len(audits)})")
     return 0
 
 
 def cmd_assemble(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _require(resolved, "dataset", "out", "events", "definitions", "samples")
-    records = curation.read_dataset(resolved["dataset"])
-    ontology = curation.ontology_from_dataset(records, source=str(resolved["dataset"]))
+    dataset = curation.read_dataset(resolved["dataset"])
     spec = assembly.SliceSpec(
         n_events=int(resolved["events"]),
         n_definitions=int(resolved["definitions"]),
@@ -306,7 +294,7 @@ def cmd_assemble(args: argparse.Namespace) -> int:
         with_definition=bool(resolved["with_definition"]),
         seed=int(resolved["seed"]),
     )
-    instances = assembly.assemble(records, ontology, spec)
+    instances = assembly.assemble(dataset, spec)
     assembly.write_jsonl(instances, resolved["out"])
     kind_counts = assembly.count_kinds(instances)
     counts = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import jsonl
+from . import jsonl, ontology
 from .errors import DivedError
 from .llm_client import (
     DEFAULT_EXAMPLES,
@@ -25,7 +25,7 @@ from .llm_client import (
     TemplateId,
     complete_batch,
 )
-from .ontology import EventTypeNode, Ontology, build_ontology
+from .ontology import EventTypeNode, Ontology, _name_key
 
 logger = logging.getLogger(__name__)
 
@@ -84,20 +84,14 @@ class CurationReport:
         return self.requested - self.parsed - self.dropped_invalid
 
 
-def _key(name: str) -> str:
-    return name.strip().casefold()
-
-
 def tree_block(root: EventTypeNode) -> str:
     """Indented-tree rendering of one ontology tree, one event name per line."""
     lines: list[str] = []
-
-    def walk(node: EventTypeNode, depth: int) -> None:
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
         lines.append("  " * depth + node.name)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)
 
 
@@ -152,7 +146,7 @@ def _records(text: str) -> Iterable[tuple[str, str, str]]:
     for line in text.splitlines():
         m = _RECORD_RE.match(line)
         if m:
-            yield _key(m.group("event")), m.group("field"), m.group("value").strip()
+            yield _name_key(m.group("event")), m.group("field"), m.group("value").strip()
 
 
 def parse_definitions(text: str, expected_events: Sequence[str]) -> dict[str, str]:
@@ -160,7 +154,7 @@ def parse_definitions(text: str, expected_events: Sequence[str]) -> dict[str, st
 
     Missing or empty definitions simply do not appear in the result.
     """
-    wanted = {_key(name): name for name in expected_events}
+    wanted = {_name_key(name): name for name in expected_events}
     found: dict[str, str] = {}
     for key, fieldname, value in _records(text):
         if fieldname != "definition" or key not in wanted:
@@ -185,7 +179,7 @@ def parse_samples(
     Keeps at most per_event valid samples per event; invalid pairs are counted
     in ``dropped``. Unpaired sentence or trigger lines are ignored.
     """
-    wanted = {_key(name): name for name in expected_events}
+    wanted = {_name_key(name): name for name in expected_events}
     stats = {name: _SampleStats() for name in expected_events}
     pending: dict[str, str] = {}
     for key, fieldname, value in _records(text):
@@ -215,7 +209,7 @@ def parse_samples(
 
 def parse_paraphrases(text: str, event: str) -> list[str]:
     """All non-empty paraphrase record values for the event, in order."""
-    key = _key(event)
+    key = _name_key(event)
     return [value for k, fieldname, value in _records(text) if k == key and fieldname == "paraphrase" and value]
 
 
@@ -301,18 +295,16 @@ def curate_samples_for_trees(
     Samples whose trigger does not occur verbatim in the sentence are dropped
     and counted. A tree whose response leaves some event short of per_event
     valid samples is retried once; per event, whichever response yields more
-    valid samples wins.
+    valid samples wins. Each node's ``samples`` is set to its winners.
     """
     if per_event < 1:
         raise ValueError("per_event must be a positive integer")
-    all_names: list[str] = []
-    for tree in trees:
-        for node in tree.iter_preorder():
-            if not node.definitions:
-                raise ValueError(f"node {node.name!r} has no definition; run definition curation first")
-            all_names.append(node.name)
+    all_nodes = [node for tree in trees for node in tree.iter_preorder()]
+    for node in all_nodes:
+        if not node.definitions:
+            raise ValueError(f"node {node.name!r} has no definition; run definition curation first")
 
-    report = CurationReport(requested=per_event * len(all_names))
+    report = CurationReport(requested=per_event * len(all_nodes))
     requests = [sample_request(t, per_event) for t in trees]
     results = complete_batch(requests, backend, max_in_flight, retry_limit=retry_limit)
 
@@ -345,14 +337,15 @@ def curate_samples_for_trees(
                     stats[name] = retry_stats[name]
 
     samples: list[GeneratedSample] = []
-    for name in all_names:
-        st = stats[name]
+    for node in all_nodes:
+        st = stats[node.name]
+        node.samples = list(st.samples)
         samples.extend(st.samples)
         report.parsed += len(st.samples)
         report.dropped_invalid += st.dropped
         short = per_event - st.pairs
-        if short > 0 and name not in failed_events:
-            report.failures.append((name, f"response contained {st.pairs} of {per_event} sample records"))
+        if short > 0 and node.name not in failed_events:
+            report.failures.append((node.name, f"response contained {st.pairs} of {per_event} sample records"))
     return samples, report
 
 
@@ -434,48 +427,42 @@ def expand_definitions(node: EventTypeNode, backend: Backend, count: int = 10) -
 
 
 # ---------------------------------------------------------------------------
-# Generated-dataset records and JSONL round-trip
+# Generated-dataset JSONL round-trip
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EventRecord:
-    """One event type of a generated dataset: ontology links, its definitions,
-    and its validated samples."""
-
-    event: str
-    parent: str | None = None
-    children: list[str] = field(default_factory=list)
-    definitions: list[str] = field(default_factory=list)
-    samples: list[GeneratedSample] = field(default_factory=list)
-
-
-def write_dataset(records: Iterable[EventRecord], path: str | Path) -> int:
+def write_dataset(dataset: Ontology, path: str | Path) -> int:
+    """Write one row per event in pre-order; ``children`` is derived from the
+    parent links."""
     return jsonl.write_rows(
         path,
         (
             {
-                "event": r.event,
-                "parent": r.parent,
-                "children": list(r.children),
-                "definitions": list(r.definitions),
-                "samples": [{"sentence": s.sentence, "trigger": s.trigger} for s in r.samples],
+                "event": node.name,
+                "parent": node.parent.name if node.parent is not None else None,
+                "children": [child.name for child in node.children],
+                "definitions": list(node.definitions),
+                "samples": [{"sentence": s.sentence, "trigger": s.trigger} for s in node.samples],
             }
-            for r in records
+            for node in dataset.iter_nodes()
         ),
     )
 
 
-def read_dataset(path: str | Path) -> list[EventRecord]:
-    records: list[EventRecord] = []
+def read_dataset(path: str | Path) -> Ontology:
+    """Load a dataset as an Ontology with definitions and samples on its nodes.
+
+    The rows must form a valid ontology (names unique up to case, parents
+    known, no cycles); ``children`` is only type-checked. Every error names
+    ``path:line``.
+    """
+    numbered: list[tuple[int, tuple[str, str | None, str | None]]] = []
+    contents: list[tuple[list[str], list[GeneratedSample]]] = []
     for lineno, obj in jsonl.read_rows(path):
         try:
             event = obj["event"]
             if not isinstance(event, str) or not event.strip():
                 raise jsonl.JsonlError(path, lineno, "field 'event' must be a non-empty string")
-            parent = obj.get("parent")
-            if parent is not None and not isinstance(parent, str):
-                raise jsonl.JsonlError(path, lineno, "field 'parent' must be a string or null")
             children = obj.get("children", [])
             definitions = obj.get("definitions", [])
             if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
@@ -490,58 +477,11 @@ def read_dataset(path: str | Path) -> list[EventRecord]:
             raise jsonl.JsonlError(path, lineno, f"missing required field {exc.args[0]!r}") from exc
         except InvalidSampleError as exc:
             raise jsonl.JsonlError(path, lineno, str(exc)) from exc
-        records.append(
-            EventRecord(event=event, parent=parent, children=children, definitions=definitions, samples=samples)
-        )
-    return records
+        numbered.append((lineno, (event, obj.get("parent"), None)))
+        contents.append((definitions, samples))
 
-
-def dataset_to_trees(records: Sequence[EventRecord]) -> list[list[EventRecord]]:
-    """Group records into trees (parent links are authoritative), each tree in
-    pre-order with children in record order."""
-    by_name = {r.event: r for r in records}
-    children: dict[str, list[EventRecord]] = {r.event: [] for r in records}
-    roots: list[EventRecord] = []
-    for r in records:
-        if r.parent is not None and r.parent in by_name:
-            children[r.parent].append(r)
-        else:
-            roots.append(r)
-
-    trees: list[list[EventRecord]] = []
-    for root in roots:
-        ordered: list[EventRecord] = []
-        stack = [root]
-        while stack:
-            rec = stack.pop()
-            ordered.append(rec)
-            stack.extend(reversed(children[rec.event]))
-        trees.append(ordered)
-    return trees
-
-
-def ontology_from_dataset(records: Sequence[EventRecord], source: str = "<dataset>") -> Ontology:
-    """Rebuild an Ontology (with definitions attached) from dataset records."""
-    names = {r.event for r in records}
-    rows = [(r.event, r.parent if r.parent in names else None, None) for r in records]
-    ontology = build_ontology(rows, source=source, origin=source)
-    for r in records:
-        if r.definitions:
-            ontology.get(r.event).definitions = list(r.definitions)
-    return ontology
-
-
-def records_from_ontology(
-    ontology: Ontology, samples_by_event: dict[str, list[GeneratedSample]] | None = None
-) -> list[EventRecord]:
-    samples_by_event = samples_by_event or {}
-    return [
-        EventRecord(
-            event=node.name,
-            parent=node.parent.name if node.parent is not None else None,
-            children=[c.name for c in node.children],
-            definitions=list(node.definitions),
-            samples=list(samples_by_event.get(node.name, [])),
-        )
-        for node in ontology.iter_nodes()
-    ]
+    dataset = ontology._build_ontology(numbered, "1", str(path), str(path))
+    for (_, (event, _, _)), (definitions, samples) in zip(numbered, contents):
+        node = dataset.get(event)
+        node.definitions, node.samples = definitions, samples
+    return dataset

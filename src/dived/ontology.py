@@ -1,21 +1,26 @@
 """Event-type ontology: dependency trees of event types with parent/child/sibling
 queries and held-out filtering.
 
-An ontology is a forest of event-type trees. Ontology values are treated as
-immutable after construction and are safe to share across threads; all
-filtering operations return new ontologies.
+An ontology is a forest of event-type trees. Its structure (names, parent
+links, child order) is fixed once built; the pipeline stages fill each node's
+``definitions`` and ``samples`` in place. Filtering and pruning return new
+ontologies and leave the input unchanged.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import jsonl
 from .errors import DivedError
+
+if TYPE_CHECKING:
+    from .curation import GeneratedSample
 
 logger = logging.getLogger(__name__)
 
@@ -29,12 +34,12 @@ class OntologyFormatError(DivedError):
         self.line = line
 
 
-class DuplicateEventNameError(DivedError):
+class DuplicateEventNameError(OntologyFormatError):
     """The same event name appears twice; the message names both occurrences."""
 
 
-class OntologyCycleError(DivedError):
-    """A node is its own ancestor; the message names the offending node."""
+class OntologyCycleError(OntologyFormatError):
+    """A node is its own ancestor; the message names the offending node and its row."""
 
 
 class UnknownEventError(DivedError):
@@ -56,20 +61,29 @@ def _name_key(name: str) -> str:
 class EventTypeNode:
     """One event type inside a dependency tree.
 
-    ``definitions`` starts empty and is filled by the curation/expansion steps;
-    ``definitions[0]`` is the curated seed definition.
+    ``definitions`` and ``samples`` start empty and are filled by the
+    curation/expansion steps; ``definitions[0]`` is the curated seed
+    definition. The parent link is weak (the parent owns its children), so a
+    dropped ontology is freed at once rather than left as cyclic garbage.
     """
 
     name: str
     external_id: str | None = None
-    parent: "EventTypeNode | None" = None
     children: list["EventTypeNode"] = field(default_factory=list)
     definitions: list[str] = field(default_factory=list)
+    samples: list["GeneratedSample"] = field(default_factory=list)
+    _parent: "weakref.ref[EventTypeNode] | None" = field(default=None, init=False, repr=False)
+
+    @property
+    def parent(self) -> "EventTypeNode | None":
+        return self._parent() if self._parent is not None else None
 
     def iter_preorder(self) -> Iterator["EventTypeNode"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_preorder()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def ancestors(self) -> Iterator["EventTypeNode"]:
         node = self.parent
@@ -114,6 +128,26 @@ class Ontology:
     def names(self) -> list[str]:
         return [node.name for node in self.iter_nodes()]
 
+    def subset(self, keep: set[EventTypeNode]) -> "Ontology":
+        """A new ontology of the kept nodes in the same pre-order, each
+        re-parented to its nearest kept ancestor, with copies of their
+        definitions and samples. The input is unchanged."""
+        rows: list[tuple[str, str | None, str | None]] = []
+        kept: list[EventTypeNode] = []
+        target: dict[EventTypeNode, str | None] = {}  # node -> nearest kept ancestor-or-self
+        for node in self.iter_nodes():
+            up = target[node.parent] if node.parent is not None else None
+            if node in keep:
+                rows.append((node.name, up, node.external_id))
+                kept.append(node)
+                up = node.name
+            target[node] = up
+        sub = build_ontology(rows, version=self.version, source=self.source)
+        for old, new in zip(kept, sub.iter_nodes(), strict=True):
+            new.definitions = list(old.definitions)
+            new.samples = list(old.samples)
+        return sub
+
 
 def build_ontology(
     rows: Iterable[tuple[str, str | None, str | None]],
@@ -137,6 +171,7 @@ def _build_ontology(
     source: str,
     origin: str,
 ) -> Ontology:
+    """Build from (line number, row) pairs; every error names ``origin:line``."""
     nodes: dict[str, EventTypeNode] = {}
     first_seen: dict[str, tuple[int, str]] = {}
     ordered: list[tuple[int, EventTypeNode, str | None]] = []
@@ -152,8 +187,7 @@ def _build_ontology(
         if key in first_seen:
             prev_line, prev_name = first_seen[key]
             raise DuplicateEventNameError(
-                f"duplicate event name: {name!r} at {origin}:{lineno} "
-                f"already defined as {prev_name!r} at {origin}:{prev_line}"
+                origin, lineno, f"duplicate event name {name!r}, already defined as {prev_name!r} at {origin}:{prev_line}"
             )
         first_seen[key] = (lineno, name)
         node = EventTypeNode(name=name.strip(), external_id=external_id)
@@ -166,27 +200,26 @@ def _build_ontology(
         parent = nodes.get(_name_key(parent_name))
         if parent is None:
             raise OntologyFormatError(origin, lineno, f"unknown parent {parent_name!r} for node {node.name!r}")
-        node.parent = parent
+        node._parent = weakref.ref(parent)
         parent.children.append(node)
 
-    _check_acyclic(nodes.values())
+    _check_acyclic(ordered, origin)
     trees = [node for _, node, parent_name in ordered if parent_name is None]
     return Ontology(trees=trees, version=version, source=source)
 
 
-def _check_acyclic(nodes: Iterable[EventTypeNode]) -> None:
-    safe: set[int] = set()
-    for start in nodes:
-        chain: list[EventTypeNode] = []
-        on_chain: set[int] = set()
+def _check_acyclic(ordered: list[tuple[int, EventTypeNode, str | None]], origin: str) -> None:
+    safe: set[EventTypeNode] = set()
+    for _, start, _ in ordered:
+        chain: dict[EventTypeNode, None] = {}  # insertion-ordered set
         node: EventTypeNode | None = start
-        while node is not None and id(node) not in safe:
-            if id(node) in on_chain:
-                raise OntologyCycleError(f"cycle detected at node {node.name!r}: it is its own ancestor")
-            chain.append(node)
-            on_chain.add(id(node))
+        while node is not None and node not in safe:
+            if node in chain:
+                lineno = next(line for line, n, _ in ordered if n is node)
+                raise OntologyCycleError(origin, lineno, f"cycle detected at node {node.name!r}: it is its own ancestor")
+            chain[node] = None
             node = node.parent
-        safe.update(id(n) for n in chain)
+        safe.update(chain)
 
 
 def load_ontology(path: str | Path) -> Ontology:
@@ -237,20 +270,11 @@ def filter_heldout(ontology: Ontology, heldout_names: list[str]) -> Ontology:
     for missing in sorted(t for t in targets if t not in present):
         logger.warning("held-out name %r matches no event type; ignored", missing)
 
-    kept_rows: list[tuple[str, str | None, str | None]] = []
-    defs: dict[str, list[str]] = {}
+    keep: set[EventTypeNode] = set()
     for tree in ontology.trees:
         tree_nodes = list(tree.iter_preorder())
         if any(normalize_name(n.name) in targets for n in tree_nodes):
             logger.info("removing tree rooted at %r (%d nodes): held-out match", tree.name, len(tree_nodes))
-            continue
-        for n in tree_nodes:
-            kept_rows.append((n.name, n.parent.name if n.parent else None, n.external_id))
-            if n.definitions:
-                defs[n.name] = list(n.definitions)
-
-    filtered = build_ontology(kept_rows, version=ontology.version, source=ontology.source)
-    for node in filtered.iter_nodes():
-        if node.name in defs:
-            node.definitions = defs[node.name]
-    return filtered
+        else:
+            keep.update(tree_nodes)
+    return ontology.subset(keep)

@@ -8,15 +8,14 @@ sibling structure needed for hard negatives.
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import jsonl
-from .curation import EventRecord, dataset_to_trees
 from .errors import DivedError
+from .ontology import EventTypeNode, Ontology
 
 logger = logging.getLogger(__name__)
 
@@ -53,76 +52,52 @@ def _matched(triggers_a: Sequence[str], triggers_b: Sequence[str]) -> tuple[str,
     return tuple(sorted({t.strip() for t in triggers_a} & {t.strip() for t in triggers_b}))
 
 
-def prune_tree(
-    tree: Sequence[EventRecord], threshold: float = 0.5
-) -> tuple[list[EventRecord], list[OverlapRecord]]:
-    """Remove duplicate events from one tree (records in pre-order).
+def prune_tree(root: EventTypeNode, threshold: float = 0.5) -> list[OverlapRecord]:
+    """Find the duplicate events of one tree.
 
     Event pairs are compared in pre-order; when their trigger overlap ratio
     strictly exceeds the threshold and both are still alive, the pre-order
-    later event is removed together with its samples. Removed events take no
-    further part in comparisons; children of a removed node are re-parented
-    to its nearest surviving ancestor. Returns the surviving records (copies;
-    the input is unchanged) and the audit records for each removed pair.
+    later event is marked removed and takes no further part in comparisons.
+    Returns one audit record per removed event (its ``event_b``); the tree is
+    unchanged.
     """
-    for rec in tree:
-        if not rec.samples:
-            raise PruneInputError(f"event {rec.event!r} has no samples; cannot compute trigger overlap")
+    tree = list(root.iter_preorder())
+    for node in tree:
+        if not node.samples:
+            raise PruneInputError(f"event {node.name!r} has no samples; cannot compute trigger overlap")
 
-    triggers = {rec.event: [s.trigger for s in rec.samples] for rec in tree}
-    dead: set[str] = set()
+    triggers = {node: [s.trigger for s in node.samples] for node in tree}
+    dead: set[EventTypeNode] = set()
     audits: list[OverlapRecord] = []
     for i, first in enumerate(tree):
-        if first.event in dead:
+        if first in dead:
             continue
         for second in tree[i + 1 :]:
-            if second.event in dead:
+            if second in dead:
                 continue
-            ratio = overlap_ratio(triggers[first.event], triggers[second.event])
+            ratio = overlap_ratio(triggers[first], triggers[second])
             if ratio > threshold:
-                dead.add(second.event)
+                dead.add(second)
                 audits.append(
                     OverlapRecord(
-                        event_a=first.event,
-                        event_b=second.event,
+                        event_a=first.name,
+                        event_b=second.name,
                         ratio=ratio,
-                        matched_triggers=_matched(triggers[first.event], triggers[second.event]),
+                        matched_triggers=_matched(triggers[first], triggers[second]),
                     )
                 )
-                logger.info("pruning %r: trigger overlap %.2f with %r", second.event, ratio, first.event)
-
-    parent_of = {rec.event: rec.parent for rec in tree}
-
-    def surviving_parent(event: str) -> str | None:
-        parent = parent_of[event]
-        while parent is not None and parent in dead:
-            parent = parent_of[parent]
-        return parent
-
-    survivors: list[EventRecord] = []
-    new_parent = {rec.event: surviving_parent(rec.event) for rec in tree}
-    for rec in tree:
-        if rec.event in dead:
-            continue
-        kept = copy.deepcopy(rec)
-        kept.parent = new_parent[rec.event]
-        kept.children = [other.event for other in tree if other.event not in dead and new_parent[other.event] == rec.event]
-        survivors.append(kept)
-    return survivors, audits
+                logger.info("pruning %r: trigger overlap %.2f with %r", second.name, ratio, first.name)
+    return audits
 
 
-def prune_dataset(
-    records: Sequence[EventRecord], threshold: float = 0.5
-) -> tuple[list[EventRecord], list[OverlapRecord]]:
-    """Apply prune_tree to every tree of a dataset. Cross-tree duplicates are
-    deliberately not considered."""
-    survivors: list[EventRecord] = []
-    audits: list[OverlapRecord] = []
-    for tree in dataset_to_trees(records):
-        kept, removed = prune_tree(tree, threshold)
-        survivors.extend(kept)
-        audits.extend(removed)
-    return survivors, audits
+def prune_dataset(dataset: Ontology, threshold: float = 0.5) -> tuple[Ontology, list[OverlapRecord]]:
+    """Apply prune_tree to every tree and return the surviving events as a new
+    Ontology (children of a removed event re-parented to its nearest surviving
+    ancestor) with the audit records. Cross-tree duplicates are deliberately
+    not considered; the input is unchanged."""
+    audits = [audit for tree in dataset.trees for audit in prune_tree(tree, threshold)]
+    removed = {audit.event_b for audit in audits}
+    return dataset.subset({node for node in dataset.iter_nodes() if node.name not in removed}), audits
 
 
 def write_audit(records: Iterable[OverlapRecord], path: str | Path) -> int:

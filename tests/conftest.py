@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dived.curation import EventRecord, GeneratedSample
+from dived.curation import GeneratedSample
 from dived.llm_client import Backend
 from dived.ontology import Ontology, build_ontology, load_ontology
 
@@ -52,33 +52,35 @@ def make_sample(event: str, idx: int) -> GeneratedSample:
     )
 
 
+def make_dataset(rows: list[tuple[str, str | None, list[str], list[GeneratedSample]]]) -> Ontology:
+    """A dataset from (event, parent, definitions, samples) rows in file order."""
+    dataset = build_ontology([(event, parent, None) for event, parent, _, _ in rows])
+    for event, _, definitions, samples in rows:
+        node = dataset.get(event)
+        node.definitions, node.samples = list(definitions), list(samples)
+    return dataset
+
+
 def grid_dataset(
     n_trees: int = 4,
     children_per_tree: int = 10,
     n_definitions: int = 10,
     n_samples: int = 10,
-) -> tuple[list[EventRecord], Ontology]:
+) -> Ontology:
     """Synthetic dataset for slicing tests: n_trees roots, each with
-    children_per_tree children. Only the children carry data records, so every
-    dataset event has children_per_tree - 1 siblings."""
+    children_per_tree children. Only the children carry definitions and
+    samples, so every drawable event has children_per_tree - 1 siblings."""
     rows: list[tuple[str, str | None, str | None]] = []
-    records: list[EventRecord] = []
     for t in range(n_trees):
         root = f"root{t}"
         rows.append((root, None, None))
-        for c in range(children_per_tree):
-            event = f"ev{t}_{c}"
-            rows.append((event, root, None))
-            records.append(
-                EventRecord(
-                    event=event,
-                    parent=root,
-                    children=[],
-                    definitions=[f"{event} definition number {d}" for d in range(n_definitions)],
-                    samples=[make_sample(event, s) for s in range(n_samples)],
-                )
-            )
-    return records, build_ontology(rows)
+        rows.extend((f"ev{t}_{c}", root, None) for c in range(children_per_tree))
+    dataset = build_ontology(rows)
+    for node in dataset.iter_nodes():
+        if node.parent is not None:
+            node.definitions = [f"{node.name} definition number {d}" for d in range(n_definitions)]
+            node.samples = [make_sample(node.name, s) for s in range(n_samples)]
+    return dataset
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

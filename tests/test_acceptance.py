@@ -19,11 +19,11 @@ from dived.curation import read_dataset
 from dived.evaluation import ScoreReport, Scores, drop_rate, match_and_score
 from dived.jsonl import JsonlError
 from dived.ontology import OntologyFormatError, load_ontology, save_ontology, siblings
-from dived.pruning import overlap_ratio, prune_tree
+from dived.pruning import overlap_ratio, prune_dataset
 
-from conftest import FIXTURES, TOY_ONTOLOGY, grid_dataset, make_sample
+from conftest import FIXTURES, TOY_ONTOLOGY, grid_dataset, make_dataset, make_sample
 from test_evaluation import gold, oracle_scores, pred, random_case
-from test_pruning import brute_force_max_ratio, fill_children, record
+from test_pruning import brute_force_max_ratio, record
 
 
 # ---------------------------------------------------------------------------
@@ -37,15 +37,15 @@ def test_criterion_1_pruning_boundary():
     # ratio 0.6 -> later event removed
     a = record("A", None, [f"s{i}" for i in range(6)] + [f"a{i}" for i in range(4)])
     b = record("B", "A", [f"s{i}" for i in range(6)] + [f"b{i}" for i in range(4)])
-    pruned, audits = prune_tree(fill_children([a, b]))
-    assert [r.event for r in pruned] == ["A"]
+    pruned, audits = prune_dataset(make_dataset([a, b]))
+    assert pruned.names() == ["A"]
     assert audits[0].ratio == 0.6
 
     # ratio exactly 0.5 -> both kept (strict >)
     a = record("A", None, [f"s{i}" for i in range(5)] + [f"a{i}" for i in range(5)])
     b = record("B", "A", [f"s{i}" for i in range(5)] + [f"b{i}" for i in range(5)])
-    pruned, audits = prune_tree(fill_children([a, b]))
-    assert [r.event for r in pruned] == ["A", "B"]
+    pruned, audits = prune_dataset(make_dataset([a, b]))
+    assert pruned.names() == ["A", "B"]
     assert audits == []
 
     # post-prune exhaustive re-check on fixtures up to 20 events
@@ -56,7 +56,7 @@ def test_criterion_1_pruning_boundary():
             record(f"e{i}", None if i == 0 else "e0", rng.sample(vocabulary, 10))
             for i in range(n_events)
         ]
-        pruned, _ = prune_tree(fill_children(tree))
+        pruned, _ = prune_dataset(make_dataset(tree))
         assert brute_force_max_ratio(pruned) <= 0.5
 
     assert time.perf_counter() - start < 1.0
@@ -108,14 +108,14 @@ def test_criterion_3_worked_arithmetic_and_cls_bound():
 
 def test_criterion_4_assembly_counts_across_sweeps():
     start = time.perf_counter()
-    records, ontology = grid_dataset(n_trees=4, children_per_tree=10, n_definitions=10, n_samples=10)
+    dataset = grid_dataset(n_trees=4, children_per_tree=10, n_definitions=10, n_samples=10)
 
     def check(n_events, n_definitions, n_samples, n_negatives, n_hard):
         spec = SliceSpec(
             n_events=n_events, n_definitions=n_definitions, n_samples=n_samples,
             n_negatives=n_negatives, n_hard_negatives=n_hard, seed=1729,
         )
-        instances = assemble(records, ontology, spec)
+        instances = assemble(dataset, spec)
         counts = count_kinds(instances)
         assert counts["positive"] == n_events * n_samples
         assert counts["negative"] + counts["hard_negative"] == n_events * n_samples * n_negatives
@@ -129,7 +129,7 @@ def test_criterion_4_assembly_counts_across_sweeps():
         for inst in instances:
             if inst.kind == "hard_negative":
                 prefix = inst.instance_id.rsplit("|", 1)[0]
-                sibs = {s.name for s in siblings(ontology, gold_of[prefix])}
+                sibs = {s.name for s in siblings(dataset, gold_of[prefix])}
                 assert inst.event_name in sibs
 
     for n_hard in (0, 3):
@@ -187,11 +187,11 @@ def test_criterion_5_pipeline_determinism(tmp_path):
 
 
 def test_criterion_6_ablation_field_diff_and_drop_rate():
-    records, ontology = grid_dataset(n_trees=2, children_per_tree=6)
+    dataset = grid_dataset(n_trees=2, children_per_tree=6)
     kwargs = dict(n_events=6, n_definitions=4, n_samples=5, n_negatives=6, n_hard_negatives=3,
                   with_ontology=True, seed=23)
-    baseline = assemble(records, ontology, SliceSpec(with_definition=True, **kwargs))
-    ablated = assemble(records, ontology, SliceSpec(with_definition=False, **kwargs))
+    baseline = assemble(dataset, SliceSpec(with_definition=True, **kwargs))
+    ablated = assemble(dataset, SliceSpec(with_definition=False, **kwargs))
     assert len(baseline) == len(ablated)
     for a, b in zip(baseline, ablated):
         assert b.definition == ""
@@ -220,13 +220,13 @@ def test_criterion_7_end_to_end_mock_pipeline(tmp_path):
 
     with_samples = read_dataset(outdir / "d2.jsonl")
     assert len(with_samples) == 12
-    for rec in with_samples:
-        assert rec.definitions and rec.definitions[0]
-        assert len(rec.samples) == 10  # validated at read: trigger in sentence
+    for node in with_samples.iter_nodes():
+        assert node.definitions and node.definitions[0]
+        assert len(node.samples) == 10  # validated at read: trigger in sentence
 
     expanded = read_dataset(outdir / "d3.jsonl")
-    for rec in expanded:
-        assert len(rec.definitions) >= 11  # seed + at least 10 paraphrases surviving dedup
+    for node in expanded.iter_nodes():
+        assert len(node.definitions) >= 11  # seed + at least 10 paraphrases surviving dedup
 
     assert (outdir / "audit.jsonl").exists()
     pruned = read_dataset(outdir / "d4.jsonl")
@@ -256,10 +256,10 @@ def test_criterion_8_round_trips_and_corrupt_files(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
     # instances: write -> read -> write is byte-identical
-    records, onto = grid_dataset(n_trees=2, children_per_tree=4)
+    dataset = grid_dataset(n_trees=2, children_per_tree=4)
     spec = SliceSpec(n_events=4, n_definitions=2, n_samples=3, n_negatives=2,
                      n_hard_negatives=1, with_ontology=True, seed=5)
-    instances = assemble(records, onto, spec)
+    instances = assemble(dataset, spec)
     i1, i2 = tmp_path / "i1.jsonl", tmp_path / "i2.jsonl"
     write_jsonl(instances, i1)
     write_jsonl(read_jsonl(i1), i2)

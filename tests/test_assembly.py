@@ -16,28 +16,20 @@ from dived.assembly import (
     render_instance,
     write_jsonl,
 )
-from dived.curation import EventRecord, GeneratedSample, ontology_from_dataset
+from dived.curation import GeneratedSample
 from dived.jsonl import JsonlError
 from dived.llm_client import MissingPlaceholderError
 from dived.ontology import build_ontology, siblings
 
-from conftest import grid_dataset, make_sample
+from conftest import grid_dataset, make_dataset, make_sample
 
 
 def small_dataset():
     """One tree: root A with children B and C; plenty of defs and samples."""
-    records = []
-    for event, parent in (("A", None), ("B", "A"), ("C", "A")):
-        records.append(
-            EventRecord(
-                event=event,
-                parent=parent,
-                children=["B", "C"] if event == "A" else [],
-                definitions=[f"{event} def {i}" for i in range(3)],
-                samples=[make_sample(event, i) for i in range(4)],
-            )
-        )
-    return records, ontology_from_dataset(records)
+    return make_dataset([
+        (event, parent, [f"{event} def {i}" for i in range(3)], [make_sample(event, i) for i in range(4)])
+        for event, parent in (("A", None), ("B", "A"), ("C", "A"))
+    ])
 
 
 def group_by_positive(instances):
@@ -54,9 +46,9 @@ def group_by_positive(instances):
 
 
 def test_counts_match_spec_example():
-    records, ontology = small_dataset()
+    dataset = small_dataset()
     spec = SliceSpec(n_events=2, n_definitions=1, n_samples=2, n_negatives=1, n_hard_negatives=0, seed=7)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     assert len(instances) == 8
     counts = count_kinds(instances)
     assert counts["positive"] == 4
@@ -65,9 +57,9 @@ def test_counts_match_spec_example():
 
 
 def test_output_order_event_sample_negative_index():
-    records, ontology = small_dataset()
+    dataset = small_dataset()
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=2, n_negatives=2, seed=1)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     ids = [inst.instance_id for inst in instances]
     expected = []
     for event in ("A", "B", "C"):
@@ -77,16 +69,16 @@ def test_output_order_event_sample_negative_index():
 
 
 def test_hard_negatives_are_siblings_exact_count():
-    records, ontology = grid_dataset(n_trees=4, children_per_tree=10)
+    dataset = grid_dataset(n_trees=4, children_per_tree=10)
     spec = SliceSpec(n_events=4, n_definitions=2, n_samples=2, n_negatives=10, n_hard_negatives=3, seed=3)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     counts = count_kinds(instances)
     assert counts["positive"] == 8
     assert counts["hard_negative"] == 8 * 3
     assert counts["negative"] == 8 * 7
 
     sibling_names = {
-        event: {s.name for s in siblings(ontology, event)} for event in {r.event for r in records}
+        event: {s.name for s in siblings(dataset, event)} for event in {n.name for n in dataset.iter_nodes() if n.samples}
     }
     for prefix, group in group_by_positive(instances).items():
         gold = group[0]
@@ -109,32 +101,28 @@ def test_hard_negatives_are_siblings_exact_count():
 
 
 def test_sibling_fallback_fills_with_plain_negatives():
-    records, ontology = small_dataset()
+    dataset = small_dataset()
     # B has exactly one sibling (C); asking for 2 hard negatives forces fallback
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=1, n_negatives=2, n_hard_negatives=2, seed=5)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     for prefix, group in group_by_positive(instances).items():
         assert len(group) == 3  # positive + 2 negatives
         hard = [i for i in group if i.kind == "hard_negative"]
         gold = group[0].event_name
-        sib_names = {s.name for s in siblings(ontology, gold)}
+        sib_names = {s.name for s in siblings(dataset, gold)}
         assert all(i.event_name in sib_names for i in hard)
         assert len(hard) == min(2, len(sib_names))
 
 
 def test_negative_candidates_exclude_events_containing_sentence():
     shared = "Something common happened here today."
-    records = [
-        EventRecord(event="A", parent=None, children=[], definitions=["dA"],
-                    samples=[GeneratedSample("A", shared, "common")]),
-        EventRecord(event="B", parent=None, children=[], definitions=["dB"],
-                    samples=[GeneratedSample("B", shared, "happened")]),
-        EventRecord(event="C", parent=None, children=[], definitions=["dC"],
-                    samples=[make_sample("C", 0)]),
-    ]
-    ontology = ontology_from_dataset(records)
+    dataset = make_dataset([
+        ("A", None, ["dA"], [GeneratedSample("A", shared, "common")]),
+        ("B", None, ["dB"], [GeneratedSample("B", shared, "happened")]),
+        ("C", None, ["dC"], [make_sample("C", 0)]),
+    ])
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=1, n_negatives=1, seed=2)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     for prefix, group in group_by_positive(instances).items():
         gold = group[0]
         for negative in group[1:]:
@@ -143,12 +131,9 @@ def test_negative_candidates_exclude_events_containing_sentence():
 
 
 def test_no_negative_candidates_error():
-    records = [
-        EventRecord(event="solo", parent=None, children=[], definitions=["d"], samples=[make_sample("solo", 0)])
-    ]
-    ontology = ontology_from_dataset(records)
+    dataset = make_dataset([("solo", None, ["d"], [make_sample("solo", 0)])])
     with pytest.raises(NoNegativeCandidatesError):
-        assemble(records, ontology, SliceSpec(n_events=1, n_definitions=1, n_samples=1, n_negatives=1, seed=0))
+        assemble(dataset, SliceSpec(n_events=1, n_definitions=1, n_samples=1, n_negatives=1, seed=0))
 
 
 @pytest.mark.parametrize(
@@ -160,9 +145,9 @@ def test_no_negative_candidates_error():
     ],
 )
 def test_insufficient_errors_name_the_shortfall(spec_kwargs, message_bit):
-    records, ontology = small_dataset()
+    dataset = small_dataset()
     with pytest.raises(InsufficientDataError) as err:
-        assemble(records, ontology, SliceSpec(seed=0, **spec_kwargs))
+        assemble(dataset, SliceSpec(seed=0, **spec_kwargs))
     assert message_bit in str(err.value)
 
 
@@ -179,9 +164,9 @@ def test_slice_spec_validation():
 
 
 def test_definitions_assigned_round_robin():
-    records, ontology = grid_dataset(n_trees=1, children_per_tree=4, n_definitions=10, n_samples=6)
+    dataset = grid_dataset(n_trees=1, children_per_tree=4, n_definitions=10, n_samples=6)
     spec = SliceSpec(n_events=4, n_definitions=3, n_samples=6, n_negatives=0, seed=11)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     by_event = defaultdict(list)
     for inst in instances:
         by_event[inst.event_name].append(inst.definition)
@@ -191,11 +176,11 @@ def test_definitions_assigned_round_robin():
 
 
 def test_definition_count_never_changes_instance_count():
-    records, ontology = grid_dataset(n_trees=2, children_per_tree=5)
+    dataset = grid_dataset(n_trees=2, children_per_tree=5)
     base = None
     for n_defs in (1, 2, 4, 8, 10):
         spec = SliceSpec(n_events=5, n_definitions=n_defs, n_samples=4, n_negatives=5, n_hard_negatives=2, seed=9)
-        instances = assemble(records, ontology, spec)
+        instances = assemble(dataset, spec)
         if base is None:
             base = len(instances)
         assert len(instances) == base
@@ -207,10 +192,10 @@ def test_definition_count_never_changes_instance_count():
 
 
 def test_ablation_differs_only_in_definition_field():
-    records, ontology = grid_dataset(n_trees=2, children_per_tree=4)
+    dataset = grid_dataset(n_trees=2, children_per_tree=4)
     kwargs = dict(n_events=4, n_definitions=3, n_samples=3, n_negatives=4, n_hard_negatives=2, seed=13)
-    with_def = assemble(records, ontology, SliceSpec(with_definition=True, **kwargs))
-    without_def = assemble(records, ontology, SliceSpec(with_definition=False, **kwargs))
+    with_def = assemble(dataset, SliceSpec(with_definition=True, **kwargs))
+    without_def = assemble(dataset, SliceSpec(with_definition=False, **kwargs))
     assert len(with_def) == len(without_def)
     for a, b in zip(with_def, without_def):
         assert b.definition == ""
@@ -221,12 +206,24 @@ def test_ablation_differs_only_in_definition_field():
 
 
 def test_with_ontology_attaches_parent_and_children():
-    records, ontology = small_dataset()
+    dataset = small_dataset()
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=1, n_negatives=0, with_ontology=True, seed=1)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     ctx = {inst.event_name: inst.ontology_context for inst in instances}
     assert ctx["A"] == OntologyContext(parent=None, children=("B", "C"))
     assert ctx["B"] == OntologyContext(parent="A", children=())
+
+
+def test_events_without_samples_are_context_only():
+    # grid roots carry no samples: never drawn, but still named as parents
+    dataset = grid_dataset(n_trees=2, children_per_tree=3)
+    spec = SliceSpec(n_events=6, n_definitions=1, n_samples=2, n_negatives=5, n_hard_negatives=2,
+                     with_ontology=True, seed=4)
+    instances = assemble(dataset, spec)
+    assert not any(inst.event_name.startswith("root") for inst in instances)
+    assert {inst.ontology_context.parent for inst in instances} == {"root0", "root1"}
+    with pytest.raises(InsufficientDataError):
+        assemble(dataset, SliceSpec(n_events=7, n_definitions=1, n_samples=1, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +232,18 @@ def test_with_ontology_attaches_parent_and_children():
 
 
 def test_same_spec_same_bytes(tmp_path):
-    records, ontology = grid_dataset(n_trees=2, children_per_tree=5)
+    dataset = grid_dataset(n_trees=2, children_per_tree=5)
     spec = SliceSpec(n_events=6, n_definitions=4, n_samples=5, n_negatives=6, n_hard_negatives=3, seed=42)
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(assemble(records, ontology, spec), first)
-    write_jsonl(assemble(records, ontology, spec), second)
+    write_jsonl(assemble(dataset, spec), first)
+    write_jsonl(assemble(dataset, spec), second)
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_ten_thousand_instances_write_deterministically(tmp_path):
-    records, ontology = grid_dataset(n_trees=2, children_per_tree=10, n_definitions=2, n_samples=50)
+    dataset = grid_dataset(n_trees=2, children_per_tree=10, n_definitions=2, n_samples=50)
     spec = SliceSpec(n_events=20, n_definitions=2, n_samples=50, n_negatives=10, seed=8)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     assert len(instances) == 20 * 50 * 11
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_jsonl(instances, first)
@@ -305,9 +302,9 @@ def test_render_missing_placeholder_error():
 
 
 def test_instance_round_trip(tmp_path):
-    records, ontology = small_dataset()
+    dataset = small_dataset()
     spec = SliceSpec(n_events=2, n_definitions=1, n_samples=2, n_negatives=1, with_ontology=True, seed=7)
-    instances = assemble(records, ontology, spec)
+    instances = assemble(dataset, spec)
     path = tmp_path / "instances.jsonl"
     write_jsonl(instances, path)
     loaded = read_jsonl(path)

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from dived.cli import build_parser, main, manifest_path
-from dived.curation import EventRecord, write_dataset
+from dived.curation import write_dataset
 from dived.ontology import load_ontology
 
-from conftest import TOY_ONTOLOGY, make_sample
+from conftest import TOY_ONTOLOGY, make_dataset, make_sample
 
 
 def run(args: list[str]) -> int:
@@ -16,19 +16,12 @@ def run(args: list[str]) -> int:
 
 
 def small_dataset_file(tmp_path):
-    records = []
-    for event, parent in (("A", None), ("B", "A"), ("C", "A")):
-        records.append(
-            EventRecord(
-                event=event,
-                parent=parent,
-                children=["B", "C"] if event == "A" else [],
-                definitions=[f"{event} def {i}" for i in range(3)],
-                samples=[make_sample(event, i) for i in range(4)],
-            )
-        )
+    dataset = make_dataset([
+        (event, parent, [f"{event} def {i}" for i in range(3)], [make_sample(event, i) for i in range(4)])
+        for event, parent in (("A", None), ("B", "A"), ("C", "A"))
+    ])
     path = tmp_path / "dataset.jsonl"
-    write_dataset(records, path)
+    write_dataset(dataset, path)
     return path
 
 
@@ -98,6 +91,34 @@ def test_prune_writes_audit(tmp_path):
     assert run(["prune", "--dataset", str(dataset), "--out", str(out), "--audit", str(audit)]) == 0
     assert audit.exists()
     assert manifest_path(audit).exists() and manifest_path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # parent cycle: a and b are each other's parent
+        [("r", None), ("a", "b"), ("b", "a")],
+        # two names equal up to case
+        [("A", None), ("a", None)],
+        # unknown parent
+        [("x", None), ("y", "ghost")],
+    ],
+    ids=["cycle", "case_duplicate", "unknown_parent"],
+)
+def test_prune_rejects_invalid_dataset_naming_the_line(tmp_path, capsys, rows):
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text(
+        "".join(
+            json.dumps({"event": e, "parent": p, "children": [], "definitions": [f"{e} def"],
+                        "samples": [{"sentence": f"The {e} hit.", "trigger": "hit"}]}) + "\n"
+            for e, p in rows
+        ),
+        encoding="utf-8",
+    )
+    out, audit = tmp_path / "pruned.jsonl", tmp_path / "audit.jsonl"
+    assert run(["prune", "--dataset", str(dataset), "--out", str(out), "--audit", str(audit)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,23 @@ from __future__ import annotations
 import pytest
 
 from dived.curation import (
-    EventRecord,
     GeneratedSample,
     InvalidSampleError,
     curate_definitions,
     curate_samples,
-    dataset_to_trees,
     expand_definitions,
-    ontology_from_dataset,
     parse_definitions,
     parse_samples,
     read_dataset,
-    records_from_ontology,
+    tree_block,
     write_dataset,
 )
 from dived.jsonl import JsonlError
 from dived.llm_client import MockBackend
-from dived.ontology import build_ontology
+from dived.ontology import build_ontology, load_ontology, save_ontology
+from dived.pruning import prune_dataset
 
-from conftest import ScriptedBackend, make_sample
+from conftest import ScriptedBackend, make_dataset, make_sample
 
 
 def small_tree():
@@ -233,37 +231,44 @@ def test_parse_samples_ignores_orphan_lines():
 
 
 # ---------------------------------------------------------------------------
-# dataset records round-trip
+# dataset round-trip
 # ---------------------------------------------------------------------------
 
 
-def _records():
+def _dataset():
+    return make_dataset([
+        ("conflict", None, ["root def"], [make_sample("conflict", 0)]),
+        ("attack", "conflict", ["attack def", "attack def 2"], [make_sample("attack", 0), make_sample("attack", 1)]),
+    ])
+
+
+def _content(dataset):
     return [
-        EventRecord(
-            event="conflict",
-            parent=None,
-            children=["attack"],
-            definitions=["root def"],
-            samples=[make_sample("conflict", 0)],
-        ),
-        EventRecord(
-            event="attack",
-            parent="conflict",
-            children=[],
-            definitions=["attack def", "attack def 2"],
-            samples=[make_sample("attack", 0), make_sample("attack", 1)],
-        ),
+        (n.name, n.parent.name if n.parent else None, [c.name for c in n.children], n.definitions, n.samples)
+        for n in dataset.iter_nodes()
     ]
 
 
 def test_dataset_round_trip(tmp_path):
     path = tmp_path / "dataset.jsonl"
-    write_dataset(_records(), path)
+    write_dataset(_dataset(), path)
     loaded = read_dataset(path)
-    assert loaded == _records()
+    assert _content(loaded) == _content(_dataset())
+    assert len(loaded.trees) == 1
+    assert loaded.get("attack").definitions == ["attack def", "attack def 2"]
     second = tmp_path / "dataset2.jsonl"
     write_dataset(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+    # trees are grouped by parent links and come back in pre-order, even when
+    # a child row precedes its parent and the trees interleave
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    other = '{"event": "movement", "parent": null, "children": [], "definitions": [], "samples": []}\n'
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text(lines[1] + other + lines[0], encoding="utf-8")
+    reread = read_dataset(shuffled)
+    assert reread.names() == ["movement", "conflict", "attack"]
+    assert _content(reread)[1:] == _content(_dataset())
 
 
 def test_read_dataset_rejects_bad_sample_with_line_number(tmp_path):
@@ -279,16 +284,27 @@ def test_read_dataset_rejects_bad_sample_with_line_number(tmp_path):
     assert err.value.line == 2
 
 
-def test_dataset_to_trees_groups_by_parent_links():
-    trees = dataset_to_trees(_records())
-    assert len(trees) == 1
-    assert [r.event for r in trees[0]] == ["conflict", "attack"]
+def test_deep_chain_loads_renders_round_trips_and_prunes(tmp_path):
+    depth = 1500
+    names = [f"e{i}" for i in range(depth)]
+    chain = build_ontology([(name, names[i - 1] if i else None, None) for i, name in enumerate(names)])
+    ontology_path = tmp_path / "chain.jsonl"
+    save_ontology(chain, ontology_path)
+    loaded = load_ontology(ontology_path)
+    assert loaded.names() == names
 
+    block = tree_block(loaded.trees[0]).split("\n")
+    assert len(block) == depth
+    assert block[-1] == "  " * (depth - 1) + names[-1]
 
-def test_ontology_from_dataset_and_back():
-    records = _records()
-    ontology = ontology_from_dataset(records)
-    assert ontology.names() == ["conflict", "attack"]
-    assert ontology.get("attack").definitions == ["attack def", "attack def 2"]
-    rebuilt = records_from_ontology(ontology, {r.event: list(r.samples) for r in records})
-    assert rebuilt == records
+    dataset = make_dataset([
+        (name, names[i - 1] if i else None, [f"{name} def"], [make_sample(name, 0)]) for i, name in enumerate(names)
+    ])
+    path = tmp_path / "chain_dataset.jsonl"
+    write_dataset(dataset, path)
+    reread = read_dataset(path)
+    assert _content(reread) == _content(dataset)
+
+    pruned, audits = prune_dataset(reread)
+    assert audits == []
+    assert pruned.names() == names
