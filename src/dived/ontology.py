@@ -187,7 +187,9 @@ def _build_ontology(
         if key in first_seen:
             prev_line, prev_name = first_seen[key]
             raise DuplicateEventNameError(
-                origin, lineno, f"duplicate event name {name!r}, already defined as {prev_name!r} at {origin}:{prev_line}"
+                origin,
+                lineno,
+                f"duplicate event name {name!r}, already defined as {prev_name!r} at {origin}:{prev_line}",
             )
         first_seen[key] = (lineno, name)
         node = EventTypeNode(name=name.strip(), external_id=external_id)
@@ -216,7 +218,9 @@ def _check_acyclic(ordered: list[tuple[int, EventTypeNode, str | None]], origin:
         while node is not None and node not in safe:
             if node in chain:
                 lineno = next(line for line, n, _ in ordered if n is node)
-                raise OntologyCycleError(origin, lineno, f"cycle detected at node {node.name!r}: it is its own ancestor")
+                raise OntologyCycleError(
+                    origin, lineno, f"cycle detected at node {node.name!r}: it is its own ancestor"
+                )
             chain[node] = None
             node = node.parent
         safe.update(chain)
