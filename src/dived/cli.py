@@ -169,10 +169,10 @@ def _backend(resolved: dict):
     raise UsageError(f"unknown backend {kind!r}")
 
 
-def _report_failures(report: curation.CurationReport) -> int:
-    for event, reason in report.failures:
+def _report_failures(failures: list[tuple[str, str]]) -> int:
+    for event, reason in failures:
         logger.warning("curation failure: %s: %s", event, reason)
-    return 2 if report.failures else 0
+    return 2 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def cmd_curate_defs(args: argparse.Namespace) -> int:
     counts = {"events": events, "definitions": report.parsed, "failures": len(report.failures)}
     write_manifests("curate-defs", resolved, [resolved["ontology"]], [resolved["out"]], counts)
     print(f"curate-defs: {report.parsed}/{report.requested} definitions")
-    return _report_failures(report)
+    return _report_failures(report.failures)
 
 
 def cmd_curate_samples(args: argparse.Namespace) -> int:
@@ -226,6 +226,9 @@ def cmd_curate_samples(args: argparse.Namespace) -> int:
         dataset.trees, backend, per_event=per_event,
         max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
     )
+    dropped_invalid = report.dropped_invalid
+    # the failure, if any, of the round whose samples each event keeps
+    failures = dict(report.failures)
 
     for _ in range(int(resolved["regenerate"])):
         trees = [t for t in dataset.trees if any(len(n.samples) < per_event for n in t.iter_preorder())]
@@ -236,17 +239,22 @@ def cmd_curate_samples(args: argparse.Namespace) -> int:
             trees, backend, per_event=per_event,
             max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
         )
+        dropped_invalid += report.dropped_invalid
+        round_failures = dict(report.failures)
         for node, old in before.items():
             if len(old) >= len(node.samples):
                 node.samples = old
+            elif node.name in round_failures:
+                failures[node.name] = round_failures[node.name]
+            else:
+                failures.pop(node.name, None)
 
     events = curation.write_dataset(dataset, resolved["out"])
     total = sum(len(node.samples) for node in dataset.iter_nodes())
-    counts = {"events": events, "samples": total,
-              "dropped_invalid": report.dropped_invalid, "failures": len(report.failures)}
+    counts = {"events": events, "samples": total, "dropped_invalid": dropped_invalid, "failures": len(failures)}
     write_manifests("curate-samples", resolved, [resolved["dataset"]], [resolved["out"]], counts)
-    print(f"curate-samples: {total} samples for {events} events ({report.dropped_invalid} invalid dropped)")
-    return _report_failures(report)
+    print(f"curate-samples: {total} samples for {events} events ({dropped_invalid} invalid dropped)")
+    return _report_failures(list(failures.items()))
 
 
 def cmd_expand_defs(args: argparse.Namespace) -> int:
@@ -254,16 +262,18 @@ def cmd_expand_defs(args: argparse.Namespace) -> int:
     _require(resolved, "dataset", "out")
     dataset = curation.read_dataset(resolved["dataset"])
     backend = _backend(resolved)
+    failures: list[tuple[str, str]] = []
     added = curation.expand_definitions_for_nodes(
         list(dataset.iter_nodes()), backend, count=int(resolved["count"]),
         max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
+        failures=failures,
     )
     events = curation.write_dataset(dataset, resolved["out"])
     total_added = sum(len(v) for v in added.values())
-    counts = {"events": events, "paraphrases_added": total_added}
+    counts = {"events": events, "paraphrases_added": total_added, "failures": len(failures)}
     write_manifests("expand-defs", resolved, [resolved["dataset"]], [resolved["out"]], counts)
     print(f"expand-defs: {total_added} paraphrases added across {events} events")
-    return 0
+    return _report_failures(failures)
 
 
 def cmd_prune(args: argparse.Namespace) -> int:

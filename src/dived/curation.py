@@ -369,9 +369,14 @@ def expand_definitions_for_nodes(
     count: int = 10,
     max_in_flight: int = 4,
     retry_limit: int = 3,
+    failures: list[tuple[str, str]] | None = None,
 ) -> dict[str, list[str]]:
     """Paraphrase each node's seed definition count times and append the new,
-    deduplicated paraphrases to node.definitions (so len <= 1 + count)."""
+    deduplicated paraphrases to node.definitions (so len <= 1 + count).
+
+    A node whose request fails gets nothing added; when ``failures`` is given,
+    an (event, reason) pair is appended to it for each such node.
+    """
     if count < 1:
         raise ValueError("count must be a positive integer")
     for node in nodes:
@@ -385,7 +390,8 @@ def expand_definitions_for_nodes(
     retry_idx: list[int] = []
     for i, (node, result) in enumerate(zip(nodes, results)):
         if isinstance(result, GenFailure):
-            logger.warning("expansion failed for %s: %s", node.name, result.error)
+            if failures is not None:
+                failures.append((node.name, f"backend failure: {result.error}"))
             texts[node.name] = None
             continue
         texts[node.name] = result.text
@@ -469,10 +475,15 @@ def read_dataset(path: str | Path) -> Ontology:
                 raise jsonl.JsonlError(path, lineno, "field 'children' must be a list of strings")
             if not isinstance(definitions, list) or not all(isinstance(d, str) for d in definitions):
                 raise jsonl.JsonlError(path, lineno, "field 'definitions' must be a list of strings")
-            samples = [
-                GeneratedSample(event_name=event, sentence=s["sentence"], trigger=s["trigger"])
-                for s in obj.get("samples", [])
-            ]
+            samples = obj.get("samples", [])
+            if not isinstance(samples, list) or not all(
+                isinstance(s, dict) and isinstance(s.get("sentence"), str) and isinstance(s.get("trigger"), str)
+                for s in samples
+            ):
+                raise jsonl.JsonlError(
+                    path, lineno, "field 'samples' must be a list of objects with string 'sentence' and 'trigger'"
+                )
+            samples = [GeneratedSample(event_name=event, sentence=s["sentence"], trigger=s["trigger"]) for s in samples]
         except KeyError as exc:
             raise jsonl.JsonlError(path, lineno, f"missing required field {exc.args[0]!r}") from exc
         except InvalidSampleError as exc:

@@ -16,6 +16,8 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -51,7 +53,14 @@ class BackendConfigError(DivedError):
 
 
 class TransientBackendError(DivedError):
-    """Retryable failure: rate limit, server error, network error."""
+    """Retryable failure: rate limit, server error, network error.
+
+    ``retry_after`` is the wait in seconds the server asked for, or None.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class PermanentBackendError(DivedError):
@@ -329,6 +338,23 @@ class MockBackend(Backend):
 # ---------------------------------------------------------------------------
 
 
+def _parse_retry_after(value: str | None) -> float | None:
+    """Seconds to wait from a ``Retry-After`` header: delay-seconds or an
+    HTTP-date (a date in the past means 0). None when absent or unparseable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000": UTC with no claim about local time
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 @dataclass
 class HttpBackend(Backend):
     """Chat-completion style JSON-over-HTTP backend.
@@ -369,7 +395,9 @@ class HttpBackend(Backend):
         except requests.RequestException as exc:
             raise TransientBackendError(f"network error: {exc}") from exc
         if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(f"HTTP {resp.status_code}")
+            raise TransientBackendError(
+                f"HTTP {resp.status_code}", retry_after=_parse_retry_after(resp.headers.get("Retry-After"))
+            )
         if resp.status_code >= 400:
             raise PermanentBackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
@@ -393,9 +421,11 @@ def complete_batch(
     """Run requests with at most max_in_flight in flight at once.
 
     Results come back in request order regardless of completion order.
-    Transient failures are retried with exponential backoff up to retry_limit
-    extra attempts (no jitter, for reproducibility); a request that still
-    fails yields a GenFailure in its slot instead of aborting the batch.
+    Transient failures are retried up to retry_limit extra attempts. Before
+    each retry it waits the server's ``Retry-After`` when the error carries
+    one (0 retries at once), and otherwise backoff_base * 2**(attempt - 1)
+    seconds (no jitter, for reproducibility). A request that still fails
+    yields a GenFailure in its slot instead of aborting the batch.
     Configuration errors are raised immediately.
     """
     if max_in_flight < 1:
@@ -414,7 +444,9 @@ def complete_batch(
                 if attempts > retry_limit:
                     logger.warning("request failed after %d attempts: %s", attempts, exc)
                     return GenFailure(error=str(exc), backend=backend.name, attempts=attempts)
-                delay = backoff_base * (2 ** (attempts - 1))
+                delay = exc.retry_after
+                if delay is None:
+                    delay = backoff_base * (2 ** (attempts - 1))
                 if delay > 0:
                     time.sleep(delay)
             except PermanentBackendError as exc:

@@ -94,7 +94,9 @@ def prune_dataset(dataset: Ontology, threshold: float = 0.5) -> tuple[Ontology, 
     """Apply prune_tree to every tree and return the surviving events as a new
     Ontology (children of a removed event re-parented to its nearest surviving
     ancestor) with the audit records. Cross-tree duplicates are deliberately
-    not considered; the input is unchanged."""
+    not considered; the input is unchanged. The threshold must lie in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     audits = [audit for tree in dataset.trees for audit in prune_tree(tree, threshold)]
     removed = {audit.event_b for audit in audits}
     return dataset.subset({node for node in dataset.iter_nodes() if node.name not in removed}), audits

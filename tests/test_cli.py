@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from dived import cli
 from dived.cli import build_parser, main, manifest_path
 from dived.curation import write_dataset
+from dived.llm_client import PermanentBackendError
 from dived.ontology import load_ontology
 
-from conftest import TOY_ONTOLOGY, make_dataset, make_sample
+from conftest import TOY_ONTOLOGY, ScriptedBackend, make_dataset, make_sample
 
 
 def run(args: list[str]) -> int:
@@ -119,6 +121,81 @@ def test_prune_rejects_invalid_dataset_naming_the_line(tmp_path, capsys, rows):
     assert run(["prune", "--dataset", str(dataset), "--out", str(out), "--audit", str(audit)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["-0.1", "1.5", "nan"])
+def test_prune_rejects_threshold_outside_unit_interval(tmp_path, capsys, threshold):
+    dataset = small_dataset_file(tmp_path)
+    out, audit = tmp_path / "pruned.jsonl", tmp_path / "audit.jsonl"
+    code = run(["prune", "--dataset", str(dataset), "--out", str(out), "--audit", str(audit),
+                "--threshold", threshold])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threshold" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [["oops"], [{"sentence": 5, "trigger": "hit"}], [{"sentence": "The B hit.", "trigger": None}], "oops"],
+    ids=["string_entry", "int_sentence", "null_trigger", "not_a_list"],
+)
+def test_prune_rejects_malformed_sample_entry_naming_the_line(tmp_path, capsys, samples):
+    rows = [
+        {"event": "A", "parent": None, "children": ["B"], "definitions": ["A def"],
+         "samples": [{"sentence": "The A hit.", "trigger": "hit"}]},
+        {"event": "B", "parent": "A", "children": [], "definitions": ["B def"], "samples": samples},
+    ]
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out, audit = tmp_path / "pruned.jsonl", tmp_path / "audit.jsonl"
+    assert run(["prune", "--dataset", str(dataset), "--out", str(out), "--audit", str(audit)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# generation commands: failures and counts
+# ---------------------------------------------------------------------------
+
+
+def test_expand_defs_exits_2_and_counts_failures_when_every_request_fails(tmp_path, monkeypatch, capsys):
+    backend = ScriptedBackend([PermanentBackendError("HTTP 400: rejected")] * 3)  # one request per event
+    monkeypatch.setattr(cli, "_backend", lambda resolved: backend)
+    dataset = small_dataset_file(tmp_path)
+    out = tmp_path / "expanded.jsonl"
+    assert run(["expand-defs", "--dataset", str(dataset), "--count", "2", "--out", str(out)]) == 2
+    manifest = json.loads(manifest_path(out).read_text())
+    assert manifest["counts"] == {"events": 3, "paraphrases_added": 0, "failures": 3}
+
+
+def _samples_reply(pairs: dict[str, list[tuple[str, str]]]) -> str:
+    lines = ["Here are the samples:"]
+    for event, event_pairs in pairs.items():
+        for sentence, trigger in event_pairs:
+            lines += [f"{event}\tsentence: {sentence}", f"{event}\ttrigger: {trigger}"]
+    return "\n".join(lines)
+
+
+def test_curate_samples_regenerate_counts_describe_every_round(tmp_path, monkeypatch, capsys):
+    dataset = tmp_path / "defs.jsonl"
+    write_dataset(make_dataset([("A", None, ["A def"], []), ("B", "A", ["B def"], [])]), dataset)
+    good = {event: [(f"The {event} unit {event}hit{i} today.", f"{event}hit{i}") for i in range(2)]
+            for event in ("A", "B")}
+    # round 0: A is complete, one of B's two pairs is invalid (trigger not in sentence)
+    round0 = _samples_reply({"A": good["A"], "B": [good["B"][0], ("The B unit stood still.", "Bhit1")]})
+    # round 1: B is complete, A's lines are missing; A keeps its round-0 samples
+    round1 = _samples_reply({"B": good["B"]})
+    backend = ScriptedBackend([round0, round0, round1, round1])  # each round retries a short tree once
+    monkeypatch.setattr(cli, "_backend", lambda resolved: backend)
+    out = tmp_path / "samples.jsonl"
+    code = run(["curate-samples", "--dataset", str(dataset), "--per-event", "2", "--regenerate", "1",
+                "--out", str(out)])
+    assert backend.script == []
+    manifest = json.loads(manifest_path(out).read_text())
+    assert manifest["counts"] == {"events": 2, "samples": 4, "dropped_invalid": 1, "failures": 0}
+    assert "(1 invalid dropped)" in capsys.readouterr().out
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import threading
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from dived import llm_client
 from dived.curation import parse_samples
 from dived.llm_client import (
     DEFAULT_DECODING,
@@ -177,17 +180,21 @@ def test_complete_batch_retries_transient_then_succeeds():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    script: list[tuple[int, dict]] = []
+    """Replays ``script`` entries of (status, body) or (status, body, headers)."""
+
+    script: list[tuple] = []
     seen_payloads: list[dict] = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         type(self).seen_payloads.append(json.loads(self.rfile.read(length)))
-        status, body = type(self).script.pop(0) if type(self).script else (500, {})
+        status, body, *headers = type(self).script.pop(0) if type(self).script else (500, {})
         payload = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for key, value in (headers[0] if headers else {}).items():
+            self.send_header(key, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -198,7 +205,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     _StubHandler.script = []
     _StubHandler.seen_payloads = []
@@ -246,3 +253,71 @@ def test_http_backend_client_error_is_permanent(stub_server, monkeypatch):
     results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3, backoff_base=0)
     assert isinstance(results[0], GenFailure)
     assert results[0].attempts == 1
+
+
+# ---------------------------------------------------------------------------
+# Retry-After
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> list[float]:
+    """The delays complete_batch sleeps for, without sleeping."""
+    delays: list[float] = []
+    monkeypatch.setattr(llm_client.time, "sleep", delays.append)
+    return delays
+
+
+def _retry_once(stub_server, monkeypatch, first: tuple, backoff_base: float = 0.5) -> GenResponse:
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [first, (200, _ok_body("generated text"))]
+    backend = HttpBackend(endpoint=stub_server, model="test-model")
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, backoff_base=backoff_base)
+    assert isinstance(results[0], GenResponse) and results[0].attempts == 2
+    return results[0]
+
+
+def test_retry_after_zero_on_429_retries_at_once(stub_server, monkeypatch, sleeps):
+    _retry_once(stub_server, monkeypatch, (429, {}, {"Retry-After": "0"}))
+    assert sleeps in ([], [0])
+
+
+def test_retry_after_seconds_on_503_sets_the_wait(stub_server, monkeypatch, sleeps):
+    _retry_once(stub_server, monkeypatch, (503, {}, {"Retry-After": "2"}))
+    assert sleeps == [2.0]
+
+
+def test_retry_after_http_date_in_the_past_waits_zero(stub_server, monkeypatch, sleeps):
+    past = format_datetime(datetime.now(timezone.utc) - timedelta(hours=1), usegmt=True)
+    _retry_once(stub_server, monkeypatch, (429, {}, {"Retry-After": past}))
+    assert sleeps in ([], [0])
+
+
+def test_retry_after_http_date_in_the_future_waits_until_then(stub_server, monkeypatch, sleeps):
+    future = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=30), usegmt=True)
+    _retry_once(stub_server, monkeypatch, (429, {}, {"Retry-After": future}))
+    assert len(sleeps) == 1 and 25 <= sleeps[0] <= 30
+
+
+@pytest.mark.parametrize("headers", [{}, {"Retry-After": "soon"}, {"Retry-After": "-3"}, {"Retry-After": "1e9"}],
+                         ids=["missing", "garbage", "negative", "not_an_integer"])
+def test_missing_or_bad_retry_after_keeps_exponential_backoff(stub_server, monkeypatch, sleeps, headers):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(429, {}, headers), (500, {}, headers), (200, _ok_body("generated text"))]
+    backend = HttpBackend(endpoint=stub_server, model="test-model")
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, backoff_base=0.5)
+    assert isinstance(results[0], GenResponse) and results[0].attempts == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_retry_after_does_not_change_the_attempt_limit(stub_server, monkeypatch, sleeps):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(429, {}, {"Retry-After": "1"})] * 10
+    backend = HttpBackend(endpoint=stub_server, model="test-model")
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2)
+    assert isinstance(results[0], GenFailure) and results[0].attempts == 3
+    assert sleeps == [1.0, 1.0]
+
+
+def test_transient_error_carries_no_retry_after_by_default():
+    assert llm_client.TransientBackendError("HTTP 429").retry_after is None
