@@ -171,6 +171,7 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
         sibling_pool = [s for s in all_siblings if s in candidates]
         sibling_set = set(all_siblings)
         cousins = [c for c in _cousin_pool(node) if c in candidates]
+        non_siblings = [c for c in events if c not in sibling_set and c in candidates]
 
         for si, sample in enumerate(sel_samples):
             definition = sel_defs[si % spec.n_definitions]
@@ -210,7 +211,7 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
                 shortfall -= len(fill)
 
             plain_needed = (spec.n_negatives - spec.n_hard_negatives) + shortfall
-            plain_pool = eligible(c for c in events if c not in sibling_set and c in candidates)
+            plain_pool = eligible(non_siblings)
             plain = negatives_rng.sample(plain_pool, min(plain_needed, len(plain_pool)))
             if len(plain) < plain_needed:
                 # Non-sibling candidates exhausted (small trees): top up from

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import assembly, curation, evaluation, pruning
+from . import assembly, curation, evaluation, jsonl, pruning
 from .errors import DivedError
 from .llm_client import (
     BackendConfigError,
@@ -93,7 +93,7 @@ def write_manifests(command: str, resolved: dict, inputs: list[str], outputs: li
         input_manifests=chained,
     )
     for output_path in outputs:
-        with open(manifest_path(output_path), "w", encoding="utf-8", newline="\n") as fh:
+        with jsonl.open_atomic(manifest_path(output_path)) as fh:
             json.dump(manifest.to_dict(), fh, ensure_ascii=False, indent=2)
             fh.write("\n")
 
@@ -350,7 +350,7 @@ def cmd_ablate_report(args: argparse.Namespace) -> int:
     print(f"identification drop: {drops['id_drop_pct']}% ({drops['id_drop_points']} points)")
     print(f"classification drop: {drops['cls_drop_pct']}% ({drops['cls_drop_points']} points)")
     if resolved["out"]:
-        with open(resolved["out"], "w", encoding="utf-8", newline="\n") as fh:
+        with jsonl.open_atomic(resolved["out"]) as fh:
             json.dump(result, fh, ensure_ascii=False, indent=2)
             fh.write("\n")
         write_manifests("ablate-report", resolved, [resolved["baseline"], resolved["ablated"]], [resolved["out"]], {})

@@ -328,7 +328,7 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
 
 
 def write_report(report: ScoreReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with jsonl.open_atomic(path) as fh:
         json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 

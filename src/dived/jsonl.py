@@ -1,14 +1,18 @@
 """Line-oriented JSON reading/writing with line-numbered errors.
 
 All files are UTF-8, one JSON object per line, LF line endings. Writers are
-deterministic: same rows in, same bytes out.
+deterministic: same rows in, same bytes out. Every output of the pipeline is
+written through ``open_atomic``, so a crash mid-write leaves the previous file
+(or none) in place, never a truncated one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import DivedError
 
@@ -37,10 +41,32 @@ def read_rows(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, obj
 
 
+@contextmanager
+def open_atomic(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8, LF text file that replaces ``path`` only once the block
+    completes. The data goes to a temporary file in the same directory, moved
+    over ``path`` with ``os.replace``; if the block raises, the temporary file
+    is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_rows(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
-    """Write rows as JSONL. Returns the number of rows written."""
+    """Write rows as JSONL, atomically. Returns the number of rows written."""
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False))
             fh.write("\n")

@@ -4,6 +4,12 @@ Two events of the same tree whose generated triggers overlap beyond a
 threshold are considered duplicates; the event that comes later in pre-order
 is removed and its children are re-parented to its parent, preserving the
 sibling structure needed for hard negatives.
+
+Only events that share at least one (trimmed) trigger are compared: a pair
+with no trigger in common has ratio 0, which never exceeds a threshold in
+[0, 1]. An inverted index from trigger to events finds those pairs, so the
+cost follows the number of trigger-sharing pairs; in the worst case, where
+every event of a tree shares one trigger, that is still all pairs.
 """
 
 from __future__ import annotations
@@ -48,42 +54,52 @@ def overlap_ratio(triggers_a: Sequence[str], triggers_b: Sequence[str]) -> float
     return len(set_a & set_b) / min(len(set_a), len(set_b))
 
 
-def _matched(triggers_a: Sequence[str], triggers_b: Sequence[str]) -> tuple[str, ...]:
-    return tuple(sorted({t.strip() for t in triggers_a} & {t.strip() for t in triggers_b}))
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
 def prune_tree(root: EventTypeNode, threshold: float = 0.5) -> list[OverlapRecord]:
     """Find the duplicate events of one tree.
 
     Event pairs are compared in pre-order; when their trigger overlap ratio
-    strictly exceeds the threshold and both are still alive, the pre-order
-    later event is marked removed and takes no further part in comparisons.
+    strictly exceeds the threshold (which must lie in [0, 1]) and both are
+    still alive, the pre-order later event is marked removed and takes no
+    further part in comparisons. Pairs that share no trigger are skipped.
     Returns one audit record per removed event (its ``event_b``); the tree is
     unchanged.
     """
+    _check_threshold(threshold)
     tree = list(root.iter_preorder())
     for node in tree:
         if not node.samples:
             raise PruneInputError(f"event {node.name!r} has no samples; cannot compute trigger overlap")
 
-    triggers = {node: [s.trigger for s in node.samples] for node in tree}
-    dead: set[EventTypeNode] = set()
+    triggers = [[s.trigger for s in node.samples] for node in tree]
+    stripped = [{t.strip() for t in node_triggers} for node_triggers in triggers]
+    holders: dict[str, list[int]] = {}
+    for position, trigger_set in enumerate(stripped):
+        for trigger in trigger_set:
+            holders.setdefault(trigger, []).append(position)
+
+    dead: set[int] = set()
     audits: list[OverlapRecord] = []
     for i, first in enumerate(tree):
-        if first in dead:
+        if i in dead:
             continue
-        for second in tree[i + 1 :]:
-            if second in dead:
+        for j in sorted({later for trigger in stripped[i] for later in holders[trigger] if later > i}):
+            if j in dead:
                 continue
-            ratio = overlap_ratio(triggers[first], triggers[second])
+            second = tree[j]
+            ratio = overlap_ratio(triggers[i], triggers[j])
             if ratio > threshold:
-                dead.add(second)
+                dead.add(j)
                 audits.append(
                     OverlapRecord(
                         event_a=first.name,
                         event_b=second.name,
                         ratio=ratio,
-                        matched_triggers=_matched(triggers[first], triggers[second]),
+                        matched_triggers=tuple(sorted(stripped[i] & stripped[j])),
                     )
                 )
                 logger.info("pruning %r: trigger overlap %.2f with %r", second.name, ratio, first.name)
@@ -95,8 +111,7 @@ def prune_dataset(dataset: Ontology, threshold: float = 0.5) -> tuple[Ontology, 
     Ontology (children of a removed event re-parented to its nearest surviving
     ancestor) with the audit records. Cross-tree duplicates are deliberately
     not considered; the input is unchanged. The threshold must lie in [0, 1]."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    _check_threshold(threshold)
     audits = [audit for tree in dataset.trees for audit in prune_tree(tree, threshold)]
     removed = {audit.event_b for audit in audits}
     return dataset.subset({node for node in dataset.iter_nodes() if node.name not in removed}), audits

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dived import pruning
 from dived.curation import GeneratedSample
 from dived.pruning import OverlapRecord, PruneInputError, overlap_ratio, prune_dataset, prune_tree, write_audit
 
@@ -189,3 +190,91 @@ def test_prune_dataset_is_per_tree(tmp_path):
     assert pruned.names() == ["x", "y"]
     assert audits == []
     assert write_audit(audits, tmp_path / "audit.jsonl") == 0
+
+
+# ---------------------------------------------------------------------------
+# prune_tree against the all-pairs reference loop
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_prune(root, threshold):
+    """Reference oracle: compare every pre-order pair of live events."""
+    tree = list(root.iter_preorder())
+    triggers = {node: [s.trigger for s in node.samples] for node in tree}
+    dead = set()
+    audits = []
+    for i, first in enumerate(tree):
+        if first in dead:
+            continue
+        for second in tree[i + 1 :]:
+            if second in dead:
+                continue
+            ratio = overlap_ratio(triggers[first], triggers[second])
+            if ratio > threshold:
+                dead.add(second)
+                matched = {t.strip() for t in triggers[first]} & {t.strip() for t in triggers[second]}
+                audits.append(OverlapRecord(first.name, second.name, ratio, tuple(sorted(matched))))
+    return audits
+
+
+TRIGGER_ALPHABET = ["run", " run", "run ", "hit", " hit", "cut", "cut  ", "fly", "go", " go "]
+
+
+@st.composite
+def trigger_trees(draw):
+    size = draw(st.integers(min_value=1, max_value=14))
+    rows = []
+    for i in range(size):
+        parent = None if i == 0 else f"e{draw(st.integers(min_value=0, max_value=i - 1))}"
+        triggers = draw(st.lists(st.sampled_from(TRIGGER_ALPHABET), min_size=1, max_size=4))
+        rows.append(record(f"e{i}", parent, triggers))
+    return make_dataset(rows)
+
+
+@given(
+    trigger_trees(),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_prune_tree_matches_all_pairs_oracle(dataset, threshold):
+    root = dataset.trees[0]
+    assert prune_tree(root, threshold) == all_pairs_prune(root, threshold)
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+def test_prune_tree_rejects_threshold_outside_unit_interval(threshold):
+    with pytest.raises(ValueError):
+        prune_tree(three_event_tree(shared_ab=6).trees[0], threshold)
+
+
+# ---------------------------------------------------------------------------
+# Comparison count: only events that share a trigger are compared
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def overlap_calls(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return overlap_ratio(a, b)
+
+    monkeypatch.setattr(pruning, "overlap_ratio", counted)
+    return calls
+
+
+def test_chain_without_shared_triggers_makes_no_comparison(overlap_calls):
+    names = [f"e{i}" for i in range(1500)]
+    chain = make_dataset([record(name, names[i - 1] if i else None, [f"{name}t"]) for i, name in enumerate(names)])
+    assert prune_tree(chain.trees[0]) == []
+    assert overlap_calls == []
+
+
+def test_planted_copies_make_one_comparison_each(overlap_calls):
+    rows = [record("root", None, ["r0", "r1"])]
+    rows += [record(f"c{i}", "root", [f"c{i}t{j}" for j in range(3)]) for i in range(30)]
+    copies = [3, 11, 27]
+    rows += [record(f"dup{i}", f"c{i}", [f" c{i}t{j}" for j in range(3)]) for i in copies]
+    audits = prune_tree(make_dataset(rows).trees[0])
+    assert sorted(a.event_b for a in audits) == sorted(f"dup{i}" for i in copies)
+    assert len(overlap_calls) == len(copies)
