@@ -198,6 +198,23 @@ def test_curate_samples_regenerate_counts_describe_every_round(tmp_path, monkeyp
     assert code == 0
 
 
+def test_curate_samples_regenerate_requests_a_failed_tree_again(tmp_path, monkeypatch, capsys):
+    dataset = tmp_path / "defs.jsonl"
+    write_dataset(make_dataset([("A", None, ["A def"], []), ("B", "A", ["B def"], [])]), dataset)
+    full = _samples_reply({event: [(f"The {event} unit {event}hit{i} today.", f"{event}hit{i}") for i in range(2)]
+                           for event in ("A", "B")})
+    # round 0: the request fails and is not retried; round 1 asks again
+    backend = ScriptedBackend([PermanentBackendError("HTTP 400: rejected"), full])
+    monkeypatch.setattr(cli, "_backend", lambda resolved: backend)
+    out = tmp_path / "samples.jsonl"
+    code = run(["curate-samples", "--dataset", str(dataset), "--per-event", "2", "--regenerate", "1",
+                "--out", str(out)])
+    assert backend.calls == 2
+    manifest = json.loads(manifest_path(out).read_text())
+    assert manifest["counts"] == {"events": 2, "samples": 4, "dropped_invalid": 0, "failures": 0}
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # score / ablate-report
 # ---------------------------------------------------------------------------
