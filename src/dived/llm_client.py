@@ -401,9 +401,12 @@ class HttpBackend(Backend):
         if resp.status_code >= 400:
             raise PermanentBackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise PermanentBackendError(f"malformed response body: {exc}") from exc
+        if not isinstance(content, str):
+            raise PermanentBackendError(f"malformed response body: content is {type(content).__name__}, not a string")
+        return content
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from dived import llm_client
+from dived.cli import main, manifest_path
 from dived.curation import parse_samples
 from dived.llm_client import (
     DEFAULT_DECODING,
@@ -26,7 +27,7 @@ from dived.llm_client import (
     render,
 )
 
-from conftest import ScriptedBackend
+from conftest import TOY_ONTOLOGY, ScriptedBackend
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,26 @@ def test_http_backend_client_error_is_permanent(stub_server, monkeypatch):
     results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3, backoff_base=0)
     assert isinstance(results[0], GenFailure)
     assert results[0].attempts == 1
+
+
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": "parts"}], 7], ids=["null", "list", "number"])
+def test_http_backend_non_string_content_is_permanent(stub_server, monkeypatch, content):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(200, {"choices": [{"message": {"content": content}}]})]
+    backend = HttpBackend(endpoint=stub_server, model="test-model")
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3, backoff_base=0)
+    assert isinstance(results[0], GenFailure)
+    assert results[0].attempts == 1 and "content" in results[0].error
+
+
+def test_null_content_makes_a_generation_command_exit_2(stub_server, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(200, {"choices": [{"message": {"content": None}}]})] * 3  # one request per tree
+    out = tmp_path / "defs.jsonl"
+    code = main(["curate-defs", "--ontology", str(TOY_ONTOLOGY), "--backend", "http", "--endpoint", stub_server,
+                 "--model", "m", "--out", str(out)])
+    assert code == 2
+    assert json.loads(manifest_path(out).read_text())["counts"] == {"events": 12, "definitions": 0, "failures": 12}
 
 
 # ---------------------------------------------------------------------------
