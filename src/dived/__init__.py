@@ -5,9 +5,6 @@ from .assembly import SliceSpec, TrainingInstance, assemble, render_instance
 from .curation import (
     CurationReport,
     GeneratedSample,
-    curate_definitions,
-    curate_samples,
-    expand_definitions,
     read_dataset,
     write_dataset,
 )
@@ -63,10 +60,7 @@ __all__ = [
     "TrainingInstance",
     "assemble",
     "complete_batch",
-    "curate_definitions",
-    "curate_samples",
     "drop_rate",
-    "expand_definitions",
     "filter_heldout",
     "load_ontology",
     "match_and_score",

@@ -169,10 +169,26 @@ def _backend(resolved: dict):
     raise UsageError(f"unknown backend {kind!r}")
 
 
-def _report_failures(failures: list[tuple[str, str]]) -> int:
-    for event, reason in failures:
+def _report_failures(report: curation.CurationReport) -> int:
+    for event, reason in report.failures:
         logger.warning("curation failure: %s: %s", event, reason)
-    return 2 if failures else 0
+    return 2 if report.failures else 0
+
+
+def _generation(args: argparse.Namespace, source: str, load, run) -> int:
+    """The generation commands' shared body: read ``resolved[source]`` with ``load``, run
+    the stage, write the dataset and its manifest, and print one summary line.
+    ``run(dataset, backend, resolved, batch)`` returns (report, own counts, summary)."""
+    resolved = _resolve(args)
+    _require(resolved, source, "out")
+    dataset = load(resolved[source])
+    batch = {"max_in_flight": int(resolved["max_in_flight"]), "retry_limit": int(resolved["retry_limit"])}
+    report, counts, summary = run(dataset, _backend(resolved), resolved, batch)
+    events = curation.write_dataset(dataset, resolved["out"])
+    counts = {"events": events, **counts, "failures": len(report.failures)}
+    write_manifests(args.command, resolved, [resolved[source]], [resolved["out"]], counts)
+    print(f"{args.command}: {summary}")
+    return _report_failures(report)
 
 
 # ---------------------------------------------------------------------------
@@ -202,78 +218,34 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_curate_defs(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "ontology", "out")
-    ontology = load_ontology(resolved["ontology"])
-    backend = _backend(resolved)
-    _, report = curation.curate_definitions_for_trees(
-        ontology.trees, backend, max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"])
-    )
-    events = curation.write_dataset(ontology, resolved["out"])
-    counts = {"events": events, "definitions": report.parsed, "failures": len(report.failures)}
-    write_manifests("curate-defs", resolved, [resolved["ontology"]], [resolved["out"]], counts)
-    print(f"curate-defs: {report.parsed}/{report.requested} definitions")
-    return _report_failures(report.failures)
+    def run(ontology, backend, resolved, batch):
+        report = curation.curate_definitions_for_trees(ontology.trees, backend, **batch)
+        return report, {"definitions": report.parsed}, f"{report.parsed}/{report.requested} definitions"
+
+    return _generation(args, "ontology", load_ontology, run)
 
 
 def cmd_curate_samples(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "dataset", "out")
-    per_event = int(resolved["per_event"])
-    dataset = curation.read_dataset(resolved["dataset"])
-    backend = _backend(resolved)
-    _, report = curation.curate_samples_for_trees(
-        dataset.trees, backend, per_event=per_event,
-        max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
-    )
-    dropped_invalid = report.dropped_invalid
-    # the failure, if any, of the round whose samples each event keeps
-    failures = dict(report.failures)
-
-    for _ in range(int(resolved["regenerate"])):
-        trees = [t for t in dataset.trees if any(len(n.samples) < per_event for n in t.iter_preorder())]
-        if not trees:
-            break
-        before = {node: node.samples for tree in trees for node in tree.iter_preorder()}
-        _, report = curation.curate_samples_for_trees(
-            trees, backend, per_event=per_event,
-            max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
+    def run(dataset, backend, resolved, batch):
+        report = curation.curate_samples_for_trees(
+            dataset.trees, backend, per_event=int(resolved["per_event"]), regenerate=int(resolved["regenerate"]),
+            **batch,
         )
-        dropped_invalid += report.dropped_invalid
-        round_failures = dict(report.failures)
-        for node, old in before.items():
-            if len(old) >= len(node.samples):
-                node.samples = old
-            elif node.name in round_failures:
-                failures[node.name] = round_failures[node.name]
-            else:
-                failures.pop(node.name, None)
+        summary = f"{report.parsed} samples for {len(dataset)} events ({report.dropped_invalid} invalid dropped)"
+        return report, {"samples": report.parsed, "dropped_invalid": report.dropped_invalid}, summary
 
-    events = curation.write_dataset(dataset, resolved["out"])
-    total = sum(len(node.samples) for node in dataset.iter_nodes())
-    counts = {"events": events, "samples": total, "dropped_invalid": dropped_invalid, "failures": len(failures)}
-    write_manifests("curate-samples", resolved, [resolved["dataset"]], [resolved["out"]], counts)
-    print(f"curate-samples: {total} samples for {events} events ({dropped_invalid} invalid dropped)")
-    return _report_failures(list(failures.items()))
+    return _generation(args, "dataset", curation.read_dataset, run)
 
 
 def cmd_expand_defs(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "dataset", "out")
-    dataset = curation.read_dataset(resolved["dataset"])
-    backend = _backend(resolved)
-    failures: list[tuple[str, str]] = []
-    added = curation.expand_definitions_for_nodes(
-        list(dataset.iter_nodes()), backend, count=int(resolved["count"]),
-        max_in_flight=int(resolved["max_in_flight"]), retry_limit=int(resolved["retry_limit"]),
-        failures=failures,
-    )
-    events = curation.write_dataset(dataset, resolved["out"])
-    total_added = sum(len(v) for v in added.values())
-    counts = {"events": events, "paraphrases_added": total_added, "failures": len(failures)}
-    write_manifests("expand-defs", resolved, [resolved["dataset"]], [resolved["out"]], counts)
-    print(f"expand-defs: {total_added} paraphrases added across {events} events")
-    return _report_failures(failures)
+    def run(dataset, backend, resolved, batch):
+        report = curation.expand_definitions_for_nodes(
+            list(dataset.iter_nodes()), backend, count=int(resolved["count"]), **batch
+        )
+        summary = f"{report.parsed} paraphrases added across {len(dataset)} events"
+        return report, {"paraphrases_added": report.parsed}, summary
+
+    return _generation(args, "dataset", curation.read_dataset, run)
 
 
 def cmd_prune(args: argparse.Namespace) -> int:

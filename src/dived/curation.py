@@ -2,6 +2,14 @@
 curation per tree, and definition expansion per node, plus the parsers that
 turn raw model output into validated records.
 
+All three steps run one loop, ``_generate``, over units: a request (per tree
+or per node) and the events it covers. Round 0 requests every unit; a later
+round (only sample curation has them) requests the units with an event still
+short of its target. Within a round, a unit whose reply left an event short
+is retried once; a unit whose request failed is not, as complete_batch has
+spent its retries on it. Per event, a parse replaces the kept one only if it
+scores strictly higher. Each step fills the nodes in place and returns a CurationReport.
+
 Responses are line-oriented: one record per line of the form
 ``EVENT<TAB>FIELD: value``. Anything that does not match is treated as
 surrounding prose and ignored; the record lines themselves are strict.
@@ -13,7 +21,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import jsonl, ontology
 from .errors import DivedError
@@ -214,6 +222,68 @@ def parse_paraphrases(text: str, event: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# The generation loop shared by steps 2-4
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Parse:
+    """What one reply gave one item: a score (the number of usable records),
+    the parsed value, why the item falls short if it does, and how many
+    invalid records were dropped."""
+
+    score: int
+    value: object = None
+    reason: str | None = None
+    dropped: int = 0
+
+
+def _generate(
+    units: Sequence[tuple],
+    parse: Callable[[str, Sequence[str]], dict[str, _Parse]],
+    target: int,
+    backend: Backend,
+    max_in_flight: int,
+    retry_limit: int,
+    rounds: int = 1,
+) -> tuple[dict[str, _Parse], CurationReport]:
+    """The loop of the module docstring. A unit is a ``(request, *names)``
+    tuple; a flat tuple, because expansion holds one per node through its
+    batch. Returns each item's best parse and the report, whose
+    ``dropped_invalid`` sums the drops of each round's best parses."""
+    best: dict[str, _Parse] = {}
+    dropped = 0
+    for _ in range(rounds):
+        todo = [unit for unit in units if any(n not in best or best[n].score < target for n in unit[1:])]
+        round_best: dict[str, _Parse] = {}
+        for _ in range(2):  # the round's requests, then one retry of the units left short
+            if not todo:
+                break
+            results = complete_batch([unit[0] for unit in todo], backend, max_in_flight, retry_limit=retry_limit)
+            short = []
+            for unit, result in zip(todo, results):
+                names = unit[1:]
+                if isinstance(result, GenFailure):
+                    _keep_better(round_best, {n: _Parse(0, reason=f"backend failure: {result.error}") for n in names})
+                    continue
+                _keep_better(round_best, parse(result.text, names))
+                if any(round_best[n].score < target for n in names):
+                    short.append(unit)
+            todo = short
+        dropped += sum(parsed.dropped for parsed in round_best.values())
+        _keep_better(best, round_best)
+    names = [name for unit in units for name in unit[1:]]
+    failures = [(name, best[name].reason) for name in names if best[name].reason is not None]
+    return best, CurationReport(target * len(names), sum(best[name].score for name in names), dropped, failures)
+
+
+def _keep_better(kept: dict[str, _Parse], parses: dict[str, _Parse]) -> None:
+    for name, parsed in parses.items():
+        if name not in kept or parsed.score > kept[name].score:
+            kept[name] = parsed
+
+
+# ---------------------------------------------------------------------------
 # Step 2: definition curation (one request per tree)
 # ---------------------------------------------------------------------------
 
@@ -223,7 +293,7 @@ def curate_definitions_for_trees(
     backend: Backend,
     max_in_flight: int = 4,
     retry_limit: int = 3,
-) -> tuple[dict[str, str], CurationReport]:
+) -> CurationReport:
     """Curate one definition per node for every tree, one prompt per tree so
     sibling definitions are generated together and stay mutually distinct.
 
@@ -232,50 +302,19 @@ def curate_definitions_for_trees(
     as failures. Found definitions are attached to the nodes as
     ``definitions[0]``.
     """
-    report = CurationReport(requested=sum(len(list(t.iter_preorder())) for t in trees))
-    requests = [definition_request(t) for t in trees]
-    results = complete_batch(requests, backend, max_in_flight, retry_limit=retry_limit)
 
-    found: dict[str, str] = {}
-    retry_idx: list[int] = []
-    for i, (tree, result) in enumerate(zip(trees, results)):
-        names = [n.name for n in tree.iter_preorder()]
-        if isinstance(result, GenFailure):
-            report.failures.extend((name, f"backend failure: {result.error}") for name in names)
-            continue
-        found.update(parse_definitions(result.text, names))
-        if any(name not in found for name in names):
-            retry_idx.append(i)
+    def parse(text: str, names: Sequence[str]) -> dict[str, _Parse]:
+        found = parse_definitions(text, names)
+        missing = _Parse(0, reason="no definition line in response (after retry)")
+        return {name: _Parse(1, found[name]) if name in found else missing for name in names}
 
-    if retry_idx:
-        retry_results = complete_batch(
-            [requests[i] for i in retry_idx], backend, max_in_flight, retry_limit=retry_limit
-        )
-        for i, result in zip(retry_idx, retry_results):
-            names = [n.name for n in trees[i].iter_preorder()]
-            if isinstance(result, GenFailure):
-                continue
-            for name, definition in parse_definitions(result.text, names).items():
-                found.setdefault(name, definition)
-
+    units = [(definition_request(tree), *(node.name for node in tree.iter_preorder())) for tree in trees]
+    best, report = _generate(units, parse, 1, backend, max_in_flight, retry_limit)
     for tree in trees:
         for node in tree.iter_preorder():
-            if node.name in found:
-                if node.definitions:
-                    node.definitions[0] = found[node.name]
-                else:
-                    node.definitions.append(found[node.name])
-            elif not any(name == node.name for name, _ in report.failures):
-                report.failures.append((node.name, "no definition line in response (after retry)"))
-    report.parsed = len(found)
-    return found, report
-
-
-def curate_definitions(tree: EventTypeNode, backend: Backend) -> tuple[dict[str, str], CurationReport]:
-    """Definition curation for a single tree. See curate_definitions_for_trees."""
-    if tree is None:
-        raise ValueError("empty tree")
-    return curate_definitions_for_trees([tree], backend, max_in_flight=1)
+            if best[node.name].value is not None:
+                node.definitions[:1] = [best[node.name].value]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -289,73 +328,43 @@ def curate_samples_for_trees(
     per_event: int = 10,
     max_in_flight: int = 4,
     retry_limit: int = 3,
-) -> tuple[list[GeneratedSample], CurationReport]:
+    regenerate: int = 0,
+) -> CurationReport:
     """Generate per_event validated samples for every event of every tree.
 
     Samples whose trigger does not occur verbatim in the sentence are dropped
     and counted. A tree whose response leaves some event short of per_event
     valid samples is retried once; per event, whichever response yields more
-    valid samples wins. Each node's ``samples`` is set to its winners.
+    valid samples wins. Each of ``regenerate`` further rounds requests again
+    every tree that still has a short event, and an event keeps a later
+    round's samples only if there are more of them. Each node's ``samples``
+    is set to its winners.
     """
     if per_event < 1:
         raise ValueError("per_event must be a positive integer")
-    all_nodes = [node for tree in trees for node in tree.iter_preorder()]
-    for node in all_nodes:
+    if regenerate < 0:
+        raise ValueError("regenerate must be a non-negative integer")
+    nodes = [node for tree in trees for node in tree.iter_preorder()]
+    for node in nodes:
         if not node.definitions:
             raise ValueError(f"node {node.name!r} has no definition; run definition curation first")
 
-    report = CurationReport(requested=per_event * len(all_nodes))
-    requests = [sample_request(t, per_event) for t in trees]
-    results = complete_batch(requests, backend, max_in_flight, retry_limit=retry_limit)
+    def parse(text: str, names: Sequence[str]) -> dict[str, _Parse]:
+        return {
+            name: _Parse(
+                len(st.samples),
+                st.samples,
+                f"response contained {st.pairs} of {per_event} sample records" if st.pairs < per_event else None,
+                st.dropped,
+            )
+            for name, st in parse_samples(text, names, per_event).items()
+        }
 
-    stats: dict[str, _SampleStats] = {}
-    failed_events: set[str] = set()
-    retry_idx: list[int] = []
-    for i, (tree, result) in enumerate(zip(trees, results)):
-        names = [n.name for n in tree.iter_preorder()]
-        if isinstance(result, GenFailure):
-            report.failures.extend((name, f"backend failure: {result.error}") for name in names)
-            failed_events.update(names)
-            stats.update({name: _SampleStats() for name in names})
-            continue
-        tree_stats = parse_samples(result.text, names, per_event)
-        stats.update(tree_stats)
-        if any(len(st.samples) < per_event for st in tree_stats.values()):
-            retry_idx.append(i)
-
-    if retry_idx:
-        retry_results = complete_batch(
-            [requests[i] for i in retry_idx], backend, max_in_flight, retry_limit=retry_limit
-        )
-        for i, result in zip(retry_idx, retry_results):
-            if isinstance(result, GenFailure):
-                continue
-            names = [n.name for n in trees[i].iter_preorder()]
-            retry_stats = parse_samples(result.text, names, per_event)
-            for name in names:
-                if len(retry_stats[name].samples) > len(stats[name].samples):
-                    stats[name] = retry_stats[name]
-
-    samples: list[GeneratedSample] = []
-    for node in all_nodes:
-        st = stats[node.name]
-        node.samples = list(st.samples)
-        samples.extend(st.samples)
-        report.parsed += len(st.samples)
-        report.dropped_invalid += st.dropped
-        short = per_event - st.pairs
-        if short > 0 and node.name not in failed_events:
-            report.failures.append((node.name, f"response contained {st.pairs} of {per_event} sample records"))
-    return samples, report
-
-
-def curate_samples(
-    tree: EventTypeNode, backend: Backend, per_event: int = 10
-) -> tuple[list[GeneratedSample], CurationReport]:
-    """Sample curation for a single tree. See curate_samples_for_trees."""
-    if tree is None:
-        raise ValueError("empty tree")
-    return curate_samples_for_trees([tree], backend, per_event=per_event, max_in_flight=1)
+    units = [(sample_request(tree, per_event), *(node.name for node in tree.iter_preorder())) for tree in trees]
+    best, report = _generate(units, parse, per_event, backend, max_in_flight, retry_limit, rounds=1 + regenerate)
+    for node in nodes:
+        node.samples = best[node.name].value or []
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +378,13 @@ def expand_definitions_for_nodes(
     count: int = 10,
     max_in_flight: int = 4,
     retry_limit: int = 3,
-    failures: list[tuple[str, str]] | None = None,
-) -> dict[str, list[str]]:
+) -> CurationReport:
     """Paraphrase each node's seed definition count times and append the new,
     deduplicated paraphrases to node.definitions (so len <= 1 + count).
 
-    A node whose request fails gets nothing added; when ``failures`` is given,
-    an (event, reason) pair is appended to it for each such node.
+    A node whose reply has fewer than count paraphrases is retried once and
+    keeps the reply with more. A node whose request fails gets nothing added
+    and is recorded as a failure. ``parsed`` counts the paraphrases added.
     """
     if count < 1:
         raise ValueError("count must be a positive integer")
@@ -383,53 +392,25 @@ def expand_definitions_for_nodes(
         if not node.definitions:
             raise ValueError(f"node {node.name!r} has no definition; run definition curation first")
 
-    requests = [expansion_request(n, count) for n in nodes]
-    results = complete_batch(requests, backend, max_in_flight, retry_limit=retry_limit)
+    def parse(text: str, names: Sequence[str]) -> dict[str, _Parse]:
+        paraphrases = parse_paraphrases(text, names[0])
+        return {names[0]: _Parse(len(paraphrases), paraphrases)}
 
-    texts: dict[str, str | None] = {}
-    retry_idx: list[int] = []
-    for i, (node, result) in enumerate(zip(nodes, results)):
-        if isinstance(result, GenFailure):
-            if failures is not None:
-                failures.append((node.name, f"backend failure: {result.error}"))
-            texts[node.name] = None
-            continue
-        texts[node.name] = result.text
-        if len(parse_paraphrases(result.text, node.name)) < count:
-            retry_idx.append(i)
-
-    if retry_idx:
-        retry_results = complete_batch(
-            [requests[i] for i in retry_idx], backend, max_in_flight, retry_limit=retry_limit
-        )
-        for i, result in zip(retry_idx, retry_results):
-            node = nodes[i]
-            if isinstance(result, GenFailure):
-                continue
-            old = texts[node.name]
-            if old is None or len(parse_paraphrases(result.text, node.name)) > len(parse_paraphrases(old, node.name)):
-                texts[node.name] = result.text
-
-    added: dict[str, list[str]] = {}
+    units = [(expansion_request(node, count), node.name) for node in nodes]
+    best, report = _generate(units, parse, count, backend, max_in_flight, retry_limit)
+    report.parsed = 0
     for node in nodes:
-        text = texts.get(node.name)
+        existing = {d.strip() for d in node.definitions}
         new: list[str] = []
-        if text is not None:
-            existing = {d.strip() for d in node.definitions}
-            for para in parse_paraphrases(text, node.name)[:count]:
-                if para.strip() not in existing:
-                    existing.add(para.strip())
-                    new.append(para)
-            if len(new) < count:
-                logger.info("%s: %d of %d paraphrases survived dedup", node.name, len(new), count)
+        for para in (best[node.name].value or [])[:count]:
+            if para.strip() not in existing:
+                existing.add(para.strip())
+                new.append(para)
+        if best[node.name].value is not None and len(new) < count:
+            logger.info("%s: %d of %d paraphrases survived dedup", node.name, len(new), count)
         node.definitions.extend(new)
-        added[node.name] = new
-    return added
-
-
-def expand_definitions(node: EventTypeNode, backend: Backend, count: int = 10) -> list[str]:
-    """Definition expansion for a single node. See expand_definitions_for_nodes."""
-    return expand_definitions_for_nodes([node], backend, count=count, max_in_flight=1)[node.name]
+        report.parsed += len(new)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from enum import Enum
@@ -72,12 +72,6 @@ class DecodingParams:
     temperature: float = 0.7
     max_tokens: int = 2048
 
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be a positive integer")
-
 
 # Curation wants consistent output, expansion wants diversity.
 DEFAULT_DECODING: dict[TemplateId, DecodingParams] = {
@@ -91,16 +85,11 @@ DEFAULT_DECODING: dict[TemplateId, DecodingParams] = {
 class GenRequest:
     template_id: TemplateId
     variables: Mapping[str, str]
-    decoding: DecodingParams | None = None
-
-    def resolved_decoding(self) -> DecodingParams:
-        return self.decoding if self.decoding is not None else DEFAULT_DECODING[self.template_id]
 
 
 @dataclass(frozen=True)
 class GenResponse:
     text: str
-    backend: str
     attempts: int
 
 
@@ -109,7 +98,6 @@ class GenFailure:
     """Per-request failure record produced by complete_batch."""
 
     error: str
-    backend: str
     attempts: int
 
 
@@ -188,8 +176,6 @@ DEFAULT_EXAMPLES: dict[TemplateId, str] = {
 class Backend:
     """Interface for text-generation backends. Implementations must be safe to
     call from multiple threads."""
-
-    name: str = "backend"
 
     def generate(self, request: GenRequest) -> str:
         raise NotImplementedError
@@ -319,7 +305,7 @@ def mock_generate(seed: int, request: GenRequest) -> GenResponse:
     else:  # pragma: no cover - TemplateId is closed
         raise ValueError(f"unknown template id {request.template_id!r}")
 
-    return GenResponse(text="\n".join(lines), backend="mock", attempts=1)
+    return GenResponse(text="\n".join(lines), attempts=1)
 
 
 class MockBackend(Backend):
@@ -327,7 +313,6 @@ class MockBackend(Backend):
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self.name = f"mock:{seed}"
 
     def generate(self, request: GenRequest) -> str:
         return mock_generate(self.seed, request).text
@@ -368,17 +353,13 @@ class HttpBackend(Backend):
     api_key_env: str = "DIVED_API_KEY"
     timeout: float = 60.0
     templates_dir: str | None = None
-    name: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.name = f"http:{self.model}"
 
     def generate(self, request: GenRequest) -> str:
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise BackendConfigError(f"environment variable {self.api_key_env} is not set")
         prompt = render(request.template_id, request.variables, self.templates_dir)
-        decoding = request.resolved_decoding()
+        decoding = DEFAULT_DECODING[request.template_id]
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -442,11 +423,11 @@ def complete_batch(
             attempts += 1
             try:
                 text = backend.generate(request)
-                return GenResponse(text=text, backend=backend.name, attempts=attempts)
+                return GenResponse(text=text, attempts=attempts)
             except TransientBackendError as exc:
                 if attempts > retry_limit:
                     logger.warning("request failed after %d attempts: %s", attempts, exc)
-                    return GenFailure(error=str(exc), backend=backend.name, attempts=attempts)
+                    return GenFailure(error=str(exc), attempts=attempts)
                 delay = exc.retry_after
                 if delay is None:
                     delay = backoff_base * (2 ** (attempts - 1))
@@ -454,7 +435,7 @@ def complete_batch(
                     time.sleep(delay)
             except PermanentBackendError as exc:
                 logger.warning("request failed permanently: %s", exc)
-                return GenFailure(error=str(exc), backend=backend.name, attempts=attempts)
+                return GenFailure(error=str(exc), attempts=attempts)
 
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(run_one, requests_))

@@ -27,8 +27,6 @@ class ScriptedBackend(Backend):
     """Test backend that replays a fixed list of responses (or raises the
     exception found in the list) in call order."""
 
-    name = "scripted"
-
     def __init__(self, script: list):
         self.script = list(script)
         self.calls = 0

@@ -16,11 +16,8 @@ from dived.curation import (
     GeneratedSample,
     InvalidSampleError,
     _SampleStats,
-    curate_definitions,
     curate_definitions_for_trees,
-    curate_samples,
     curate_samples_for_trees,
-    expand_definitions,
     expand_definitions_for_nodes,
     definition_request,
     expansion_request,
@@ -59,6 +56,23 @@ def tree_with_defs():
     return tree
 
 
+def definitions_of(tree):
+    """The first definition of each node that has one."""
+    return {node.name: node.definitions[0] for node in tree.iter_preorder() if node.definitions}
+
+
+def samples_of(tree):
+    return [sample for node in tree.iter_preorder() for sample in node.samples]
+
+
+def expand_one(node, backend, count):
+    """Expand one node; returns the paraphrases added and the report."""
+    before = len(node.definitions)
+    report = expand_definitions_for_nodes([node], backend, count=count, max_in_flight=1)
+    assert report.parsed == len(node.definitions) - before
+    return node.definitions[before:], report
+
+
 # ---------------------------------------------------------------------------
 # GeneratedSample invariants
 # ---------------------------------------------------------------------------
@@ -83,23 +97,28 @@ def test_sample_invariants_enforced_at_construction():
 
 def test_curate_definitions_with_mock():
     tree = small_tree()
-    defs, report = curate_definitions(tree, MockBackend(seed=5))
+    report = curate_definitions_for_trees([tree], MockBackend(seed=5), max_in_flight=1)
+    defs = definitions_of(tree)
     assert sorted(defs) == ["attack", "conflict", "protest"]
     assert all(defs[name] for name in defs)
     assert report.requested == 3 and report.parsed == 3 and not report.failures
     for node in tree.iter_preorder():
-        assert node.definitions[0] == defs[node.name]
+        assert node.definitions == [defs[node.name]]
 
 
-def test_curate_definitions_empty_tree_rejected():
-    with pytest.raises(ValueError):
-        curate_definitions(None, MockBackend(seed=0))
+def test_curate_definitions_empty_forest_requests_nothing():
+    backend = ScriptedBackend([])
+    report = curate_definitions_for_trees([], backend)
+    assert backend.calls == 0
+    assert (report.requested, report.parsed, report.failures) == (0, 0, [])
 
 
 def test_curate_definitions_missing_line_recorded_after_retry():
     response = "conflict\tdefinition: root def\nattack\tdefinition: attack def"
     backend = ScriptedBackend([response, response])  # primary + one retry with same prompt
-    defs, report = curate_definitions(small_tree(), backend)
+    tree = small_tree()
+    report = curate_definitions_for_trees([tree], backend, max_in_flight=1)
+    defs = definitions_of(tree)
     assert backend.calls == 2
     assert sorted(defs) == ["attack", "conflict"]
     assert report.parsed == 2
@@ -108,9 +127,10 @@ def test_curate_definitions_missing_line_recorded_after_retry():
 
 
 def test_curate_definitions_deterministic_with_mock():
-    one, _ = curate_definitions(small_tree(), MockBackend(seed=13))
-    two, _ = curate_definitions(small_tree(), MockBackend(seed=13))
-    assert one == two
+    one, two = small_tree(), small_tree()
+    curate_definitions_for_trees([one], MockBackend(seed=13), max_in_flight=1)
+    curate_definitions_for_trees([two], MockBackend(seed=13), max_in_flight=1)
+    assert definitions_of(one) == definitions_of(two)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +140,8 @@ def test_curate_definitions_deterministic_with_mock():
 
 def test_curate_samples_with_mock():
     tree = tree_with_defs()
-    samples, report = curate_samples(tree, MockBackend(seed=5), per_event=10)
+    report = curate_samples_for_trees([tree], MockBackend(seed=5), per_event=10, max_in_flight=1)
+    samples = samples_of(tree)
     assert len(samples) == 30
     assert report.requested == 30 and report.parsed == 30 and report.dropped_invalid == 0
     # grouped by event in node (pre-order) order
@@ -130,12 +151,12 @@ def test_curate_samples_with_mock():
 
 def test_curate_samples_requires_definitions():
     with pytest.raises(ValueError):
-        curate_samples(small_tree(), MockBackend(seed=0))
+        curate_samples_for_trees([small_tree()], MockBackend(seed=0))
 
 
 def test_curate_samples_rejects_nonpositive_per_event():
     with pytest.raises(ValueError):
-        curate_samples(tree_with_defs(), MockBackend(seed=0), per_event=0)
+        curate_samples_for_trees([tree_with_defs()], MockBackend(seed=0), per_event=0)
 
 
 def test_curate_samples_drops_invalid_trigger():
@@ -150,7 +171,9 @@ def test_curate_samples_drops_invalid_trigger():
         ]
     )
     backend = ScriptedBackend([response, response])
-    samples, report = curate_samples(tree_with_defs(), backend, per_event=1)
+    tree = tree_with_defs()
+    report = curate_samples_for_trees([tree], backend, per_event=1, max_in_flight=1)
+    samples = samples_of(tree)
     assert len(samples) == 2
     assert report.parsed == 2
     assert report.dropped_invalid == 1
@@ -161,7 +184,9 @@ def test_curate_samples_drops_invalid_trigger():
 def test_curate_samples_shortfall_recorded():
     response = "conflict\tsentence: The war escalated.\nconflict\ttrigger: escalated"
     backend = ScriptedBackend([response, response])
-    samples, report = curate_samples(tree_with_defs(), backend, per_event=2)
+    tree = tree_with_defs()
+    report = curate_samples_for_trees([tree], backend, per_event=2, max_in_flight=1)
+    samples = samples_of(tree)
     assert len(samples) == 1
     assert report.requested == 6
     shortfall_events = {event for event, _ in report.failures}
@@ -169,9 +194,10 @@ def test_curate_samples_shortfall_recorded():
 
 
 def test_curate_samples_deterministic_with_mock():
-    one, _ = curate_samples(tree_with_defs(), MockBackend(seed=21), per_event=5)
-    two, _ = curate_samples(tree_with_defs(), MockBackend(seed=21), per_event=5)
-    assert one == two
+    one, two = tree_with_defs(), tree_with_defs()
+    curate_samples_for_trees([one], MockBackend(seed=21), per_event=5, max_in_flight=1)
+    curate_samples_for_trees([two], MockBackend(seed=21), per_event=5, max_in_flight=1)
+    assert samples_of(one) == samples_of(two)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +208,7 @@ def test_curate_samples_deterministic_with_mock():
 def test_expand_definitions_with_mock():
     tree = tree_with_defs()
     node = tree.children[0]
-    added = expand_definitions(node, MockBackend(seed=5), count=10)
+    added, _ = expand_one(node, MockBackend(seed=5), count=10)
     assert len(added) == 10
     assert len(node.definitions) == 11
     assert len(set(d.strip() for d in node.definitions)) == 11
@@ -194,7 +220,7 @@ def test_expand_definitions_dedups_verbatim_repeats():
     seed_def = node.definitions[0]
     response = "\n".join([f"attack\tparaphrase: {seed_def}"] * 10)
     backend = ScriptedBackend([response, response])
-    added = expand_definitions(node, backend, count=10)
+    added, _ = expand_one(node, backend, count=10)
     assert added == []
     assert node.definitions == [seed_def]
 
@@ -202,14 +228,14 @@ def test_expand_definitions_dedups_verbatim_repeats():
 def test_expand_definitions_count_bound():
     tree = tree_with_defs()
     node = tree.children[1]
-    added = expand_definitions(node, MockBackend(seed=5), count=1)
+    added, _ = expand_one(node, MockBackend(seed=5), count=1)
     assert len(added) <= 1
     assert len(node.definitions) <= 2
 
 
 def test_expand_definitions_requires_seed_definition():
     with pytest.raises(ValueError):
-        expand_definitions(small_tree(), MockBackend(seed=0), count=2)
+        expand_definitions_for_nodes([small_tree()], MockBackend(seed=0), count=2)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +415,7 @@ DEFS_SHORTER = _definitions_reply("shorter", ["conflict"])
 def test_curate_definitions_retry_keeps_best(script, calls, definitions, parsed, failures):
     tree = small_tree()
     backend = ScriptedBackend(script)
-    _, report = curate_definitions_for_trees([tree], backend, max_in_flight=1)
+    report = curate_definitions_for_trees([tree], backend, max_in_flight=1)
     assert backend.calls == calls
     assert [n.definitions[0] if n.definitions else None for n in tree.iter_preorder()] == definitions
     assert (report.requested, report.parsed, report.dropped_invalid) == (3, parsed, 0)
@@ -424,7 +450,7 @@ SHORT_FAILURES = [("protest", "response contained 1 of 2 sample records")]
 def test_curate_samples_retry_keeps_best(script, calls, triggers, parsed, dropped, failures):
     tree = tree_with_defs()
     backend = ScriptedBackend(script)
-    _, report = curate_samples_for_trees([tree], backend, per_event=2, max_in_flight=1)
+    report = curate_samples_for_trees([tree], backend, per_event=2, max_in_flight=1)
     assert backend.calls == calls
     assert {n.name: [s.trigger for s in n.samples] for n in tree.iter_preorder()} == triggers
     assert (report.requested, report.parsed, report.dropped_invalid) == (6, parsed, dropped)
@@ -449,12 +475,12 @@ PARA_FULL, PARA_SHORT, PARA_SHORTER = _paraphrase_reply("full", 2), _paraphrase_
 def test_expand_definitions_retry_keeps_best(script, calls, added, failures):
     node = tree_with_defs().children[0]
     backend = ScriptedBackend(script)
-    report_failures: list[tuple[str, str]] = []
-    result = expand_definitions_for_nodes([node], backend, count=2, max_in_flight=1, failures=report_failures)
+    result, report = expand_one(node, backend, count=2)
     assert backend.calls == calls
     assert node.definitions == ["attack seed definition"] + added
-    assert result == {"attack": added}
-    assert report_failures == failures
+    assert result == added
+    assert (report.requested, report.parsed, report.dropped_invalid) == (2, len(added), 0)
+    assert report.failures == failures
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +703,7 @@ def test_curate_definitions_matches_the_old_loop(case):
     old, new = _forest(rows, False), _forest(rows, False)
     old_backend, new_backend = UnitScriptedBackend(scripts, 1), UnitScriptedBackend(scripts, 1)
     _, expected = oracle_curate_definitions(old.trees, old_backend, max_in_flight=2)
-    _, report = curate_definitions_for_trees(new.trees, new_backend, max_in_flight=2)
+    report = curate_definitions_for_trees(new.trees, new_backend, max_in_flight=2)
     assert _state(new) == _state(old)
     assert (report.requested, report.parsed, report.dropped_invalid) == (
         expected.requested, expected.parsed, expected.dropped_invalid)
@@ -692,7 +718,7 @@ def test_curate_samples_matches_the_old_loop(case):
     old, new = _forest(rows, True), _forest(rows, True)
     old_backend, new_backend = UnitScriptedBackend(scripts, per_event), UnitScriptedBackend(scripts, per_event)
     _, expected = oracle_curate_samples(old.trees, old_backend, per_event, max_in_flight=2)
-    _, report = curate_samples_for_trees(new.trees, new_backend, per_event=per_event, max_in_flight=2)
+    report = curate_samples_for_trees(new.trees, new_backend, per_event=per_event, max_in_flight=2)
     assert _state(new) == _state(old)
     assert (report.requested, report.parsed, report.dropped_invalid) == (
         expected.requested, expected.parsed, expected.dropped_invalid)
@@ -707,12 +733,10 @@ def test_expand_definitions_matches_the_old_loop(case):
     old, new = _forest(rows, True), _forest(rows, True)
     old_backend, new_backend = UnitScriptedBackend(scripts, count), UnitScriptedBackend(scripts, count)
     expected_added, expected_failures = oracle_expand_definitions(list(old.iter_nodes()), old_backend, count, 2)
-    failures: list[tuple[str, str]] = []
-    added = expand_definitions_for_nodes(list(new.iter_nodes()), new_backend, count=count, max_in_flight=2,
-                                         failures=failures)
+    report = expand_definitions_for_nodes(list(new.iter_nodes()), new_backend, count=count, max_in_flight=2)
     assert _state(new) == _state(old)
-    assert added == expected_added
-    assert sorted(failures) == sorted(expected_failures)
+    assert report.parsed == sum(len(added) for added in expected_added.values())
+    assert sorted(report.failures) == sorted(expected_failures)
     assert new_backend.calls == old_backend.calls
 
 
