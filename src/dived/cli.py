@@ -253,7 +253,11 @@ def cmd_prune(args: argparse.Namespace) -> int:
     _require(resolved, "dataset", "out", "audit")
     dataset = curation.read_dataset(resolved["dataset"])
     events_in = len(dataset)
-    pruned, audits = pruning.prune_dataset(dataset, threshold=float(resolved["threshold"]))
+    try:
+        pruned, audits = pruning.prune_dataset(dataset, threshold=float(resolved["threshold"]))
+    except pruning.PruneInputError as exc:  # name the row of the event without samples
+        line = next(n for n, row in jsonl.read_rows(resolved["dataset"]) if row["event"].strip() == exc.event)
+        raise jsonl.JsonlError(resolved["dataset"], line, str(exc)) from None
     events_out = curation.write_dataset(pruned, resolved["out"])
     pruning.write_audit(audits, resolved["audit"])
     counts = {"events_in": events_in, "events_removed": len(audits), "events_out": events_out}

@@ -464,7 +464,7 @@ def read_dataset(path: str | Path) -> Ontology:
                 raise jsonl.JsonlError(
                     path, lineno, "field 'samples' must be a list of objects with string 'sentence' and 'trigger'"
                 )
-            samples = [GeneratedSample(event_name=event, sentence=s["sentence"], trigger=s["trigger"]) for s in samples]
+            samples = [GeneratedSample(event.strip(), s["sentence"], s["trigger"]) for s in samples]
         except KeyError as exc:
             raise jsonl.JsonlError(path, lineno, f"missing required field {exc.args[0]!r}") from exc
         except InvalidSampleError as exc:

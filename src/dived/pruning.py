@@ -27,7 +27,11 @@ logger = logging.getLogger(__name__)
 
 
 class PruneInputError(DivedError):
-    """prune_tree precondition violation: an event without samples."""
+    """prune_tree precondition violation: ``event`` has no samples."""
+
+    def __init__(self, event: str):
+        super().__init__(f"event {event!r} has no samples; cannot compute trigger overlap")
+        self.event = event
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ def prune_tree(root: EventTypeNode, threshold: float = 0.5) -> list[OverlapRecor
     tree = list(root.iter_preorder())
     for node in tree:
         if not node.samples:
-            raise PruneInputError(f"event {node.name!r} has no samples; cannot compute trigger overlap")
+            raise PruneInputError(node.name)
 
     triggers = [[s.trigger for s in node.samples] for node in tree]
     stripped = [{t.strip() for t in node_triggers} for node_triggers in triggers]

@@ -137,8 +137,8 @@ def test_prune_rejects_threshold_outside_unit_interval(tmp_path, capsys, thresho
 
 @pytest.mark.parametrize(
     "samples",
-    [["oops"], [{"sentence": 5, "trigger": "hit"}], [{"sentence": "The B hit.", "trigger": None}], "oops"],
-    ids=["string_entry", "int_sentence", "null_trigger", "not_a_list"],
+    [["oops"], [{"sentence": 5, "trigger": "hit"}], [{"sentence": "The B hit.", "trigger": None}], "oops", []],
+    ids=["string_entry", "int_sentence", "null_trigger", "not_a_list", "no_samples"],
 )
 def test_prune_rejects_malformed_sample_entry_naming_the_line(tmp_path, capsys, samples):
     rows = [

@@ -322,6 +322,14 @@ def test_dataset_round_trip(tmp_path):
     assert _content(reread)[1:] == _content(_dataset())
 
 
+def test_read_dataset_strips_the_event_name_of_its_samples_too(tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text('{"event": " e2", "parent": null, "children": [], "definitions": [" e2 def"],'
+                    ' "samples": [{"sentence": "The  e2 crew run at dawn.", "trigger": "run"}]}\n', encoding="utf-8")
+    node = read_dataset(path).get("e2")
+    assert node.name == "e2" and [s.event_name for s in node.samples] == ["e2"]
+
+
 def test_read_dataset_rejects_bad_sample_with_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dived import pruning
-from dived.curation import GeneratedSample
+from dived.cli import main
+from dived.curation import GeneratedSample, read_dataset
+from dived.jsonl import read_rows
 from dived.pruning import OverlapRecord, PruneInputError, overlap_ratio, prune_dataset, prune_tree, write_audit
 
 from conftest import make_dataset
@@ -278,3 +286,96 @@ def test_planted_copies_make_one_comparison_each(overlap_calls):
     audits = prune_tree(make_dataset(rows).trees[0])
     assert sorted(a.event_b for a in audits) == sorted(f"dup{i}" for i in copies)
     assert len(overlap_calls) == len(copies)
+
+
+# ---------------------------------------------------------------------------
+# Random dataset files: load and prune cleanly, or fail naming file:line
+# ---------------------------------------------------------------------------
+
+# each kind of row but "good" has one defect; about four rows in five are good
+ROW_KINDS = ["good"] * 36 + [
+    "no_samples", "bad_sample", "samples_not_list", "definitions_not_list", "empty_event", "list_line", "bad_json",
+    "duplicate_name", "unknown_parent",
+]
+MALFORMED_SAMPLES = [
+    "oops",
+    {"sentence": 5, "trigger": "hit"},
+    {"sentence": "The crew hit.", "trigger": None},
+    {"sentence": "The crew stood still.", "trigger": "hit"},  # trigger not in the sentence
+    {"trigger": "hit"},
+]
+
+
+@st.composite
+def dataset_rows(draw):
+    """JSONL lines of a dataset of 1-8 events: names padded with blanks now
+    and then, parents that may refer to later rows or form cycles, and now and
+    then a row with one defect (see ROW_KINDS)."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    names = [draw(st.sampled_from([f"e{i}", f" e{i}", f"E{i}"])) for i in range(size)]
+    lines = []
+    for i, event in enumerate(names):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "duplicate_name" and i > 0:
+            event = draw(st.sampled_from(names[:i])).upper()
+        parent = draw(st.one_of(st.none(), st.sampled_from(names[:i] or [None]), st.sampled_from(names)))
+        triggers = draw(st.lists(st.sampled_from(["run", " run", "hit", "cut", "fly"]), min_size=1, max_size=4))
+        samples = [{"sentence": f"The {event} crew {t} at dawn.", "trigger": t} for t in triggers]
+        if kind == "bad_sample":
+            samples.insert(draw(st.integers(0, len(samples))), draw(st.sampled_from(MALFORMED_SAMPLES)))
+        row = {
+            "event": "" if kind == "empty_event" else event,
+            "parent": "ghost" if kind == "unknown_parent" else parent,
+            "children": [],
+            "definitions": "oops" if kind == "definitions_not_list" else [f"{event} def"],
+            "samples": {"no_samples": [], "samples_not_list": "oops"}.get(kind, samples),
+        }
+        lines.append({"list_line": json.dumps([row]), "bad_json": "{not json"}.get(kind, json.dumps(row)))
+    return lines
+
+
+@given(dataset_rows(), st.sampled_from(["0", "0.5", "1"]))
+@settings(max_examples=200, deadline=None)
+def test_random_dataset_files_prune_or_fail_naming_the_line(lines, threshold):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out, audit = Path(tmp) / "dataset.jsonl", Path(tmp) / "pruned.jsonl", Path(tmp) / "audit.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["prune", "--dataset", str(path), "--out", str(out), "--audit", str(audit),
+                         "--threshold", threshold])
+        if code != 0:
+            assert code == 1 and not out.exists()
+            located = re.match(rf"error: {re.escape(str(path))}:([0-9]+): ", stderr.getvalue())
+            assert located and 1 <= int(located.group(1)) <= len(lines), stderr.getvalue()
+            return
+        dataset, pruned = read_dataset(path), read_dataset(out)
+        audits = [OverlapRecord(r["event_a"], r["event_b"], r["ratio"], tuple(r["matched_triggers"]))
+                  for _, r in read_rows(audit)]
+
+    # every event is kept or removed once, in pre-order, with its data
+    removed = [a.event_b for a in audits]
+    assert pruned.names() == [name for name in dataset.names() if name not in removed]
+    assert len(removed) == len(set(removed))
+    nodes = {node.name: node for node in dataset.iter_nodes()}
+    survivors = set(pruned.names())
+    for node in pruned.iter_nodes():
+        old = nodes[node.name]
+        nearest = next((up.name for up in old.ancestors() if up.name in survivors), None)
+        assert (node.parent.name if node.parent else None) == nearest
+        assert (node.definitions, node.samples) == (old.definitions, old.samples)
+    # each removal is a later event of the same tree above the threshold ...
+    triggers = {name: [s.trigger for s in node.samples] for name, node in nodes.items()}
+    for a in audits:
+        tree = [n.name for n in _root(nodes[a.event_a]).iter_preorder()]
+        assert a.event_b in tree and tree.index(a.event_a) < tree.index(a.event_b)
+        assert a.ratio == overlap_ratio(triggers[a.event_a], triggers[a.event_b]) > float(threshold)
+    # ... and no two survivors of one tree are duplicates
+    for tree in dataset.trees:
+        alive = [n.name for n in tree.iter_preorder() if n.name in survivors]
+        for first, second in itertools.combinations(alive, 2):
+            assert overlap_ratio(triggers[first], triggers[second]) <= float(threshold)
+
+
+def _root(node):
+    return list(node.ancestors())[-1] if node.parent is not None else node
