@@ -5,10 +5,18 @@ positives, sentence-reusing negatives with target "None", sibling
 hard-negatives, optional ontology context, and the definition-removal
 ablation variant. All sampling is seeded and derived per event, so output is
 a pure function of (dataset, spec) regardless of scheduling.
+
+Negatives come from a sentence index and copied candidate lists, and rows
+are written from pieces encoded once per event (see ``assemble`` and
+``write_jsonl``). Both give the same instances and bytes as filtering every
+event for every sentence and encoding every row whole.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import json
 import logging
 import random
 from dataclasses import dataclass
@@ -22,6 +30,8 @@ from .ontology import EventTypeNode, Ontology
 from .ontology import siblings as ontology_siblings
 
 logger = logging.getLogger(__name__)
+
+_encode = json.encoder.encode_basestring  # a JSON string literal, as json.dumps(..., ensure_ascii=False) writes it
 
 NONE_TARGET = "None"
 KINDS = ("positive", "negative", "hard_negative")
@@ -109,6 +119,17 @@ def _cousin_pool(node: EventTypeNode) -> list[EventTypeNode]:
     return pool
 
 
+def _without(items: list, positions: Iterable[int]) -> list:
+    """``items`` minus the given (distinct) positions, in order, copied slice by slice."""
+    out: list = []
+    start = 0
+    for pos in sorted(positions):
+        out += items[start:pos]
+        start = pos + 1
+    out += items[start:]
+    return out
+
+
 def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
     """Build instances for one slice of the dataset.
 
@@ -124,6 +145,14 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
     requested, the shortfall is filled from cousins and then random
     non-occurring events; those fillers are plain negatives (kind
     "negative"), since only true siblings count as hard negatives.
+
+    Cost: an index from each selected sentence to the events holding it is
+    built once. A plain-negative pool is the candidate list (pre-order)
+    with the siblings, the event itself, the events already used and the
+    sentence's holders cut out at positions found through a node-to-position
+    dict, so it is copied, never rescanned. It has the same length and order
+    as the filtered list, and ``random.sample`` reads only ``len()`` and
+    indexing, so every draw is the same as from that list.
     """
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
@@ -131,14 +160,10 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
     if spec.n_negatives > 0 and len(events) < 2:
         raise NoNegativeCandidatesError("negative instances need at least 2 events in the dataset")
 
-    sentences = {node: {s.sentence for s in node.samples} for node in events}
-    candidates = {node for node in events if node.definitions}
-
     select_rng = _rng(spec.seed, "select")
     chosen = sorted(select_rng.sample(range(len(events)), spec.n_events))
-    selected = [events[i] for i in chosen]
-
-    for node in selected:
+    picks = []  # (event, its chosen definitions, its chosen samples)
+    for node in (events[i] for i in chosen):
         if len(node.definitions) < spec.n_definitions:
             raise InsufficientDataError(
                 f"event {node.name!r} has {len(node.definitions)} definitions, need {spec.n_definitions}"
@@ -147,7 +172,22 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
             raise InsufficientDataError(
                 f"event {node.name!r} has {len(node.samples)} samples, need {spec.n_samples}"
             )
+        defs_rng = _rng(spec.seed, node.name, "defs")
+        samples_rng = _rng(spec.seed, node.name, "samples")
+        sel_defs = [node.definitions[i] for i in defs_rng.sample(range(len(node.definitions)), spec.n_definitions)]
+        sel_samples = [node.samples[i] for i in sorted(samples_rng.sample(range(len(node.samples)), spec.n_samples))]
+        picks.append((node, sel_defs, sel_samples))
 
+    holders: dict[str, set[EventTypeNode]] = {s.sentence: set() for _, _, samples in picks for s in samples}
+    for node in events:
+        for s in node.samples:
+            held_by = holders.get(s.sentence)
+            if held_by is not None:
+                held_by.add(node)
+    candidates = [node for node in events if node.definitions]
+    position = {node: i for i, node in enumerate(candidates)}
+
+    @functools.cache
     def context(node: EventTypeNode) -> OntologyContext | None:
         if not spec.with_ontology:
             return None
@@ -158,20 +198,18 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
 
     instances: list[TrainingInstance] = []
     fallback_count = 0
-    for node in selected:
+    for node, sel_defs, sel_samples in picks:
         event = node.name
-        defs_rng = _rng(spec.seed, event, "defs")
-        samples_rng = _rng(spec.seed, event, "samples")
         negatives_rng = _rng(spec.seed, event, "negatives")
-
-        sel_defs = [node.definitions[i] for i in defs_rng.sample(range(len(node.definitions)), spec.n_definitions)]
-        sel_samples = [node.samples[i] for i in sorted(samples_rng.sample(range(len(node.samples)), spec.n_samples))]
-
         all_siblings = ontology_siblings(dataset, event)
-        sibling_pool = [s for s in all_siblings if s in candidates]
+        sibling_pool = [s for s in all_siblings if s in position]
         sibling_set = set(all_siblings)
-        cousins = [c for c in _cousin_pool(node) if c in candidates]
-        non_siblings = [c for c in events if c not in sibling_set and c in candidates]
+        cousins = [c for c in _cousin_pool(node) if c in position]
+        sibling_positions = sorted(position[s] for s in sibling_pool)
+        non_siblings = _without(candidates, sibling_positions)
+
+        def non_sibling_position(c: EventTypeNode) -> int:
+            return position[c] - bisect.bisect_left(sibling_positions, position[c])
 
         for si, sample in enumerate(sel_samples):
             definition = sel_defs[si % spec.n_definitions]
@@ -190,10 +228,11 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
                 continue
 
             sentence = sample.sentence
+            held_by = holders[sentence]
             used: set[EventTypeNode] = set()
 
             def eligible(pool: Iterable[EventTypeNode]) -> list[EventTypeNode]:
-                return [c for c in pool if c is not node and c not in used and sentence not in sentences[c]]
+                return [c for c in pool if c is not node and c not in used and c not in held_by]
 
             negative_events: list[tuple[EventTypeNode, str]] = []  # (event, kind)
             sib_pool = eligible(sibling_pool)
@@ -211,7 +250,10 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
                 shortfall -= len(fill)
 
             plain_needed = (spec.n_negatives - spec.n_hard_negatives) + shortfall
-            plain_pool = eligible(non_siblings)
+            cut = {node, *used, *held_by}
+            plain_pool = _without(
+                non_siblings, {non_sibling_position(c) for c in cut if c in position and c not in sibling_set}
+            )
             plain = negatives_rng.sample(plain_pool, min(plain_needed, len(plain_pool)))
             if len(plain) < plain_needed:
                 # Non-sibling candidates exhausted (small trees): top up from
@@ -300,59 +342,60 @@ def render_instance(
 # ---------------------------------------------------------------------------
 
 
+_STRING_FIELDS = ("instance_id", "event_name", "definition", "sentence", "target", "kind")
+
+
 def write_jsonl(instances: Iterable[TrainingInstance], path: str | Path) -> int:
-    """Write instances as JSONL with a stable field order."""
-    return jsonl.write_rows(
-        path,
-        (
-            {
-                "instance_id": inst.instance_id,
+    """Write instances as JSONL with a stable field order.
+
+    Each line has the bytes of ``json.dumps(row, ensure_ascii=False)``. The
+    event name / definition / ontology context part is encoded once per
+    distinct triple and the other strings one by one, then joined."""
+    fragments: dict[tuple[str, str, OntologyContext | None], str] = {}
+
+    def line(inst: TrainingInstance) -> str:
+        key = (inst.event_name, inst.definition, inst.ontology_context)
+        part = fragments.get(key)
+        if part is None:
+            ctx = inst.ontology_context
+            part = fragments[key] = jsonl.encode_row({
                 "event_name": inst.event_name,
                 "definition": inst.definition,
-                "ontology_context": (
-                    {"parent": inst.ontology_context.parent, "children": list(inst.ontology_context.children)}
-                    if inst.ontology_context is not None
-                    else None
-                ),
-                "sentence": inst.sentence,
-                "target": inst.target,
-                "kind": inst.kind,
-            }
-            for inst in instances
-        ),
-    )
+                "ontology_context": None if ctx is None else {"parent": ctx.parent, "children": list(ctx.children)},
+            })[1:-1]
+        return (
+            f'{{"instance_id": {_encode(inst.instance_id)}, {part}, "sentence": {_encode(inst.sentence)}, '
+            f'"target": {_encode(inst.target)}, "kind": {_encode(inst.kind)}}}'
+        )
+
+    return jsonl.write_rows(path, instances, encode=line)
 
 
 def read_jsonl(path: str | Path) -> list[TrainingInstance]:
     """Read instances back, enforcing the schema; violations name the line."""
     instances: list[TrainingInstance] = []
     for lineno, obj in jsonl.read_rows(path):
-        missing = [k for k in ("instance_id", "event_name", "definition", "sentence", "target", "kind") if k not in obj]
+        missing = [k for k in _STRING_FIELDS if k not in obj]
         if missing:
             raise jsonl.JsonlError(path, lineno, f"missing required fields: {', '.join(missing)}")
+        not_strings = [k for k in _STRING_FIELDS if not isinstance(obj[k], str)]
+        if not_strings:
+            raise jsonl.JsonlError(path, lineno, f"fields must be strings: {', '.join(not_strings)}")
         ctx_obj = obj.get("ontology_context")
         ctx: OntologyContext | None = None
         if ctx_obj is not None:
             if (
                 not isinstance(ctx_obj, dict)
                 or "parent" not in ctx_obj
+                or not isinstance(ctx_obj["parent"], (str, type(None)))
                 or not isinstance(ctx_obj.get("children"), list)
+                or not all(isinstance(c, str) for c in ctx_obj["children"])
             ):
-                raise jsonl.JsonlError(path, lineno, "ontology_context must be null or {parent, children}")
+                raise jsonl.JsonlError(path, lineno, "ontology_context must be null or {parent, children} of strings")
             ctx = OntologyContext(parent=ctx_obj["parent"], children=tuple(ctx_obj["children"]))
         try:
-            instances.append(
-                TrainingInstance(
-                    instance_id=obj["instance_id"],
-                    event_name=obj["event_name"],
-                    definition=obj["definition"],
-                    ontology_context=ctx,
-                    sentence=obj["sentence"],
-                    target=obj["target"],
-                    kind=obj["kind"],
-                )
-            )
-        except (ValueError, TypeError) as exc:
+            instances.append(TrainingInstance(ontology_context=ctx, **{k: obj[k] for k in _STRING_FIELDS}))
+        except ValueError as exc:
             raise jsonl.JsonlError(path, lineno, str(exc)) from exc
     return instances
 

@@ -7,13 +7,16 @@ multisets with exact string equality after trim and whitespace collapse
 (case-sensitive), which makes greedy matching optimal. When every record of
 a sentence carries character spans on both sides, span equality replaces
 string equality.
+
+Scoring is one pass over the records (see ``match_and_score``): each
+trigger is normalized and counted once, and the per-type counts are the
+same as matching every event type on its own.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,7 +32,9 @@ class EvaluationInputError(DivedError):
 
 
 def normalize_trigger(text: str) -> str:
-    return re.sub(r"\s+", " ", text.strip())
+    """Trim and collapse each whitespace run to one space (``str.split``'s
+    whitespace is the same set as the regex class ``\\s``)."""
+    return " ".join(text.split())
 
 
 def parse_model_output(raw: str, delimiters: str = ",\n") -> list[str]:
@@ -163,38 +168,20 @@ class ScoreReport:
         )
 
 
-def _check_inputs(gold: Sequence[GoldRecord], pred: Sequence[PredictionRecord]) -> None:
-    gold_keys = set()
-    for rec in gold:
-        key = (rec.sentence_id, rec.event_type)
-        if key in gold_keys:
-            raise EvaluationInputError(f"duplicate gold record for sentence {rec.sentence_id!r}, type {rec.event_type!r}")
-        gold_keys.add(key)
-    gold_sentences = {rec.sentence_id for rec in gold}
-    pred_keys = set()
-    for rec in pred:
-        key = (rec.sentence_id, rec.event_type)
-        if key in pred_keys:
-            raise EvaluationInputError(
-                f"duplicate prediction record for sentence {rec.sentence_id!r}, type {rec.event_type!r}"
-            )
-        pred_keys.add(key)
-        if rec.sentence_id not in gold_sentences:
-            raise EvaluationInputError(f"prediction for unknown sentence id {rec.sentence_id!r}")
-
-
 def _span_mode(records: Sequence[GoldRecord | PredictionRecord]) -> bool:
     return bool(records) and all(
         rec.spans is not None and len(rec.spans) == len(rec.triggers) for rec in records
     )
 
 
-def _keys(rec: GoldRecord | PredictionRecord, spans: bool, with_type: bool) -> list[tuple]:
-    keys = []
-    for i, trigger in enumerate(rec.triggers):
-        ident = rec.spans[i] if spans else normalize_trigger(trigger)
-        keys.append((rec.event_type, ident) if with_type else (ident,))
-    return keys
+def _typed_triggers(records: Sequence[GoldRecord | PredictionRecord], spans: bool) -> dict[tuple, int]:
+    """Multiset of (event type, span or normalized trigger) over the records."""
+    counts: dict[tuple, int] = {}
+    for rec in records:
+        for ident in rec.spans if spans else map(normalize_trigger, rec.triggers):
+            key = (rec.event_type, ident)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def match_and_score(gold: Sequence[GoldRecord], pred: Sequence[PredictionRecord]) -> ScoreReport:
@@ -203,49 +190,56 @@ def match_and_score(gold: Sequence[GoldRecord], pred: Sequence[PredictionRecord]
     Per sentence, predicted triggers are matched one-to-one against gold
     triggers: pooled over event types for identification, within the event
     type for classification. Matched pairs are TP; unmatched predictions FP;
-    unmatched gold FN.
+    unmatched gold FN. Every event type of the records gets a per-type entry,
+    also one with no triggers.
+
+    Cost: one pass groups the records by sentence and rejects a duplicate
+    (sentence, event type) record on either side and a prediction for a
+    sentence without gold. Each sentence then builds one typed multiset per
+    side; the pooled (identification) multisets and the per-type counts are
+    derived from those in the same pass.
     """
-    _check_inputs(gold, pred)
-    sentence_ids = sorted({rec.sentence_id for rec in gold} | {rec.sentence_id for rec in pred})
-    gold_by_sentence: dict[str, list[GoldRecord]] = {sid: [] for sid in sentence_ids}
-    pred_by_sentence: dict[str, list[PredictionRecord]] = {sid: [] for sid in sentence_ids}
-    for rec in gold:
-        gold_by_sentence[rec.sentence_id].append(rec)
-    for rec in pred:
-        pred_by_sentence[rec.sentence_id].append(rec)
-
-    id_tp = id_fp = id_fn = 0
+    by_sentence: dict[str, tuple[list[GoldRecord], list[PredictionRecord]]] = {}
     type_counts: dict[str, list[int]] = {}  # type -> [tp, fp, fn]
+    for side, (label, records) in enumerate((("gold", gold), ("prediction", pred))):
+        seen: set[tuple[str, str]] = set()
+        for rec in records:
+            key = (rec.sentence_id, rec.event_type)
+            if key in seen:
+                raise EvaluationInputError(
+                    f"duplicate {label} record for sentence {rec.sentence_id!r}, type {rec.event_type!r}"
+                )
+            seen.add(key)
+            if side == 0:
+                group = by_sentence.setdefault(rec.sentence_id, ([], []))
+            elif (group := by_sentence.get(rec.sentence_id)) is None:
+                raise EvaluationInputError(f"prediction for unknown sentence id {rec.sentence_id!r}")
+            group[side].append(rec)
+            type_counts.setdefault(rec.event_type, [0, 0, 0])
 
-    for sid in sentence_ids:
-        g_recs = gold_by_sentence[sid]
-        p_recs = pred_by_sentence[sid]
+    id_tp = n_gold = n_pred = 0
+    for g_recs, p_recs in by_sentence.values():
         spans = _span_mode(g_recs) and _span_mode(p_recs)
+        g_typed = _typed_triggers(g_recs, spans)
+        p_typed = _typed_triggers(p_recs, spans)
+        g_pool: dict = {}
+        for (event_type, ident), n in g_typed.items():
+            g_pool[ident] = g_pool.get(ident, 0) + n
+            matched = min(n, p_typed.get((event_type, ident), 0))
+            acc = type_counts[event_type]
+            acc[0] += matched
+            acc[2] += n - matched
+        p_pool: dict = {}
+        for (event_type, ident), n in p_typed.items():
+            p_pool[ident] = p_pool.get(ident, 0) + n
+            type_counts[event_type][1] += n - min(n, g_typed.get((event_type, ident), 0))
+        id_tp += sum(min(n, g_pool.get(ident, 0)) for ident, n in p_pool.items())
+        n_gold += sum(g_pool.values())
+        n_pred += sum(p_pool.values())
 
-        g_pool = Counter(k for rec in g_recs for k in _keys(rec, spans, with_type=False))
-        p_pool = Counter(k for rec in p_recs for k in _keys(rec, spans, with_type=False))
-        matched = sum((g_pool & p_pool).values())
-        id_tp += matched
-        id_fp += sum(p_pool.values()) - matched
-        id_fn += sum(g_pool.values()) - matched
-
-        g_typed = Counter(k for rec in g_recs for k in _keys(rec, spans, with_type=True))
-        p_typed = Counter(k for rec in p_recs for k in _keys(rec, spans, with_type=True))
-        overlap = g_typed & p_typed
-        for event_type in {rec.event_type for rec in g_recs} | {rec.event_type for rec in p_recs}:
-            tp = sum(n for (t, _), n in overlap.items() if t == event_type)
-            fp = sum(n for (t, _), n in p_typed.items() if t == event_type) - tp
-            fn = sum(n for (t, _), n in g_typed.items() if t == event_type) - tp
-            acc = type_counts.setdefault(event_type, [0, 0, 0])
-            acc[0] += tp
-            acc[1] += fp
-            acc[2] += fn
-
-    cls_tp = sum(c[0] for c in type_counts.values())
-    cls_fp = sum(c[1] for c in type_counts.values())
-    cls_fn = sum(c[2] for c in type_counts.values())
+    cls_tp, cls_fp, cls_fn = (sum(c[i] for c in type_counts.values()) for i in range(3))
     return ScoreReport(
-        id_scores=Scores.from_counts(id_tp, id_fp, id_fn),
+        id_scores=Scores.from_counts(id_tp, n_pred - id_tp, n_gold - id_tp),
         cls_scores=Scores.from_counts(cls_tp, cls_fp, cls_fn),
         per_event_type={t: Scores.from_counts(*c) for t, c in type_counts.items()},
     )
@@ -297,6 +291,9 @@ def _validate_record(obj: dict, path: str | Path, lineno: int) -> tuple[str, str
     for key in ("sentence_id", "event_type", "triggers"):
         if key not in obj:
             raise jsonl.JsonlError(path, lineno, f"missing required field {key!r}")
+    for key in ("sentence_id", "event_type"):
+        if not isinstance(obj[key], str):
+            raise jsonl.JsonlError(path, lineno, f"field {key!r} must be a string")
     if not isinstance(obj["triggers"], list) or not all(isinstance(t, str) for t in obj["triggers"]):
         raise jsonl.JsonlError(path, lineno, "field 'triggers' must be a list of strings")
     return obj["sentence_id"], obj["event_type"], obj["triggers"]

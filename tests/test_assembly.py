@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+import tempfile
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dived.assembly import (
+    AssemblyError,
     InsufficientDataError,
     NoNegativeCandidatesError,
     OntologyContext,
@@ -16,6 +23,7 @@ from dived.assembly import (
     render_instance,
     write_jsonl,
 )
+from dived.assembly import _cousin_pool, _rng
 from dived.curation import GeneratedSample
 from dived.jsonl import JsonlError
 from dived.llm_client import MissingPlaceholderError
@@ -330,6 +338,29 @@ def test_read_rejects_kind_target_mismatch_with_line_number(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"instance_id": 7},
+        {"event_name": 7},
+        {"definition": ["d"]},
+        {"sentence": ["trigger"]},
+        {"ontology_context": {"parent": 5, "children": []}},
+        {"ontology_context": {"parent": None, "children": [1, None]}},
+    ],
+    ids=["instance_id", "event_name", "definition", "sentence", "parent", "children"],
+)
+def test_read_rejects_non_string_field_with_line_number(tmp_path, change):
+    good = {"instance_id": "A|s0|p", "event_name": "A", "definition": "d",
+            "ontology_context": {"parent": None, "children": ["B"]},
+            "sentence": "trigger here", "target": "trigger", "kind": "positive"}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n", encoding="utf-8")
+    with pytest.raises(JsonlError) as err:
+        read_jsonl(path)
+    assert err.value.line == 2
+
+
 def test_instance_invariants_at_construction():
     with pytest.raises(ValueError):
         TrainingInstance(instance_id="x", event_name="A", definition="", ontology_context=None,
@@ -343,3 +374,193 @@ def test_instance_invariants_at_construction():
     with pytest.raises(ValueError):
         TrainingInstance(instance_id="x", event_name="A", definition="", ontology_context=None,
                          sentence="s", target="None", kind="bogus")
+
+
+# ---------------------------------------------------------------------------
+# assemble against the list-based reference
+# ---------------------------------------------------------------------------
+
+
+def list_based_assemble(dataset, spec):
+    """Reference oracle: every negative pool is a filtered list, rescanned for
+    each sentence, and each instance gets its own ontology context."""
+    events = [node for node in dataset.iter_nodes() if node.samples]
+    if len(events) < spec.n_events:
+        raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
+    if spec.n_negatives > 0 and len(events) < 2:
+        raise NoNegativeCandidatesError("negative instances need at least 2 events in the dataset")
+    sentences = {node: {s.sentence for s in node.samples} for node in events}
+    candidates = {node for node in events if node.definitions}
+    chosen = sorted(_rng(spec.seed, "select").sample(range(len(events)), spec.n_events))
+    selected = [events[i] for i in chosen]
+    for node in selected:
+        if len(node.definitions) < spec.n_definitions:
+            raise InsufficientDataError(
+                f"event {node.name!r} has {len(node.definitions)} definitions, need {spec.n_definitions}"
+            )
+        if len(node.samples) < spec.n_samples:
+            raise InsufficientDataError(f"event {node.name!r} has {len(node.samples)} samples, need {spec.n_samples}")
+
+    def context(node):
+        if not spec.with_ontology:
+            return None
+        return OntologyContext(node.parent.name if node.parent is not None else None,
+                               tuple(c.name for c in node.children))
+
+    instances = []
+    for node in selected:
+        event = node.name
+        defs_rng, samples_rng = _rng(spec.seed, event, "defs"), _rng(spec.seed, event, "samples")
+        negatives_rng = _rng(spec.seed, event, "negatives")
+        sel_defs = [node.definitions[i] for i in defs_rng.sample(range(len(node.definitions)), spec.n_definitions)]
+        sel_samples = [node.samples[i] for i in sorted(samples_rng.sample(range(len(node.samples)), spec.n_samples))]
+        all_siblings = siblings(dataset, event)
+        sibling_pool = [s for s in all_siblings if s in candidates]
+        cousins = [c for c in _cousin_pool(node) if c in candidates]
+        non_siblings = [c for c in events if c not in set(all_siblings) and c in candidates]
+        for si, sample in enumerate(sel_samples):
+            instances.append(TrainingInstance(
+                f"{event}|s{si}|p", event, sel_defs[si % spec.n_definitions] if spec.with_definition else "",
+                context(node), sample.sentence, sample.trigger, "positive",
+            ))
+            if spec.n_negatives == 0:
+                continue
+            used = set()
+
+            def eligible(pool):
+                return [c for c in pool if c is not node and c not in used and sample.sentence not in sentences[c]]
+
+            sib_pool = eligible(sibling_pool)
+            hard = negatives_rng.sample(sib_pool, min(spec.n_hard_negatives, len(sib_pool)))
+            used.update(hard)
+            negative_events = [(neg, "hard_negative") for neg in hard]
+            shortfall = spec.n_hard_negatives - len(hard)
+            if shortfall > 0:
+                cousin_pool = eligible(cousins)
+                fill = negatives_rng.sample(cousin_pool, min(shortfall, len(cousin_pool)))
+                used.update(fill)
+                negative_events.extend((neg, "negative") for neg in fill)
+                shortfall -= len(fill)
+            plain_needed = (spec.n_negatives - spec.n_hard_negatives) + shortfall
+            plain_pool = eligible(non_siblings)
+            plain = negatives_rng.sample(plain_pool, min(plain_needed, len(plain_pool)))
+            if len(plain) < plain_needed:
+                used.update(plain)
+                overflow_pool = eligible(sibling_pool)
+                plain.extend(negatives_rng.sample(overflow_pool, min(plain_needed - len(plain), len(overflow_pool))))
+            if len(plain) < plain_needed:
+                raise InsufficientDataError(
+                    f"event {event!r}, sample {si}: need {plain_needed - len(plain)} more "
+                    f"negative candidates than the dataset offers"
+                )
+            negative_events.extend((neg, "negative") for neg in plain)
+            for ni, (neg, kind) in enumerate(negative_events):
+                instances.append(TrainingInstance(
+                    f"{event}|s{si}|n{ni}", neg.name, neg.definitions[0] if spec.with_definition else "",
+                    context(neg), sample.sentence, "None", kind,
+                ))
+    return instances
+
+
+SHARED_SENTENCES = [f"Crowd {k} marched past the hall." for k in range(6)]
+
+
+@st.composite
+def slice_cases(draw):
+    """A forest of 1-30 events whose samples share sentences, with now and
+    then an event without samples (context only) or without definitions, and
+    a slice spec that may ask for more hard negatives than there are
+    siblings (cousins fill in), more plain negatives than there are
+    non-siblings (siblings fill in), or more negatives than the forest has."""
+    size = draw(st.integers(min_value=1, max_value=30))
+    star = draw(st.booleans())  # one root over all others: few non-siblings, so the overflow path runs
+    rows = []
+    for i in range(size):
+        if star or not i:
+            parent = "e0" if i else None
+        else:
+            parent = draw(st.one_of(st.none(), st.integers(0, i - 1).map(lambda p: f"e{p}")))
+        kind = draw(st.sampled_from(["full"] * 8 + ["no_samples", "no_definitions"]))
+        definitions = [] if kind == "no_definitions" else [f"e{i} def {d}" for d in range(2)]
+        sentences = [] if kind == "no_samples" else draw(st.lists(st.sampled_from(SHARED_SENTENCES), min_size=2, max_size=3))
+        rows.append((f"e{i}", parent, definitions, [GeneratedSample(f"e{i}", s, "marched") for s in sentences]))
+    n_negatives = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+    spec = SliceSpec(
+        n_events=draw(st.integers(min_value=1, max_value=min(size, 4))),
+        n_definitions=draw(st.integers(min_value=1, max_value=2)),
+        n_samples=draw(st.integers(min_value=1, max_value=2)),
+        n_negatives=n_negatives,
+        n_hard_negatives=draw(st.integers(min_value=0, max_value=n_negatives)),
+        with_ontology=draw(st.booleans()),
+        with_definition=draw(st.booleans()),
+        seed=draw(st.integers(min_value=0, max_value=3)),
+    )
+    return make_dataset(rows), spec
+
+
+def _outcome(assemble_fn, dataset, spec):
+    try:
+        return assemble_fn(dataset, spec)
+    except AssemblyError as exc:
+        return type(exc), str(exc)
+
+
+@given(slice_cases())
+@settings(max_examples=200, deadline=None)
+def test_assemble_matches_list_based_oracle(case):
+    dataset, spec = case
+    assert _outcome(assemble, dataset, spec) == _outcome(list_based_assemble, dataset, spec)
+
+
+# ---------------------------------------------------------------------------
+# write_jsonl bytes against json.dumps
+# ---------------------------------------------------------------------------
+
+TEXT = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from('"\\\x00\x1f\n\r\t\u2028\u2029é/')))
+
+
+@st.composite
+def instance_batches(draw):
+    """Instances with arbitrary text, often one event name and definition with
+    different contexts; each one also appears again with another id and
+    sentence, so the per-event part is reused."""
+    batch = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        sentence = draw(TEXT.filter(bool))
+        positive = sentence != "None" and draw(st.booleans())
+        ctx = draw(st.one_of(st.none(), st.builds(
+            OntologyContext, parent=st.one_of(st.none(), TEXT), children=st.lists(TEXT, max_size=3).map(tuple),
+        )))
+        batch.append(TrainingInstance(
+            instance_id=draw(TEXT), event_name=draw(st.one_of(st.just("A"), TEXT)),
+            definition=draw(st.one_of(st.just(""), TEXT)), ontology_context=ctx,
+            sentence=sentence, target=sentence if positive else "None",
+            kind="positive" if positive else draw(st.sampled_from(["negative", "hard_negative"])),
+        ))
+    return batch + [dataclasses.replace(inst, instance_id=inst.instance_id + "+", sentence=inst.sentence + "!",
+                                        target="None", kind="negative") for inst in batch]
+
+
+@given(instance_batches())
+@settings(deadline=None)
+def test_write_jsonl_bytes_equal_json_dumps(instances):
+    expected = "".join(
+        json.dumps({
+            "instance_id": inst.instance_id,
+            "event_name": inst.event_name,
+            "definition": inst.definition,
+            "ontology_context": (
+                None if inst.ontology_context is None
+                else {"parent": inst.ontology_context.parent, "children": list(inst.ontology_context.children)}
+            ),
+            "sentence": inst.sentence,
+            "target": inst.target,
+            "kind": inst.kind,
+        }, ensure_ascii=False) + "\n"
+        for inst in instances
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instances.jsonl"
+        assert write_jsonl(instances, path) == len(instances)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_jsonl(path) == instances

@@ -236,6 +236,28 @@ def test_score_self_is_perfect(tmp_path, capsys):
     assert "identification" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("sentence_id", ["s1"]), ("sentence_id", {"t": 1}), ("sentence_id", 5),
+     ("event_type", ["T"]), ("event_type", {"t": 1}), ("event_type", 5)],
+    ids=["sid_list", "sid_object", "sid_int", "type_list", "type_object", "type_int"],
+)
+def test_score_rejects_non_string_id_naming_the_line(tmp_path, capsys, side, field, value):
+    good = {"sentence_id": "s1", "event_type": "T", "triggers": ["hit"]}
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    for path in (gold, pred):
+        path.write_text(json.dumps(good) + "\n", encoding="utf-8")
+    bad_file = gold if side == "gold" else pred
+    bad = {**good, "sentence_id": "s2", field: value}
+    with bad_file.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    out = tmp_path / "report.json"
+    assert run(["score", "--gold", str(gold), "--pred", str(pred), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad_file}:2: ")
+    assert not out.exists()
+
+
 def test_ablate_report(tmp_path, capsys):
     def fake_report(f1):
         scores = {"tp": 1, "fp": 1, "fn": 1, "precision": f1, "recall": f1, "f1": f1}

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dived.evaluation import (
@@ -238,6 +240,117 @@ def test_span_override_when_both_sides_carry_spans():
     gold_records = [gold("s1", "T", ["hit"], spans=[[0, 3]])]
     pred_records = [pred("s1", "T", ["hit"])]
     assert match_and_score(gold_records, pred_records).id_scores.tp == 1
+
+
+# ---------------------------------------------------------------------------
+# match_and_score against the counter-based reference
+# ---------------------------------------------------------------------------
+
+
+def counter_based_match_and_score(gold_records, pred_records):
+    """Reference oracle: checks the inputs in a pass of their own, then per
+    sentence (sorted) builds pooled and typed Counters and rescans the typed
+    overlap once for every event type."""
+    gold_keys, pred_keys = set(), set()
+    for rec in gold_records:
+        if (rec.sentence_id, rec.event_type) in gold_keys:
+            raise EvaluationInputError(f"duplicate gold record for sentence {rec.sentence_id!r}, type {rec.event_type!r}")
+        gold_keys.add((rec.sentence_id, rec.event_type))
+    gold_sentences = {rec.sentence_id for rec in gold_records}
+    for rec in pred_records:
+        if (rec.sentence_id, rec.event_type) in pred_keys:
+            raise EvaluationInputError(
+                f"duplicate prediction record for sentence {rec.sentence_id!r}, type {rec.event_type!r}"
+            )
+        pred_keys.add((rec.sentence_id, rec.event_type))
+        if rec.sentence_id not in gold_sentences:
+            raise EvaluationInputError(f"prediction for unknown sentence id {rec.sentence_id!r}")
+
+    def span_mode(records):
+        return bool(records) and all(r.spans is not None and len(r.spans) == len(r.triggers) for r in records)
+
+    def keys(rec, spans, with_type):
+        idents = [rec.spans[i] if spans else re.sub(r"\s+", " ", t.strip()) for i, t in enumerate(rec.triggers)]
+        return [(rec.event_type, ident) if with_type else (ident,) for ident in idents]
+
+    id_tp = id_fp = id_fn = 0
+    type_counts = {}
+    for sid in sorted(gold_sentences):
+        g_recs = [r for r in gold_records if r.sentence_id == sid]
+        p_recs = [r for r in pred_records if r.sentence_id == sid]
+        spans = span_mode(g_recs) and span_mode(p_recs)
+        g_pool = Counter(k for r in g_recs for k in keys(r, spans, False))
+        p_pool = Counter(k for r in p_recs for k in keys(r, spans, False))
+        matched = sum((g_pool & p_pool).values())
+        id_tp, id_fp, id_fn = id_tp + matched, id_fp + sum(p_pool.values()) - matched, id_fn + sum(g_pool.values()) - matched
+        g_typed = Counter(k for r in g_recs for k in keys(r, spans, True))
+        p_typed = Counter(k for r in p_recs for k in keys(r, spans, True))
+        overlap = g_typed & p_typed
+        for event_type in {r.event_type for r in g_recs} | {r.event_type for r in p_recs}:
+            tp = sum(n for (t, _), n in overlap.items() if t == event_type)
+            acc = type_counts.setdefault(event_type, [0, 0, 0])
+            acc[0] += tp
+            acc[1] += sum(n for (t, _), n in p_typed.items() if t == event_type) - tp
+            acc[2] += sum(n for (t, _), n in g_typed.items() if t == event_type) - tp
+    return ScoreReport(
+        id_scores=Scores.from_counts(id_tp, id_fp, id_fn),
+        cls_scores=Scores.from_counts(*(sum(c[i] for c in type_counts.values()) for i in range(3))),
+        per_event_type={t: Scores.from_counts(*c) for t, c in type_counts.items()},
+    )
+
+
+SCORE_TRIGGERS = ["hit", " hit", "hit ", "took  over", "took over", "Hit", "None", "none "]
+
+
+@st.composite
+def scoring_cases(draw):
+    """Gold and prediction records over three sentences and three types, with
+    triggers that differ only in whitespace or case, records without
+    triggers, spans on one side or both (now and then not one per trigger),
+    and now and then a duplicate record or a prediction for a sentence
+    without gold."""
+
+    def records(make, sentence_ids):
+        keys = draw(st.lists(st.tuples(st.sampled_from(sentence_ids), st.sampled_from(["T1", "T2", "T3"])),
+                             max_size=7, unique=draw(st.sampled_from([True, True, True, False]))))
+        with_spans = draw(st.booleans())
+        out = []
+        for sid, event_type in keys:
+            triggers = draw(st.lists(st.sampled_from(SCORE_TRIGGERS), max_size=3))
+            spans = None
+            if with_spans:
+                pair = st.lists(st.integers(0, 2), min_size=2, max_size=2)
+                spans = draw(st.lists(pair, min_size=len(triggers), max_size=len(triggers)))
+                if make is gold and draw(st.integers(0, 9)) == 0:
+                    spans.append([0, 1])  # not one span per trigger: the sentence falls back to strings
+            out.append(make(sid, event_type, triggers, spans))
+        return out
+
+    gold_records = records(gold, ["s0", "s1", "s2"])
+    known = sorted({r.sentence_id for r in gold_records}) or ["s0"]
+    pred_records = records(pred, draw(st.sampled_from([known] * 5 + [["s0", "s3"]])))
+    return gold_records, pred_records
+
+
+def _score_outcome(gold_records, pred_records, scorer):
+    try:
+        return scorer(gold_records, pred_records)
+    except EvaluationInputError as exc:
+        return str(exc)
+
+
+@given(scoring_cases())
+@settings(max_examples=200, deadline=None)
+def test_match_and_score_matches_counter_based_oracle(case):
+    gold_records, pred_records = case
+    assert _score_outcome(gold_records, pred_records, match_and_score) == _score_outcome(
+        gold_records, pred_records, counter_based_match_and_score
+    )
+
+
+@given(st.text(st.one_of(st.characters(), st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"))))
+def test_normalize_trigger_trims_and_collapses_whitespace_like_the_regex(text):
+    assert normalize_trigger(text) == re.sub(r"\s+", " ", text.strip())
 
 
 # ---------------------------------------------------------------------------

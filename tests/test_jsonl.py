@@ -29,6 +29,13 @@ def test_write_rows_replaces_file_and_leaves_nothing_else(tmp_path):
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+def test_write_rows_bytes_equal_json_dumps(tmp_path):
+    rows = [{"q": '"\\ \x00\u2028é', "n": None, "l": [1.5, True, {"x": []}]}, {}]
+    path = tmp_path / "rows.jsonl"
+    jsonl.write_rows(path, rows)
+    assert path.read_bytes() == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode("utf-8")
+
+
 def test_write_rows_crash_keeps_old_file(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(OLD_BYTES)
