@@ -55,7 +55,7 @@ class OntologyContext:
     children: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrainingInstance:
     instance_id: str
     event_name: str

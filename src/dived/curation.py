@@ -44,13 +44,16 @@ class InvalidSampleError(DivedError):
     """A generated sample violates its invariants (trigger not in sentence, etc.)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GeneratedSample:
     """One (sentence, trigger) pair for an event type.
 
-    Constructing an instance validates the invariants, so any GeneratedSample
-    in circulation is known-good: the trigger occurs verbatim in the sentence
-    and the sentence is a single line.
+    Constructing an instance validates the invariants: the trigger occurs
+    verbatim in the sentence and the sentence is a single line. They hold at
+    construction only; the class is slotted, not frozen, because a frozen
+    ``__init__`` pays one ``object.__setattr__`` per field. The pipeline
+    never reassigns a field, so every GeneratedSample in circulation stays
+    known-good.
     """
 
     event_name: str

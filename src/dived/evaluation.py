@@ -19,7 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import jsonl
 from .errors import DivedError
@@ -28,7 +28,8 @@ NONE_TOKEN = "none"
 
 
 class EvaluationInputError(DivedError):
-    """Bad gold/prediction input: unknown sentence id or duplicate record."""
+    """Bad scorer input: an unknown sentence id, a duplicate record, or a
+    score report file that is not one."""
 
 
 def normalize_trigger(text: str) -> str:
@@ -53,7 +54,7 @@ def parse_model_output(raw: str, delimiters: str = ",\n") -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GoldRecord:
     """Gold triggers for one (sentence, event type). An empty trigger list is
     an explicit no-event marker."""
@@ -64,7 +65,7 @@ class GoldRecord:
     spans: tuple[tuple[int, int], ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PredictionRecord:
     sentence_id: str
     event_type: str
@@ -281,10 +282,15 @@ def _parse_spans(obj: dict, path: str | Path, lineno: int, n_triggers: int):
     if (
         not isinstance(spans, list)
         or len(spans) != n_triggers
-        or not all(isinstance(s, list) and len(s) == 2 and all(isinstance(x, int) for x in s) for s in spans)
+        or not all(
+            isinstance(s, list) and len(s) == 2 and type(s[0]) is int and type(s[1]) is int and 0 <= s[0] <= s[1]
+            for s in spans
+        )
     ):
-        raise jsonl.JsonlError(path, lineno, "field 'spans' must be a [start, end] pair per trigger")
-    return [tuple(s) for s in spans]
+        raise jsonl.JsonlError(
+            path, lineno, "field 'spans' must be a [start, end] pair per trigger, integers with 0 <= start <= end"
+        )
+    return tuple(map(tuple, spans))
 
 
 def _validate_record(obj: dict, path: str | Path, lineno: int) -> tuple[str, str, list[str]]:
@@ -299,29 +305,37 @@ def _validate_record(obj: dict, path: str | Path, lineno: int) -> tuple[str, str
     return obj["sentence_id"], obj["event_type"], obj["triggers"]
 
 
-def read_gold(path: str | Path) -> list[GoldRecord]:
+def _read_records(path: str | Path, make: Callable) -> list:
+    """``make(sentence_id, event_type, triggers, spans)`` for every row, with
+    the triggers and spans as tuples.
+
+    A row passes on exact-type checks (``str``, ``list``: all that JSON
+    gives); any other row goes through ``_validate_record`` for its error."""
     records = []
     for lineno, obj in jsonl.read_rows(path):
-        sid, event_type, triggers = _validate_record(obj, path, lineno)
-        spans = _parse_spans(obj, path, lineno, len(triggers))
-        records.append(
-            GoldRecord(
-                sentence_id=sid,
-                event_type=event_type,
-                triggers=tuple(triggers),
-                spans=tuple(spans) if spans is not None else None,
-            )
-        )
+        try:
+            sid, event_type, triggers = obj["sentence_id"], obj["event_type"], obj["triggers"]
+            valid = sid.__class__ is str and event_type.__class__ is str and triggers.__class__ is list
+        except KeyError:
+            valid = False
+        if valid:
+            for trigger in triggers:
+                if trigger.__class__ is not str:
+                    valid = False
+                    break
+        if not valid:
+            sid, event_type, triggers = _validate_record(obj, path, lineno)
+        spans = _parse_spans(obj, path, lineno, len(triggers)) if "spans" in obj else None
+        records.append(make(sid, event_type, tuple(triggers), spans))
     return records
+
+
+def read_gold(path: str | Path) -> list[GoldRecord]:
+    return _read_records(path, GoldRecord)
 
 
 def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    records = []
-    for lineno, obj in jsonl.read_rows(path):
-        sid, event_type, triggers = _validate_record(obj, path, lineno)
-        spans = _parse_spans(obj, path, lineno, len(triggers))
-        records.append(PredictionRecord.from_raw(sid, event_type, triggers, spans))
-    return records
+    return _read_records(path, PredictionRecord.from_raw)
 
 
 def write_report(report: ScoreReport, path: str | Path) -> None:
@@ -330,6 +344,31 @@ def write_report(report: ScoreReport, path: str | Path) -> None:
         fh.write("\n")
 
 
+_SCORE_KEYS = ("tp", "fp", "fn", "precision", "recall", "f1")
+
+
+def _check_scores(obj: object, path: str | Path, where: str) -> None:
+    if not isinstance(obj, dict) or not all(type(obj.get(key)) in (int, float) for key in _SCORE_KEYS):
+        raise EvaluationInputError(f"{path}: {where} must be an object with numbers {', '.join(_SCORE_KEYS)}")
+
+
 def read_report(path: str | Path) -> ScoreReport:
-    with open(path, encoding="utf-8") as fh:
-        return ScoreReport.from_dict(json.load(fh))
+    """Load a report written by ``write_report``. A file that is not one
+    raises an EvaluationInputError that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise EvaluationInputError(f"{path}: invalid UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError; an integer past the digit limit; nesting too deep
+        raise EvaluationInputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise EvaluationInputError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    per_type = obj.get("per_event_type", {})
+    if not isinstance(per_type, dict):
+        raise EvaluationInputError(f"{path}: 'per_event_type' must be an object")
+    _check_scores(obj.get("identification"), path, "'identification'")
+    _check_scores(obj.get("classification"), path, "'classification'")
+    for event_type, scores in per_type.items():
+        _check_scores(scores, path, f"per_event_type {event_type!r}")
+    return ScoreReport.from_dict(obj)

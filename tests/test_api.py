@@ -1,4 +1,5 @@
-"""The package's export list, and the names it no longer has."""
+"""The package's export list, the names it no longer has, and the shape of
+its per-row records."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import dataclasses
 import pytest
 
 import dived
-from dived import curation, llm_client
+from dived import assembly, curation, evaluation, llm_client
 
 
 def test_every_exported_name_resolves():
@@ -34,3 +35,43 @@ def test_removed_request_and_result_fields_are_gone():
     assert [f.name for f in dataclasses.fields(llm_client.GenResponse)] == ["text", "attempts"]
     assert [f.name for f in dataclasses.fields(llm_client.GenFailure)] == ["error", "attempts"]
     assert not hasattr(llm_client.Backend, "name") and not hasattr(llm_client.MockBackend(seed=1), "name")
+
+
+PER_ROW_RECORDS = [
+    (evaluation.GoldRecord, ["sentence_id", "event_type", "triggers", "spans"], ("s1", "T", ("hit",))),
+    (evaluation.PredictionRecord, ["sentence_id", "event_type", "triggers", "spans"], ("s1", "T", ("hit",))),
+    (assembly.TrainingInstance,
+     ["instance_id", "event_name", "definition", "ontology_context", "sentence", "target", "kind"],
+     ("i", "E", "d", None, "a hit", "hit", "positive")),
+    (curation.GeneratedSample, ["event_name", "sentence", "trigger", "origin"], ("E", "a hit", "hit")),
+]
+
+
+@pytest.mark.parametrize("cls, fields, args", PER_ROW_RECORDS, ids=[cls.__name__ for cls, _, _ in PER_ROW_RECORDS])
+def test_per_row_records_are_slotted_with_the_same_fields(cls, fields, args):
+    assert [f.name for f in dataclasses.fields(cls)] == fields
+    record = cls(*args)
+    assert not hasattr(record, "__dict__") and not cls.__dataclass_params__.frozen
+    assert dataclasses.replace(record) == record and dataclasses.replace(record) is not record
+    assert cls.__hash__ is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assembly.TrainingInstance("i", "E", "d", None, "a hit", "miss", "positive"),
+    lambda: assembly.TrainingInstance("i", "E", "d", None, "a hit", "hit", "negative"),
+    lambda: dataclasses.replace(assembly.TrainingInstance("i", "E", "d", None, "a hit", "hit", "positive"),
+                                kind="other"),
+    lambda: curation.GeneratedSample("E", "a hit", "miss"),
+    lambda: dataclasses.replace(curation.GeneratedSample("E", "a hit", "hit"), sentence="two\nlines hit"),
+], ids=["positive_target_not_in_sentence", "negative_with_target", "replace_to_bad_kind",
+        "trigger_not_in_sentence", "replace_to_two_lines"])
+def test_slotted_records_still_check_their_invariants(make):
+    with pytest.raises((ValueError, curation.InvalidSampleError)):
+        make()
+
+
+def test_ontology_context_stays_frozen_and_hashable():
+    ctx = assembly.OntologyContext(parent="P", children=("C",))
+    assert hash(ctx) == hash(assembly.OntologyContext(parent="P", children=("C",)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.parent = "Q"

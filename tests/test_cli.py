@@ -258,11 +258,30 @@ def test_score_rejects_non_string_id_naming_the_line(tmp_path, capsys, side, fie
     assert not out.exists()
 
 
-def test_ablate_report(tmp_path, capsys):
-    def fake_report(f1):
-        scores = {"tp": 1, "fp": 1, "fn": 1, "precision": f1, "recall": f1, "f1": f1}
-        return {"identification": scores, "classification": scores, "per_event_type": {}}
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize(
+    "spans",
+    [[[True, 1]], [[1, True]], [[False, 0]], [[5, 2]], [[-1, 2]], [[-3, -1]]],
+    ids=["bool_start", "bool_end", "bool_both", "inverted", "negative_start", "negative_both"],
+)
+def test_score_rejects_bool_negative_and_inverted_spans_naming_the_line(tmp_path, capsys, side, spans):
+    good = {"sentence_id": "s1", "event_type": "T", "triggers": ["hit"], "spans": [[1, 1]]}
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    for path in (gold, pred):
+        path.write_text(json.dumps(good) + "\n", encoding="utf-8")
+    bad_file = gold if side == "gold" else pred
+    with bad_file.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**good, "sentence_id": "s2", "spans": spans}) + "\n")
+    assert run(["score", "--gold", str(gold), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad_file}:2: field 'spans' ")
 
+
+def fake_report(f1):
+    scores = {"tp": 1, "fp": 1, "fn": 1, "precision": f1, "recall": f1, "f1": f1}
+    return {"identification": scores, "classification": scores, "per_event_type": {}}
+
+
+def test_ablate_report(tmp_path, capsys):
     base, ablated = tmp_path / "base.json", tmp_path / "ablated.json"
     base.write_text(json.dumps(fake_report(0.50)), encoding="utf-8")
     ablated.write_text(json.dumps(fake_report(0.40)), encoding="utf-8")
@@ -361,3 +380,37 @@ def test_help_lists_documented_flags(command, capsys):
     help_text = capsys.readouterr().out
     for flag in DOCUMENTED_FLAGS[command]:
         assert flag in help_text, f"{command} --help is missing {flag}"
+
+
+SCORES = fake_report(0.5)["identification"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"identification": {"tp": 1}}',
+        b"[1, 2]",
+        b"{not json",
+        b"",
+        json.dumps({"identification": SCORES, "classification": {**SCORES, "f1": "0.5"}}).encode(),
+        json.dumps({"identification": SCORES, "classification": {**SCORES, "tp": True}}).encode(),
+        json.dumps({"identification": SCORES, "classification": SCORES, "per_event_type": []}).encode(),
+        json.dumps({"identification": SCORES, "classification": SCORES, "per_event_type": {"T": [1]}}).encode(),
+        b'{"identification": "\xff"}',
+        b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ],
+    ids=["missing_scores", "not_an_object", "invalid_json", "empty", "string_f1", "bool_tp",
+         "per_type_list", "per_type_entry_list", "invalid_utf8", "too_deep"],
+)
+@pytest.mark.parametrize("side", ["baseline", "ablated"])
+def test_ablate_report_rejects_a_malformed_report_naming_the_file(tmp_path, capsys, content, side):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(fake_report(0.5)), encoding="utf-8")
+    bad.write_bytes(content)
+    paths = {"baseline": good, "ablated": good, side: bad}
+    out = tmp_path / "drops.json"
+    code = run(["ablate-report", "--baseline", str(paths["baseline"]), "--ablated", str(paths["ablated"]),
+                "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}")
+    assert not out.exists()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from dived.evaluation import (
     PredictionRecord,
     ScoreReport,
     Scores,
+    _parse_spans,
     drop_rate,
     match_and_score,
     normalize_trigger,
@@ -24,7 +28,7 @@ from dived.evaluation import (
     relative_drop_pct,
     write_report,
 )
-from dived.jsonl import JsonlError
+from dived.jsonl import JsonlError, read_rows
 
 
 def gold(sid, etype, triggers, spans=None):
@@ -457,3 +461,82 @@ def test_report_json_round_trip(tmp_path):
     assert loaded.per_event_type == report.per_event_type
     table = report.to_table()
     assert "identification" in table and "classification" in table
+
+
+# ---------------------------------------------------------------------------
+# read_gold / read_predictions against the row-by-row readers they replaced
+# ---------------------------------------------------------------------------
+
+
+def _validate_record_oracle(obj, path, lineno):
+    for key in ("sentence_id", "event_type", "triggers"):
+        if key not in obj:
+            raise JsonlError(path, lineno, f"missing required field {key!r}")
+    for key in ("sentence_id", "event_type"):
+        if not isinstance(obj[key], str):
+            raise JsonlError(path, lineno, f"field {key!r} must be a string")
+    if not isinstance(obj["triggers"], list) or not all(isinstance(t, str) for t in obj["triggers"]):
+        raise JsonlError(path, lineno, "field 'triggers' must be a list of strings")
+    return obj["sentence_id"], obj["event_type"], obj["triggers"]
+
+
+def read_gold_oracle(path):
+    """The reader before the one-pass check: every row through the
+    validator, then ``_parse_spans``, then a keyword constructor."""
+    records = []
+    for lineno, obj in read_rows(path):
+        sid, event_type, triggers = _validate_record_oracle(obj, path, lineno)
+        spans = _parse_spans(obj, path, lineno, len(triggers))
+        records.append(GoldRecord(sentence_id=sid, event_type=event_type, triggers=tuple(triggers),
+                                  spans=tuple(spans) if spans is not None else None))
+    return records
+
+
+def read_predictions_oracle(path):
+    records = []
+    for lineno, obj in read_rows(path):
+        sid, event_type, triggers = _validate_record_oracle(obj, path, lineno)
+        spans = _parse_spans(obj, path, lineno, len(triggers))
+        records.append(PredictionRecord.from_raw(sid, event_type, triggers, spans))
+    return records
+
+
+ABSENT = object()
+ID_VALUES = st.sampled_from(["s1", "T", "", 5, 1.5, True, None, ["s1"], {"s": 1}, ABSENT])
+TRIGGER_VALUES = st.one_of(
+    st.lists(st.sampled_from(["hit", "None", " none ", "took  over", "", "NONE\t"]), max_size=3),
+    st.sampled_from(["hit", "", None, 3, {"a": "b"}, ["hit", 2], [None], ["hit", ["x"]], [True], ABSENT]),
+)
+OFFSETS = st.sampled_from([0, 1, 2, 5, -1, True, False, 1.0, None, "1"])
+SPAN_VALUES = st.one_of(
+    st.just(ABSENT), st.none(),
+    st.lists(st.lists(OFFSETS, min_size=2, max_size=2), max_size=3),
+    st.lists(st.lists(st.integers(0, 3), min_size=0, max_size=3), max_size=3),
+    st.sampled_from(["0-1", 3, [0, 1], {"0": 1}]),
+)
+
+
+@st.composite
+def record_rows(draw):
+    row = {"sentence_id": draw(ID_VALUES), "event_type": draw(ID_VALUES),
+           "triggers": draw(TRIGGER_VALUES), "spans": draw(SPAN_VALUES)}
+    if draw(st.booleans()):
+        row["extra"] = "ignored"
+    return {key: value for key, value in row.items() if value is not ABSENT}
+
+
+def _records_outcome(reader, path):
+    try:
+        return "records", reader(path)
+    except JsonlError as exc:
+        return "error", exc.line, str(exc)
+
+
+@given(rows=st.lists(record_rows(), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_readers_match_the_row_by_row_readers(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert _records_outcome(read_gold, path) == _records_outcome(read_gold_oracle, path)
+        assert _records_outcome(read_predictions, path) == _records_outcome(read_predictions_oracle, path)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dived import cli, evaluation, jsonl
 from dived.cli import manifest_path
@@ -98,3 +102,116 @@ def test_json_writer_crash_keeps_old_file(tmp_path, monkeypatch, writer):
         pass
     assert path.read_bytes() == OLD_BYTES
     assert sorted(tmp_path.iterdir()) == before
+
+
+# ---------------------------------------------------------------------------
+# read_rows: undecodable lines, and the per-line json.loads reader as oracle
+# ---------------------------------------------------------------------------
+
+GOLD_ROW = '{"sentence_id": "s1", "event_type": "T", "triggers": ["hit"]}\n'
+
+
+def score_with_gold(tmp_path, gold_bytes: bytes):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_bytes(gold_bytes)
+    pred.write_text(GOLD_ROW, encoding="utf-8")
+    return gold, cli.main(["score", "--gold", str(gold), "--pred", str(pred)])
+
+
+def test_score_names_the_line_of_invalid_utf8(tmp_path, capsys):
+    gold, code = score_with_gold(tmp_path, GOLD_ROW.encode() * 2 + b'{"sentence_id": "s\xff2"}\n' + GOLD_ROW.encode())
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gold}:3: invalid UTF-8: ")
+    assert "0xff in position 18" in err
+
+
+def test_invalid_utf8_past_the_first_read_chunk_names_its_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\r\n' * 3000 + b'{"a": "\xe9"}\n')
+    with pytest.raises(jsonl.JsonlError) as err:
+        list(jsonl.read_rows(path))
+    assert err.value.line == 3001
+
+
+def test_score_names_the_line_of_too_deep_nesting(tmp_path, capsys):
+    deep = '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}\n"
+    gold, code = score_with_gold(tmp_path, (GOLD_ROW + deep).encode())
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {gold}:2: invalid JSON: ")
+
+
+def read_rows_per_line(path):
+    """The reader before the one-scanner-call fast path: ``json.loads`` on
+    every non-blank line. Kept as the oracle. Its one addition is the last
+    ``except``: a line that ``json.loads`` rejects with a plain ValueError
+    (an integer past the digit limit) or a RecursionError (deep nesting) is
+    named too, where the old reader let the bare exception escape."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise jsonl.JsonlError(path, lineno, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise jsonl.JsonlError(path, lineno, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise jsonl.JsonlError(path, lineno, f"expected a JSON object, got {type(obj).__name__}")
+            rows.append((lineno, obj))
+    return rows
+
+
+def _read_outcome(reader, path):
+    try:
+        return "rows", repr(list(reader(path)))  # repr: NaN is not equal to itself
+    except jsonl.JsonlError as exc:
+        return "error", exc.line, str(exc)
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+JSON_SPACE = st.sampled_from(["", " ", "\t", "  \t ", "\r"])
+OTHER_SPACE = st.sampled_from(["\x0b", "\x0c", "\u3000", "\x1c", "\x85", "\u2028", "\xa0"])
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | TEXT
+    | st.sampled_from([10**30, -(10**40), 2**64]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+TRAILING = st.sampled_from([""] * 24 + [" x", '{"b": 2}', "]", ",", " 1", "\x0b", "\u3000", " // c"])
+ODD_VALUES = st.sampled_from([
+    "NaN", "-Infinity", '{"x": Infinity}', '{"n": NaN}', '{"big": ' + "9" * 4400 + "}",
+    "[1]", '"s"', "1", "null", "true", '{"a": }', "{", "}", '{"a" 1}', '{"a": 1,}', "\ufeff{}",
+    '{"a": "\\ud800"}',
+    '{"a": ' + "[" * 5000 + "]" * 5000 + "}",
+])
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line: a blank one (JSON or other whitespace, which the readers
+    skip), or a value with JSON or other whitespace before it, JSON
+    whitespace after it and now and then trailing data. The value is an
+    object of JSON values, or an odd one: NaN/Infinity, an integer past the
+    digit limit, a top-level non-object, broken JSON, a BOM, deep nesting."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(OTHER_SPACE | JSON_SPACE, max_size=3).map("".join))
+    if draw(st.integers(0, 4)) == 0:
+        value = draw(ODD_VALUES)
+    else:
+        obj = draw(st.dictionaries(TEXT, VALUES, max_size=4))
+        separators = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,  ", " : ")]))
+        value = json.dumps(obj, ensure_ascii=draw(st.booleans()), separators=separators)
+    return draw(st.one_of(JSON_SPACE, JSON_SPACE, OTHER_SPACE)) + value + draw(JSON_SPACE) + draw(TRAILING)
+
+
+@given(lines=st.lists(jsonl_lines(), max_size=6), ending=st.sampled_from(["\n", "\r\n"]), last=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_read_rows_matches_the_per_line_json_loads_reader(lines, ending, last):
+    text = ending.join(lines) + (ending if last else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(jsonl.read_rows, path) == _read_outcome(read_rows_per_line, path)
