@@ -17,7 +17,6 @@ from dived.evaluation import (
     PredictionRecord,
     ScoreReport,
     Scores,
-    _parse_spans,
     drop_rate,
     match_and_score,
     normalize_trigger,
@@ -480,13 +479,35 @@ def _validate_record_oracle(obj, path, lineno):
     return obj["sentence_id"], obj["event_type"], obj["triggers"]
 
 
+SPANS_ERROR = "field 'spans' must be a [start, end] pair per trigger, integers with 0 <= start <= end"
+
+
+def _parse_spans_oracle(obj, path, lineno, n_triggers):
+    """The span check before offsets were range-checked, plus that rule
+    written out: no bool offsets, and 0 <= start <= end."""
+    spans = obj.get("spans")
+    if spans is None:
+        return None
+    if (
+        not isinstance(spans, list)
+        or len(spans) != n_triggers
+        or not all(isinstance(s, list) and len(s) == 2 and all(isinstance(x, int) for x in s) for s in spans)
+    ):
+        raise JsonlError(path, lineno, SPANS_ERROR)
+    for start, end in spans:
+        if isinstance(start, bool) or isinstance(end, bool) or not 0 <= start <= end:
+            raise JsonlError(path, lineno, SPANS_ERROR)
+    return [tuple(s) for s in spans]
+
+
 def read_gold_oracle(path):
-    """The reader before the one-pass check: every row through the
-    validator, then ``_parse_spans``, then a keyword constructor."""
+    """The reader before exact-type checks: every row through the
+    ``isinstance`` validator, then the span check, then a keyword
+    constructor."""
     records = []
     for lineno, obj in read_rows(path):
         sid, event_type, triggers = _validate_record_oracle(obj, path, lineno)
-        spans = _parse_spans(obj, path, lineno, len(triggers))
+        spans = _parse_spans_oracle(obj, path, lineno, len(triggers))
         records.append(GoldRecord(sentence_id=sid, event_type=event_type, triggers=tuple(triggers),
                                   spans=tuple(spans) if spans is not None else None))
     return records
@@ -496,18 +517,19 @@ def read_predictions_oracle(path):
     records = []
     for lineno, obj in read_rows(path):
         sid, event_type, triggers = _validate_record_oracle(obj, path, lineno)
-        spans = _parse_spans(obj, path, lineno, len(triggers))
+        spans = _parse_spans_oracle(obj, path, lineno, len(triggers))
         records.append(PredictionRecord.from_raw(sid, event_type, triggers, spans))
     return records
 
 
 ABSENT = object()
-ID_VALUES = st.sampled_from(["s1", "T", "", 5, 1.5, True, None, ["s1"], {"s": 1}, ABSENT])
+# Half the draws valid, so that later fields and rows are reached often.
+ID_VALUES = st.sampled_from(["s1", "T", ""]) | st.sampled_from([5, 1.5, True, None, ["s1"], {"s": 1}, ABSENT])
 TRIGGER_VALUES = st.one_of(
     st.lists(st.sampled_from(["hit", "None", " none ", "took  over", "", "NONE\t"]), max_size=3),
     st.sampled_from(["hit", "", None, 3, {"a": "b"}, ["hit", 2], [None], ["hit", ["x"]], [True], ABSENT]),
 )
-OFFSETS = st.sampled_from([0, 1, 2, 5, -1, True, False, 1.0, None, "1"])
+OFFSETS = st.sampled_from([0, 1, 2, 5, -1, True, False]) | st.sampled_from([1.0, None, "1"])
 SPAN_VALUES = st.one_of(
     st.just(ABSENT), st.none(),
     st.lists(st.lists(OFFSETS, min_size=2, max_size=2), max_size=3),
@@ -520,6 +542,10 @@ SPAN_VALUES = st.one_of(
 def record_rows(draw):
     row = {"sentence_id": draw(ID_VALUES), "event_type": draw(ID_VALUES),
            "triggers": draw(TRIGGER_VALUES), "spans": draw(SPAN_VALUES)}
+    if isinstance(row["triggers"], list) and draw(st.booleans()):
+        # One pair per trigger, so valid span lists are drawn often.
+        pair = st.lists(OFFSETS, min_size=2, max_size=2) | st.lists(st.integers(0, 3), min_size=2, max_size=2)
+        row["spans"] = [draw(pair) for _ in row["triggers"]]
     if draw(st.booleans()):
         row["extra"] = "ignored"
     return {key: value for key, value in row.items() if value is not ABSENT}
@@ -532,11 +558,34 @@ def _records_outcome(reader, path):
         return "error", exc.line, str(exc)
 
 
-@given(rows=st.lists(record_rows(), max_size=5))
-@settings(max_examples=300, deadline=None)
-def test_readers_match_the_row_by_row_readers(rows):
+@st.composite
+def span_rows(draw):
+    """Rows valid up to their spans, so that every draw reaches the span check."""
+    triggers = draw(st.lists(st.sampled_from(["hit", "None", "took over"]), min_size=1, max_size=3))
+    pair = st.lists(OFFSETS, min_size=2, max_size=2) | st.lists(st.integers(-1, 3), min_size=2, max_size=2)
+    # Three draws in four give one pair per trigger, the rest any span value.
+    spans = draw(SPAN_VALUES) if draw(st.integers(0, 3)) == 0 else [draw(pair) for _ in triggers]
+    row = {"sentence_id": draw(st.sampled_from(["s1", "s2"])), "event_type": "T", "triggers": triggers}
+    if spans is not ABSENT:
+        row["spans"] = spans
+    return row
+
+
+def _assert_readers_match(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         assert _records_outcome(read_gold, path) == _records_outcome(read_gold_oracle, path)
         assert _records_outcome(read_predictions, path) == _records_outcome(read_predictions_oracle, path)
+
+
+@given(rows=st.lists(record_rows(), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_readers_match_the_row_by_row_readers(rows):
+    _assert_readers_match(rows)
+
+
+@given(rows=st.lists(span_rows(), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_span_checks_match_the_row_by_row_readers(rows):
+    _assert_readers_match(rows)
