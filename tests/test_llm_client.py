@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
@@ -20,6 +21,7 @@ from dived.llm_client import (
     HttpBackend,
     MissingPlaceholderError,
     MockBackend,
+    PermanentBackendError,
     TemplateId,
     TemplateNotFoundError,
     complete_batch,
@@ -181,16 +183,19 @@ def test_complete_batch_retries_transient_then_succeeds():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Replays ``script`` entries of (status, body) or (status, body, headers)."""
+    """Replays ``script`` entries of (status, body) or (status, body, headers).
+    A body of bytes is sent as it is; any other body as JSON."""
 
     script: list[tuple] = []
     seen_payloads: list[dict] = []
+    seen_headers: list[dict] = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
+        type(self).seen_headers.append(dict(self.headers))
         type(self).seen_payloads.append(json.loads(self.rfile.read(length)))
         status, body, *headers = type(self).script.pop(0) if type(self).script else (500, {})
-        payload = json.dumps(body).encode("utf-8")
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -210,6 +215,7 @@ def stub_server():
     thread.start()
     _StubHandler.script = []
     _StubHandler.seen_payloads = []
+    _StubHandler.seen_headers = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
 
@@ -342,3 +348,68 @@ def test_retry_after_does_not_change_the_attempt_limit(stub_server, monkeypatch,
 
 def test_transient_error_carries_no_retry_after_by_default():
     assert llm_client.TransientBackendError("HTTP 429").retry_after is None
+
+
+# ---------------------------------------------------------------------------
+# HTTP transport: what goes on the wire and how each failure is classed
+# ---------------------------------------------------------------------------
+
+
+def _closed_port() -> int:
+    """A local port nothing listens on: bound once, then released."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_http_backend_sends_credential_content_type_and_payload(stub_server, monkeypatch):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(200, _ok_body("generated text"))]
+    request = _sample_request()
+    assert HttpBackend(endpoint=stub_server, model="test-model").generate(request) == "generated text"
+    headers = _StubHandler.seen_headers[0]
+    assert headers["Authorization"] == "Bearer secret"
+    assert headers["Content-Type"] == "application/json"
+    decoding = DEFAULT_DECODING[TemplateId.SAMPLE_CURATION]
+    assert _StubHandler.seen_payloads == [{
+        "model": "test-model",
+        "messages": [{"role": "user", "content": render(request.template_id, request.variables)}],
+        "temperature": decoding.temperature,
+        "max_tokens": decoding.max_tokens,
+    }]
+
+
+def test_http_backend_non_json_reply_is_malformed(stub_server, monkeypatch):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(200, b"<html>not json</html>")]
+    with pytest.raises(PermanentBackendError, match="^malformed response body"):
+        HttpBackend(endpoint=stub_server, model="test-model").generate(_sample_request())
+
+
+def test_http_backend_client_error_names_the_body(stub_server, monkeypatch):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(404, b"no such model: test-model")]
+    with pytest.raises(PermanentBackendError, match="^HTTP 404: no such model: test-model$"):
+        HttpBackend(endpoint=stub_server, model="test-model").generate(_sample_request())
+
+
+def test_refused_connection_is_a_transient_network_error(monkeypatch, sleeps):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    backend = HttpBackend(endpoint=f"http://127.0.0.1:{_closed_port()}/v1/chat/completions", model="test-model")
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2, backoff_base=0.5)
+    assert isinstance(results[0], GenFailure) and results[0].attempts == 3
+    assert results[0].error.startswith("network error")
+    assert sleeps == [0.5, 1.0]
+
+
+def test_proxy_comes_from_the_environment_and_no_proxy_bypasses_it(stub_server, monkeypatch):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_closed_port()}")
+    backend = HttpBackend(endpoint=stub_server, model="test-model")
+    with pytest.raises(llm_client.TransientBackendError, match="^network error"):
+        backend.generate(_sample_request())  # the dead proxy is used
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    _StubHandler.script = [(200, _ok_body("generated text"))]
+    assert backend.generate(_sample_request()) == "generated text"
