@@ -129,8 +129,15 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path}: invalid UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit; nesting too deep
+        raise UsageError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path}: top level must be a JSON object")
+    for command in _DEFAULTS:
+        if not isinstance(config.get(command, {}), dict):
+            raise UsageError(f"config file {path}: section {command!r} must be a JSON object")
     return config
 
 

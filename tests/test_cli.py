@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dived import cli
+from dived import cli, llm_client
 from dived.cli import build_parser, main, manifest_path
 from dived.curation import write_dataset
 from dived.llm_client import PermanentBackendError
@@ -319,6 +319,20 @@ def test_config_file_supplies_options_and_flags_override(tmp_path):
     assert len(out2.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000 + b"]" * 100_000, b'{"seed": "\xff"}', b'{"score": [1]}', b"[]", b'{"seed": 1'],
+    ids=["too_deep", "invalid_utf8", "section_not_an_object", "not_an_object", "invalid_json"],
+)
+def test_bad_config_file_exits_1_naming_the_file(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("", encoding="utf-8")
+    assert run(["score", "--gold", str(gold), "--pred", str(gold), "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {config}: ")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -346,6 +360,20 @@ def test_backend_config_failure_exits_2(tmp_path, monkeypatch, capsys):
                 "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--out", str(tmp_path / "d.jsonl")])
     assert code == 2
     assert "backend error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:9/v1", "127.0.0.1:9", "http:///v1", "ftp://127.0.0.1:9/v1", "/v1",
+                                      "http://127.0.0.1:port/v1", "http://127.0.0.1:99999/v1", "http://[::1/v1"])
+def test_malformed_endpoint_exits_2_before_any_request(tmp_path, monkeypatch, capsys, endpoint):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    sleeps: list[float] = []
+    monkeypatch.setattr(llm_client.time, "sleep", sleeps.append)
+    code = run(["curate-defs", "--ontology", str(TOY_ONTOLOGY), "--backend", "http",
+                "--endpoint", endpoint, "--model", "m", "--out", str(tmp_path / "d.jsonl")])
+    assert code == 2
+    assert sleeps == []
+    assert f"backend error: endpoint {endpoint!r}" in capsys.readouterr().err
+    assert not (tmp_path / "d.jsonl").exists()
 
 
 def test_unknown_flag_exits_1(capsys):
