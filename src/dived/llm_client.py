@@ -8,12 +8,15 @@ every downstream parser, so the whole pipeline is testable offline.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import random
 import re
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -22,8 +25,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence, Union
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import DivedError
 
@@ -345,7 +347,10 @@ class HttpBackend(Backend):
     """Chat-completion style JSON-over-HTTP backend.
 
     Reads the credential from the environment (``DIVED_API_KEY`` by default)
-    at request time so batches fail fast with a configuration error.
+    at request time so batches fail fast with a configuration error. An
+    endpoint that is not an absolute http(s) URL with a host is rejected when
+    the backend is built. Proxies are read from ``HTTP(S)_PROXY`` then too,
+    ``NO_PROXY`` on each request.
     """
 
     endpoint: str
@@ -353,6 +358,16 @@ class HttpBackend(Backend):
     api_key_env: str = "DIVED_API_KEY"
     timeout: float = 60.0
     templates_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        try:  # .port raises ValueError on a port that is not a number up to 65535
+            url = urlsplit(self.endpoint)
+            valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+        except ValueError:
+            valid = False
+        if not valid:
+            raise BackendConfigError(f"endpoint {self.endpoint!r} is not an absolute http:// or https:// URL with a host")
+        self._opener = urllib.request.build_opener()
 
     def generate(self, request: GenRequest) -> str:
         api_key = os.environ.get(self.api_key_env)
@@ -366,23 +381,23 @@ class HttpBackend(Backend):
             "temperature": decoding.temperature,
             "max_tokens": decoding.max_tokens,
         }
+        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        req = urllib.request.Request(self.endpoint, data=json.dumps(payload).encode(), headers=headers)
         try:
-            resp = requests.post(
-                self.endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            try:
+                resp = self._opener.open(req, timeout=self.timeout)
+            except urllib.error.HTTPError as exc:  # a reply of status >= 400 reads like a response
+                resp = exc
+            with resp:
+                status, body = resp.status, resp.read()
+        except (OSError, http.client.HTTPException) as exc:  # OSError covers URLError and timeouts
             raise TransientBackendError(f"network error: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(
-                f"HTTP {resp.status_code}", retry_after=_parse_retry_after(resp.headers.get("Retry-After"))
-            )
-        if resp.status_code >= 400:
-            raise PermanentBackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if status == 429 or status >= 500:
+            raise TransientBackendError(f"HTTP {status}", retry_after=_parse_retry_after(resp.headers.get("Retry-After")))
+        if status >= 400:
+            raise PermanentBackendError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise PermanentBackendError(f"malformed response body: {exc}") from exc
         if not isinstance(content, str):

@@ -4,6 +4,10 @@ its per-row records."""
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +79,13 @@ def test_ontology_context_stays_frozen_and_hashable():
     assert hash(ctx) == hash(assembly.OntologyContext(parent="P", children=("C",)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.parent = "Q"
+
+
+def test_import_loads_no_third_party_http_stack():
+    """The CLI's start-up cost and memory stay free of an HTTP client library."""
+    code = ("import sys, dived, dived.cli; "
+            "print(sorted(m for m in ('requests', 'urllib3', 'charset_normalizer', 'idna') if m in sys.modules))")
+    src = str(Path(dived.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
