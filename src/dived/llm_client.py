@@ -4,6 +4,12 @@ Provides prompt templates as named slots, request/response types, a
 bounded-concurrency batch executor with retries, an HTTP chat-completion
 backend, and a deterministic mock backend whose output is format-valid for
 every downstream parser, so the whole pipeline is testable offline.
+
+The HTTP backend uses only the standard library (``urllib.request``), so
+importing this module loads no third-party HTTP stack. Each request opens
+its own connection; HTTPS verifies against the system CA store through
+``ssl.create_default_context``; proxies come from ``HTTP(S)_PROXY`` and
+``NO_PROXY``.
 """
 
 from __future__ import annotations
@@ -386,7 +392,7 @@ class HttpBackend(Backend):
         try:
             try:
                 resp = self._opener.open(req, timeout=self.timeout)
-            except urllib.error.HTTPError as exc:  # a reply of status >= 400 reads like a response
+            except urllib.error.HTTPError as exc:  # a 3xx-5xx reply; it reads like a response
                 resp = exc
             with resp:
                 status, body = resp.status, resp.read()
@@ -394,7 +400,7 @@ class HttpBackend(Backend):
             raise TransientBackendError(f"network error: {exc}") from exc
         if status == 429 or status >= 500:
             raise TransientBackendError(f"HTTP {status}", retry_after=_parse_retry_after(resp.headers.get("Retry-After")))
-        if status >= 400:
+        if status >= 300:  # a 4xx, or a redirect urllib does not follow for a POST (307, 308)
             raise PermanentBackendError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
             content = json.loads(body)["choices"][0]["message"]["content"]

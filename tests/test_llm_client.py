@@ -393,6 +393,14 @@ def test_http_backend_client_error_names_the_body(stub_server, monkeypatch):
         HttpBackend(endpoint=stub_server, model="test-model").generate(_sample_request())
 
 
+def test_redirect_of_the_post_is_not_followed_and_names_its_status(stub_server, monkeypatch):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(307, b"moved", {"Location": stub_server}), (200, _ok_body("generated text"))]
+    with pytest.raises(PermanentBackendError, match="^HTTP 307: moved$"):
+        HttpBackend(endpoint=stub_server, model="test-model").generate(_sample_request())
+    assert len(_StubHandler.seen_payloads) == 1
+
+
 def test_refused_connection_is_a_transient_network_error(monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     backend = HttpBackend(endpoint=f"http://127.0.0.1:{_closed_port()}/v1/chat/completions", model="test-model")
