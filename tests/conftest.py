@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dived import llm_client
 from dived.curation import GeneratedSample
 from dived.llm_client import Backend
 from dived.ontology import Ontology, build_ontology, load_ontology
@@ -21,6 +22,14 @@ def toy_ontology_path() -> Path:
 @pytest.fixture
 def toy_ontology() -> Ontology:
     return load_ontology(TOY_ONTOLOGY)
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> list[float]:
+    """The delays complete_batch sleeps for, without sleeping."""
+    delays: list[float] = []
+    monkeypatch.setattr(llm_client.time, "sleep", delays.append)
+    return delays
 
 
 class ScriptedBackend(Backend):

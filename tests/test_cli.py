@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dived import cli, llm_client
+from dived import cli
 from dived.cli import build_parser, main, manifest_path
 from dived.curation import write_dataset
 from dived.llm_client import PermanentBackendError
@@ -364,10 +364,8 @@ def test_backend_config_failure_exits_2(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("endpoint", ["localhost:9/v1", "127.0.0.1:9", "http:///v1", "ftp://127.0.0.1:9/v1", "/v1",
                                       "http://127.0.0.1:port/v1", "http://127.0.0.1:99999/v1", "http://[::1/v1"])
-def test_malformed_endpoint_exits_2_before_any_request(tmp_path, monkeypatch, capsys, endpoint):
+def test_malformed_endpoint_exits_2_before_any_request(tmp_path, monkeypatch, capsys, sleeps, endpoint):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
-    sleeps: list[float] = []
-    monkeypatch.setattr(llm_client.time, "sleep", sleeps.append)
     code = run(["curate-defs", "--ontology", str(TOY_ONTOLOGY), "--backend", "http",
                 "--endpoint", endpoint, "--model", "m", "--out", str(tmp_path / "d.jsonl")])
     assert code == 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -287,14 +288,6 @@ def test_null_content_makes_a_generation_command_exit_2(stub_server, monkeypatch
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def sleeps(monkeypatch) -> list[float]:
-    """The delays complete_batch sleeps for, without sleeping."""
-    delays: list[float] = []
-    monkeypatch.setattr(llm_client.time, "sleep", delays.append)
-    return delays
-
-
 def _retry_once(stub_server, monkeypatch, first: tuple, backoff_base: float = 0.5) -> GenResponse:
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [first, (200, _ok_body("generated text"))]
@@ -408,6 +401,41 @@ def test_refused_connection_is_a_transient_network_error(monkeypatch, sleeps):
     assert isinstance(results[0], GenFailure) and results[0].attempts == 3
     assert results[0].error.startswith("network error")
     assert sleeps == [0.5, 1.0]
+
+
+class _CutShortHandler(BaseHTTPRequestHandler):
+    """Sends 10 of the 100 body bytes it announces, then holds the connection
+    ``hold`` seconds before closing it."""
+
+    hold = 0.0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Length", "100")
+        self.end_headers()
+        self.wfile.write(b'{"choices"')
+        self.wfile.flush()
+        time.sleep(self.hold)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("hold", [0.0, 0.5], ids=["closed_mid_body", "stalled_mid_body"])
+def test_a_body_cut_short_is_a_transient_network_error(monkeypatch, hold):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    monkeypatch.setattr(_CutShortHandler, "hold", hold)
+    server = HTTPServer(("127.0.0.1", 0), _CutShortHandler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        backend = HttpBackend(endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1", model="m", timeout=0.1)
+        with pytest.raises(llm_client.TransientBackendError, match="^network error"):
+            backend.generate(_sample_request())
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_proxy_comes_from_the_environment_and_no_proxy_bypasses_it(stub_server, monkeypatch):
