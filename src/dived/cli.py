@@ -135,9 +135,6 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path}: top level must be a JSON object")
-    for command in _DEFAULTS:
-        if not isinstance(config.get(command, {}), dict):
-            raise UsageError(f"config file {path}: section {command!r} must be a JSON object")
     return config
 
 
@@ -147,6 +144,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     config = _load_config(getattr(args, "config", None))
     flat = {k: v for k, v in config.items() if not isinstance(v, dict)}
     section = config.get(command, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"config file {args.config}: section {command!r} must be a JSON object")
     for source in (flat, section):
         for key, value in source.items():
             key = key.replace("-", "_")

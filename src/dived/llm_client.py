@@ -9,7 +9,7 @@ The HTTP backend uses only the standard library (``urllib.request``), so
 importing this module loads no third-party HTTP stack. Each request opens
 its own connection; HTTPS verifies against the system CA store through
 ``ssl.create_default_context``; proxies come from ``HTTP(S)_PROXY`` and
-``NO_PROXY``.
+``NO_PROXY``. The credential is never sent on to a redirect's target.
 """
 
 from __future__ import annotations
@@ -387,8 +387,9 @@ class HttpBackend(Backend):
             "temperature": decoding.temperature,
             "max_tokens": decoding.max_tokens,
         }
-        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-        req = urllib.request.Request(self.endpoint, data=json.dumps(payload).encode(), headers=headers)
+        req = urllib.request.Request(self.endpoint, data=json.dumps(payload).encode())
+        req.add_header("Content-Type", "application/json")
+        req.add_unredirected_header("Authorization", f"Bearer {api_key}")  # never sent on to a redirect's target
         try:
             try:
                 resp = self._opener.open(req, timeout=self.timeout)

@@ -333,6 +333,16 @@ def test_bad_config_file_exits_1_naming_the_file(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"error: config file {config}: ")
 
 
+def test_a_section_of_another_command_is_not_checked(tmp_path):
+    dataset = small_dataset_file(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"score": [1], "seed": 7}), encoding="utf-8")
+    out = tmp_path / "pruned.jsonl"
+    assert run(["prune", "--dataset", str(dataset), "--config", str(config), "--out", str(out),
+                "--audit", str(tmp_path / "audit.jsonl")]) == 0
+    assert out.exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

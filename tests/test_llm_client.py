@@ -394,6 +394,42 @@ def test_redirect_of_the_post_is_not_followed_and_names_its_status(stub_server, 
     assert len(_StubHandler.seen_payloads) == 1
 
 
+class _GetRecorder(BaseHTTPRequestHandler):
+    """A redirect's target: records the headers of each GET and replies 401."""
+
+    seen_headers: list[dict] = []
+
+    def do_GET(self):
+        type(self).seen_headers.append(dict(self.headers))
+        self.send_response(401)
+        self.send_header("Content-Length", "12")
+        self.end_headers()
+        self.wfile.write(b"unauthorized")
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("status", [301, 302, 303])
+def test_a_redirect_target_on_another_host_never_sees_the_credential(stub_server, monkeypatch, status):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    monkeypatch.setattr(_GetRecorder, "seen_headers", [])
+    target = HTTPServer(("127.0.0.1", 0), _GetRecorder)
+    thread = threading.Thread(target=target.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        location = f"http://127.0.0.1:{target.server_address[1]}/elsewhere"
+        _StubHandler.script = [(status, b"moved", {"Location": location})]
+        with pytest.raises(PermanentBackendError, match="^HTTP 401: unauthorized$"):
+            HttpBackend(endpoint=stub_server, model="test-model").generate(_sample_request())
+    finally:
+        target.shutdown()
+        target.server_close()
+    assert _StubHandler.seen_headers[0]["Authorization"] == "Bearer secret"
+    assert len(_GetRecorder.seen_headers) == 1
+    assert "Authorization" not in _GetRecorder.seen_headers[0]
+
+
 def test_refused_connection_is_a_transient_network_error(monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     backend = HttpBackend(endpoint=f"http://127.0.0.1:{_closed_port()}/v1/chat/completions", model="test-model")
