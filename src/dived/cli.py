@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,88 +39,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-@dataclass
-class RunManifest:
-    """Provenance record written next to every output file (as
-    <output>.manifest.json). Manifests chain: input_manifests records the
-    digest of each input's own manifest when one exists."""
-
-    command: str
-    config_hash: str
-    seed: int | None
-    input_paths: list[str]
-    output_paths: list[str]
-    counts: dict[str, int]
-    timestamp: str
-    input_manifests: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "input_paths": self.input_paths,
-            "output_paths": self.output_paths,
-            "counts": self.counts,
-            "input_manifests": self.input_manifests,
-            "timestamp": self.timestamp,
-        }
-
-
 def manifest_path(output_path: str | Path) -> Path:
     return Path(f"{output_path}.manifest.json")
 
 
-def _config_hash(resolved: dict) -> str:
-    return hashlib.sha256(json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")).hexdigest()
-
-
 def write_manifests(command: str, resolved: dict, inputs: list[str], outputs: list[str], counts: dict[str, int]) -> None:
-    chained = {}
-    for input_path in inputs:
-        mpath = manifest_path(input_path)
-        if mpath.is_file():
-            chained[str(input_path)] = hashlib.sha256(mpath.read_bytes()).hexdigest()
-    manifest = RunManifest(
-        command=command,
-        config_hash=_config_hash(resolved),
-        seed=resolved.get("seed"),
-        input_paths=[str(p) for p in inputs],
-        output_paths=[str(p) for p in outputs],
-        counts=counts,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        input_manifests=chained,
-    )
+    """Write the run's provenance record next to every output, as
+    <output>.manifest.json. Manifests chain: input_manifests records the
+    digest of each input's own manifest when one exists."""
+    chained = {str(p): hashlib.sha256(m.read_bytes()).hexdigest() for p in inputs if (m := manifest_path(p)).is_file()}
+    manifest = {
+        "command": command,
+        "config_hash": hashlib.sha256(json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")).hexdigest(),
+        "seed": resolved.get("seed"),
+        "input_paths": [str(p) for p in inputs],
+        "output_paths": [str(p) for p in outputs],
+        "counts": counts,
+        "input_manifests": chained,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
     for output_path in outputs:
-        with jsonl.open_atomic(manifest_path(output_path)) as fh:
-            json.dump(manifest.to_dict(), fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        jsonl.write_object(manifest_path(output_path), manifest)
 
 
 # ---------------------------------------------------------------------------
-# Option resolution: defaults < config file < explicit flags
+# Option resolution: defaults < config file < explicit flags, all in the parser
 # ---------------------------------------------------------------------------
 
-_DEFAULTS: dict[str, dict] = {
-    "ingest": {"ontology": None, "heldout": [], "out": None},
-    "curate-defs": {"ontology": None, "out": None, "backend": "mock", "seed": 0,
-                    "endpoint": None, "model": None, "max_in_flight": 4, "retry_limit": 3},
-    "curate-samples": {"dataset": None, "out": None, "backend": "mock", "seed": 0, "per_event": 10,
-                       "regenerate": 0, "endpoint": None, "model": None, "max_in_flight": 4, "retry_limit": 3},
-    "expand-defs": {"dataset": None, "out": None, "backend": "mock", "seed": 0, "count": 10,
-                    "endpoint": None, "model": None, "max_in_flight": 4, "retry_limit": 3},
-    "prune": {"dataset": None, "out": None, "audit": None, "threshold": 0.5},
-    "assemble": {"dataset": None, "out": None, "events": None, "definitions": None, "samples": None,
-                 "negatives": 10, "hard_negatives": 0, "with_ontology": False, "with_definition": True,
-                 "seed": 0},
-    "score": {"gold": None, "pred": None, "out": None},
-    "ablate-report": {"baseline": None, "ablated": None, "out": None},
-}
 
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -138,24 +84,64 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _config_value(path: str, key: str, action: argparse.Action, value):
+    """A config value as the parser's default for ``action``: true or false for
+    a --[no-] switch, a string or list of strings for a repeatable option, and
+    otherwise a string or number, as its text for the option's type to convert."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        ok, expected, converted = isinstance(value, bool), "true or false", value
+    elif isinstance(action, _AppendOverDefault):
+        converted = [value] if isinstance(value, str) else value
+        ok = isinstance(converted, list) and all(isinstance(item, str) for item in converted)
+        expected = "a string or a list of strings"
+    else:
+        ok, expected, converted = type(value) in (str, int, float), "a string or a number", str(value)
+    if not ok:
+        raise UsageError(f"config file {path}: {key!r} must be {expected}, not {json.dumps(value)}")
+    return converted
+
+
+class _AppendOverDefault(argparse.Action):
+    """``action="append"`` whose first flag replaces the default, so that the
+    flags replace a config file's list rather than extend it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [*([] if items is self.default else items), values])
+
+
+class _CommandParser(_Parser):
+    """A subcommand's parser. Given ``--config``, it makes the file's values
+    for its options its defaults and parses again: each option's type converts
+    a config value as it converts a flag, and explicit flags win."""
+
+    def parse_known_args(self, args=None, namespace=None):  # noqa: D102 - argparse hook
+        parsed, extras = super().parse_known_args(args, namespace)
+        if parsed.config is None:
+            return parsed, extras
+        self._set_config_defaults(parsed.config)
+        try:
+            return super().parse_known_args(args, namespace)
+        except UsageError as exc:
+            raise UsageError(f"config file {parsed.config}: {exc}") from None
+
+    def _set_config_defaults(self, path: str) -> None:
+        """Make this command's options in the config file, flat keys then its section, the defaults."""
+        config = _load_config(path)
+        command = self.prog.rpartition(" ")[2]
+        section = config.get(command, {})
+        if not isinstance(section, dict):
+            raise UsageError(f"config file {path}: section {command!r} must be a JSON object")
+        actions = {action.dest: action for action in self._actions if action.dest not in ("help", "config")}
+        for key, value in [*((k, v) for k, v in config.items() if not isinstance(v, dict)), *section.items()]:
+            action = actions.get(key.replace("-", "_"))
+            if action is not None:
+                self.set_defaults(**{action.dest: _config_value(path, key, action, value)})
+
+
 def _resolve(args: argparse.Namespace) -> dict:
-    command = args.command
-    resolved = dict(_DEFAULTS[command])
-    config = _load_config(getattr(args, "config", None))
-    flat = {k: v for k, v in config.items() if not isinstance(v, dict)}
-    section = config.get(command, {})
-    if not isinstance(section, dict):
-        raise UsageError(f"config file {args.config}: section {command!r} must be a JSON object")
-    for source in (flat, section):
-        for key, value in source.items():
-            key = key.replace("-", "_")
-            if key in resolved:
-                resolved[key] = value
-    for key in resolved:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+    """The command's options: the parsed namespace without the front-end's own entries."""
+    return {key: value for key, value in vars(args).items() if key not in ("verbose", "command", "config", "func")}
 
 
 def _require(resolved: dict, *names: str) -> None:
@@ -167,7 +153,7 @@ def _require(resolved: dict, *names: str) -> None:
 def _backend(resolved: dict):
     kind = resolved["backend"]
     if kind == "mock":
-        return MockBackend(seed=int(resolved["seed"]))
+        return MockBackend(seed=resolved["seed"])
     if kind == "http":
         if not resolved.get("endpoint") or not resolved.get("model"):
             raise BackendConfigError("http backend needs --endpoint and --model")
@@ -188,7 +174,7 @@ def _generation(args: argparse.Namespace, source: str, load, run) -> int:
     resolved = _resolve(args)
     _require(resolved, source, "out")
     dataset = load(resolved[source])
-    batch = {"max_in_flight": int(resolved["max_in_flight"]), "retry_limit": int(resolved["retry_limit"])}
+    batch = {"max_in_flight": resolved["max_in_flight"], "retry_limit": resolved["retry_limit"]}
     report, counts, summary = run(dataset, _backend(resolved), resolved, batch)
     events = curation.write_dataset(dataset, resolved["out"])
     counts = {"events": events, **counts, "failures": len(report.failures)}
@@ -205,9 +191,7 @@ def _generation(args: argparse.Namespace, source: str, load, run) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _require(resolved, "ontology", "out")
-    heldout: list[str] = []
-    for chunk in resolved["heldout"] or []:
-        heldout.extend(part.strip() for part in chunk.split(",") if part.strip())
+    heldout = [part.strip() for chunk in resolved["heldout"] for part in chunk.split(",") if part.strip()]
     ontology = load_ontology(resolved["ontology"])
     trees_in, nodes_in = len(ontology.trees), len(ontology)
     filtered = filter_heldout(ontology, heldout)
@@ -234,8 +218,7 @@ def cmd_curate_defs(args: argparse.Namespace) -> int:
 def cmd_curate_samples(args: argparse.Namespace) -> int:
     def run(dataset, backend, resolved, batch):
         report = curation.curate_samples_for_trees(
-            dataset.trees, backend, per_event=int(resolved["per_event"]), regenerate=int(resolved["regenerate"]),
-            **batch,
+            dataset.trees, backend, per_event=resolved["per_event"], regenerate=resolved["regenerate"], **batch
         )
         summary = f"{report.parsed} samples for {len(dataset)} events ({report.dropped_invalid} invalid dropped)"
         return report, {"samples": report.parsed, "dropped_invalid": report.dropped_invalid}, summary
@@ -245,9 +228,8 @@ def cmd_curate_samples(args: argparse.Namespace) -> int:
 
 def cmd_expand_defs(args: argparse.Namespace) -> int:
     def run(dataset, backend, resolved, batch):
-        report = curation.expand_definitions_for_nodes(
-            list(dataset.iter_nodes()), backend, count=int(resolved["count"]), **batch
-        )
+        nodes = list(dataset.iter_nodes())
+        report = curation.expand_definitions_for_nodes(nodes, backend, count=resolved["count"], **batch)
         summary = f"{report.parsed} paraphrases added across {len(dataset)} events"
         return report, {"paraphrases_added": report.parsed}, summary
 
@@ -260,7 +242,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     dataset = curation.read_dataset(resolved["dataset"])
     events_in = len(dataset)
     try:
-        pruned, audits = pruning.prune_dataset(dataset, threshold=float(resolved["threshold"]))
+        pruned, audits = pruning.prune_dataset(dataset, threshold=resolved["threshold"])
     except pruning.PruneInputError as exc:  # name the row of the event without samples
         line = next(n for n, row in jsonl.read_rows(resolved["dataset"]) if row["event"].strip() == exc.event)
         raise jsonl.JsonlError(resolved["dataset"], line, str(exc)) from None
@@ -277,14 +259,14 @@ def cmd_assemble(args: argparse.Namespace) -> int:
     _require(resolved, "dataset", "out", "events", "definitions", "samples")
     dataset = curation.read_dataset(resolved["dataset"])
     spec = assembly.SliceSpec(
-        n_events=int(resolved["events"]),
-        n_definitions=int(resolved["definitions"]),
-        n_samples=int(resolved["samples"]),
-        n_negatives=int(resolved["negatives"]),
-        n_hard_negatives=int(resolved["hard_negatives"]),
-        with_ontology=bool(resolved["with_ontology"]),
-        with_definition=bool(resolved["with_definition"]),
-        seed=int(resolved["seed"]),
+        n_events=resolved["events"],
+        n_definitions=resolved["definitions"],
+        n_samples=resolved["samples"],
+        n_negatives=resolved["negatives"],
+        n_hard_negatives=resolved["hard_negatives"],
+        with_ontology=resolved["with_ontology"],
+        with_definition=resolved["with_definition"],
+        seed=resolved["seed"],
     )
     instances = assembly.assemble(dataset, spec)
     assembly.write_jsonl(instances, resolved["out"])
@@ -332,9 +314,7 @@ def cmd_ablate_report(args: argparse.Namespace) -> int:
     print(f"identification drop: {drops['id_drop_pct']}% ({drops['id_drop_points']} points)")
     print(f"classification drop: {drops['cls_drop_pct']}% ({drops['cls_drop_points']} points)")
     if resolved["out"]:
-        with jsonl.open_atomic(resolved["out"]) as fh:
-            json.dump(result, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        jsonl.write_object(resolved["out"], result)
         write_manifests("ablate-report", resolved, [resolved["baseline"], resolved["ablated"]], [resolved["out"]], {})
     return 0
 
@@ -345,87 +325,82 @@ def cmd_ablate_report(args: argparse.Namespace) -> int:
 
 
 def _add_backend_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--backend", choices=["mock", "http"], help="text-generation backend (default: mock)")
-    sub.add_argument("--seed", type=int, help="seed for the mock backend and any sampling")
+    sub.add_argument("--backend", choices=["mock", "http"], default="mock",
+                     help="text-generation backend (default: %(default)s)")
+    sub.add_argument("--seed", type=int, default=0, help="seed for the mock backend and any sampling")
     sub.add_argument("--endpoint", help="HTTP backend: chat-completion endpoint URL")
     sub.add_argument("--model", help="HTTP backend: model name")
-    sub.add_argument("--max-in-flight", type=int, dest="max_in_flight", help="max concurrent requests")
-    sub.add_argument("--retry-limit", type=int, dest="retry_limit", help="retries per request on transient failures")
+    sub.add_argument("--max-in-flight", type=int, default=4, help="max concurrent requests")
+    sub.add_argument("--retry-limit", type=int, default=3, help="retries per request on transient failures")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one table of the options: each command's flags, defaults and types."""
     parser = _Parser(prog="dived", description="Event-detection dataset pipeline toolkit")
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    p = subs.add_parser("ingest", parents=[], help="load an ontology and remove held-out trees")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON config file")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("ingest", cmd_ingest, "load an ontology and remove held-out trees")
     p.add_argument("--ontology", help="ontology JSONL file")
-    p.add_argument("--heldout", action="append", help="held-out event name (repeatable, comma-splittable)")
+    p.add_argument("--heldout", action=_AppendOverDefault, default=[],
+                   help="held-out event name (repeatable, comma-splittable)")
     p.add_argument("--out", help="filtered ontology JSONL output")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_ingest)
 
-    p = subs.add_parser("curate-defs", help="generate one definition per event type, a prompt per tree")
+    p = command("curate-defs", cmd_curate_defs, "generate one definition per event type, a prompt per tree")
     p.add_argument("--ontology", help="ontology JSONL file")
     p.add_argument("--out", help="dataset JSONL output")
-    p.add_argument("--config", help="JSON config file")
     _add_backend_options(p)
-    p.set_defaults(func=cmd_curate_defs)
 
-    p = subs.add_parser("curate-samples", help="generate validated samples per event type")
+    p = command("curate-samples", cmd_curate_samples, "generate validated samples per event type")
     p.add_argument("--dataset", help="dataset JSONL with definitions")
     p.add_argument("--out", help="dataset JSONL output")
-    p.add_argument("--per-event", type=int, dest="per_event", help="samples per event (default 10)")
-    p.add_argument("--regenerate", type=int, help="extra regeneration rounds for events short of samples")
-    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--per-event", type=int, default=10, help="samples per event (default %(default)s)")
+    p.add_argument("--regenerate", type=int, default=0, help="extra regeneration rounds for events short of samples")
     _add_backend_options(p)
-    p.set_defaults(func=cmd_curate_samples)
 
-    p = subs.add_parser("expand-defs", help="paraphrase each event definition")
+    p = command("expand-defs", cmd_expand_defs, "paraphrase each event definition")
     p.add_argument("--dataset", help="dataset JSONL with definitions")
     p.add_argument("--out", help="dataset JSONL output")
-    p.add_argument("--count", type=int, help="paraphrases per event (default 10)")
-    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--count", type=int, default=10, help="paraphrases per event (default %(default)s)")
     _add_backend_options(p)
-    p.set_defaults(func=cmd_expand_defs)
 
-    p = subs.add_parser("prune", help="remove duplicate events by trigger overlap")
+    p = command("prune", cmd_prune, "remove duplicate events by trigger overlap")
     p.add_argument("--dataset", help="dataset JSONL with samples")
     p.add_argument("--out", help="pruned dataset JSONL output")
     p.add_argument("--audit", help="overlap audit JSONL output")
-    p.add_argument("--threshold", type=float, help="overlap ratio threshold (default 0.5, strict >)")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_prune)
+    p.add_argument("--threshold", type=float, default=0.5,
+                   help="overlap ratio threshold (default %(default)s, strict >)")
 
-    p = subs.add_parser("assemble", help="build training instances from a pruned dataset")
+    p = command("assemble", cmd_assemble, "build training instances from a pruned dataset")
     p.add_argument("--dataset", help="pruned dataset JSONL")
     p.add_argument("--out", help="instances JSONL output")
     p.add_argument("--events", type=int, help="number of event types")
     p.add_argument("--definitions", type=int, help="definitions per event")
     p.add_argument("--samples", type=int, help="samples per event")
-    p.add_argument("--negatives", type=int, help="negative instances per positive (default 10)")
-    p.add_argument("--hard-negatives", type=int, dest="hard_negatives", help="sibling hard-negatives within --negatives (default 0)")
-    p.add_argument("--ontology", dest="with_ontology", action=argparse.BooleanOptionalAction,
+    p.add_argument("--negatives", type=int, default=10, help="negative instances per positive (default %(default)s)")
+    p.add_argument("--hard-negatives", type=int, default=0,
+                   help="sibling hard-negatives within --negatives (default %(default)s)")
+    p.add_argument("--ontology", dest="with_ontology", action=argparse.BooleanOptionalAction, default=False,
                    help="attach parent/children ontology context")
-    p.add_argument("--definition", dest="with_definition", action=argparse.BooleanOptionalAction,
+    p.add_argument("--definition", dest="with_definition", action=argparse.BooleanOptionalAction, default=True,
                    help="include the definition text (--no-definition = ablation)")
-    p.add_argument("--seed", type=int, help="sampling seed")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_assemble)
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
-    p = subs.add_parser("score", help="score predictions against gold triggers")
+    p = command("score", cmd_score, "score predictions against gold triggers")
     p.add_argument("--gold", help="gold JSONL file")
     p.add_argument("--pred", help="prediction JSONL file")
     p.add_argument("--out", help="score report JSON output")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_score)
 
-    p = subs.add_parser("ablate-report", help="drop rates between a baseline and an ablated score report")
+    p = command("ablate-report", cmd_ablate_report, "drop rates between a baseline and an ablated score report")
     p.add_argument("--baseline", help="baseline score report JSON")
     p.add_argument("--ablated", help="ablated score report JSON")
     p.add_argument("--out", help="drop report JSON output")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_ablate_report)
 
     return parser
 

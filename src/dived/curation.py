@@ -475,7 +475,7 @@ def read_dataset(path: str | Path) -> Ontology:
         numbered.append((lineno, (event, obj.get("parent"), None)))
         contents.append((definitions, samples))
 
-    dataset = ontology._build_ontology(numbered, "1", str(path), str(path))
+    dataset = ontology._build_ontology(numbered, str(path))
     for (_, (event, _, _)), (definitions, samples) in zip(numbered, contents):
         node = dataset.get(event)
         node.definitions, node.samples = definitions, samples

@@ -333,9 +333,7 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
 
 
 def write_report(report: ScoreReport, path: str | Path) -> None:
-    with jsonl.open_atomic(path) as fh:
-        json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    jsonl.write_object(path, report.to_dict())
 
 
 _SCORE_KEYS = ("tp", "fp", "fn", "precision", "recall", "f1")

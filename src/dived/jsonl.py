@@ -119,3 +119,10 @@ def write_rows(path: str | Path, rows: Iterable[Any], encode: Callable[[Any], st
             fh.write(encode(row) + "\n")
             count += 1
     return count
+
+
+def write_object(path: str | Path, obj: Any) -> None:
+    """Write one JSON value, indented by two spaces and ending in a newline, atomically."""
+    with open_atomic(path) as fh:
+        json.dump(obj, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")

@@ -233,10 +233,8 @@ _MOCK_PARAPHRASE_FORMS = [
 
 def _event_list(raw: str) -> list[str]:
     """Event names from an 'events' variable: one name per line (indented tree
-    accepted), or a single comma-separated line."""
+    accepted); a name may contain a comma."""
     lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
-    if len(lines) == 1 and "," in lines[0]:
-        lines = [part.strip() for part in lines[0].split(",") if part.strip()]
     seen: set[str] = set()
     out: list[str] = []
     for name in lines:

@@ -101,8 +101,6 @@ class Ontology:
     trees in file order, nodes in pre-order within a tree."""
 
     trees: list[EventTypeNode]
-    version: str = "1"
-    source: str = ""
 
     def __post_init__(self) -> None:
         self._index: dict[str, EventTypeNode] = {}
@@ -142,19 +140,14 @@ class Ontology:
                 kept.append(node)
                 up = node.name
             target[node] = up
-        sub = build_ontology(rows, version=self.version, source=self.source)
+        sub = build_ontology(rows)
         for old, new in zip(kept, sub.iter_nodes(), strict=True):
             new.definitions = list(old.definitions)
             new.samples = list(old.samples)
         return sub
 
 
-def build_ontology(
-    rows: Iterable[tuple[str, str | None, str | None]],
-    version: str = "1",
-    source: str = "",
-    origin: str = "<memory>",
-) -> Ontology:
+def build_ontology(rows: Iterable[tuple[str, str | None, str | None]], origin: str = "<memory>") -> Ontology:
     """Build an Ontology from (name, parent_name, external_id) tuples.
 
     Rows are in file order; a row may reference a parent declared later.
@@ -162,15 +155,10 @@ def build_ontology(
     on invariant violations.
     """
     numbered = [(lineno, row) for lineno, row in enumerate(rows, start=1)]
-    return _build_ontology(numbered, version=version, source=source, origin=origin)
+    return _build_ontology(numbered, origin)
 
 
-def _build_ontology(
-    numbered_rows: list[tuple[int, tuple[str, str | None, str | None]]],
-    version: str,
-    source: str,
-    origin: str,
-) -> Ontology:
+def _build_ontology(numbered_rows: list[tuple[int, tuple[str, str | None, str | None]]], origin: str) -> Ontology:
     """Build from (line number, row) pairs; every error names ``origin:line``."""
     nodes: dict[str, EventTypeNode] = {}
     first_seen: dict[str, tuple[int, str]] = {}
@@ -207,7 +195,7 @@ def _build_ontology(
 
     _check_acyclic(ordered, origin)
     trees = [node for _, node, parent_name in ordered if parent_name is None]
-    return Ontology(trees=trees, version=version, source=source)
+    return Ontology(trees=trees)
 
 
 def _check_acyclic(ordered: list[tuple[int, EventTypeNode, str | None]], origin: str) -> None:
@@ -236,7 +224,7 @@ def load_ontology(path: str | Path) -> Ontology:
         if "name" not in obj:
             raise OntologyFormatError(str(path), lineno, "missing required field 'name'")
         numbered.append((lineno, (obj["name"], obj.get("parent"), obj.get("external_id"))))
-    return _build_ontology(numbered, version="1", source=str(path), origin=str(path))
+    return _build_ontology(numbered, str(path))
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 from dived import cli
 from dived.cli import build_parser, main, manifest_path
-from dived.curation import write_dataset
+from dived.curation import read_dataset, write_dataset
 from dived.llm_client import PermanentBackendError
 from dived.ontology import load_ontology
 
@@ -71,6 +71,19 @@ def test_pipeline_chain_and_manifest_links(tmp_path):
     # chaining: d2's manifest records the digest of d1's manifest
     assert str(d1) in manifest["input_manifests"]
     assert len(manifest["input_manifests"][str(d1)]) == 64
+
+
+def test_mock_generation_keeps_a_comma_in_an_event_name(tmp_path):
+    ontology = tmp_path / "ontology.jsonl"
+    rows = [("arrest, detain", None), ("trade", None), ("sale", "trade")]
+    ontology.write_text("".join(json.dumps({"name": n, "parent": p}) + "\n" for n, p in rows), encoding="utf-8")
+    d1, d2 = tmp_path / "d1.jsonl", tmp_path / "d2.jsonl"
+    assert run(["curate-defs", "--ontology", str(ontology), "--backend", "mock", "--out", str(d1)]) == 0
+    assert run(["curate-samples", "--dataset", str(d1), "--backend", "mock", "--per-event", "2",
+                "--out", str(d2)]) == 0
+    node = read_dataset(d2).get("arrest, detain")
+    assert len(node.definitions) == 1
+    assert [s.event_name for s in node.samples] == ["arrest, detain"] * 2
 
 
 def test_assemble_example_counts(tmp_path):
@@ -341,6 +354,76 @@ def test_a_section_of_another_command_is_not_checked(tmp_path):
     assert run(["prune", "--dataset", str(dataset), "--config", str(config), "--out", str(out),
                 "--audit", str(tmp_path / "audit.jsonl")]) == 0
     assert out.exists()
+
+
+ASSEMBLE_SLICE = ["--events", "2", "--definitions", "1", "--samples", "2", "--negatives", "1"]
+
+
+def bad_value_run(tmp_path, command):
+    """argv of ``command`` on small inputs, short of --config and its output flags."""
+    dataset = str(small_dataset_file(tmp_path))
+    return {
+        "ingest": ["ingest", "--ontology", str(TOY_ONTOLOGY)],
+        "curate-samples": ["curate-samples", "--dataset", dataset],
+        "prune": ["prune", "--dataset", dataset, "--audit", str(tmp_path / "audit.jsonl")],
+        "assemble": ["assemble", "--dataset", dataset, *ASSEMBLE_SLICE],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("assemble", {"with_ontology": "false"}),
+        ("assemble", {"with_definition": 1}),
+        ("assemble", {"seed": None}),
+        ("assemble", {"seed": 5.5}),
+        ("assemble", {"seed": 5.0}),
+        ("assemble", {"seed": True}),
+        ("assemble", {"seed": "x"}),
+        ("assemble", {"assemble": {"negatives": {"n": 1}}}),
+        ("curate-samples", {"per_event": [2]}),
+        ("prune", {"threshold": "abc"}),
+        ("ingest", {"heldout": None}),
+        ("ingest", {"heldout": ["attack", 3]}),
+    ],
+    ids=["bool_as_string", "bool_as_number", "null", "fraction_for_int", "float_for_int", "bool_for_int",
+         "word_for_int", "object_in_section", "list_for_int", "word_for_float", "null_heldout", "number_in_heldout"],
+)
+def test_a_bad_config_value_exits_1_naming_the_file(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run([*bad_value_run(tmp_path, command), "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, flags, nodes_left", [
+    ({"heldout": "attack"}, [], 7),
+    ({"heldout": ["attack"]}, ["--heldout", "refund"], 8),
+])
+def test_config_heldout_is_a_string_or_list_and_flags_replace_it(tmp_path, config, flags, nodes_left):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "filtered.jsonl"
+    assert run(["ingest", "--ontology", str(TOY_ONTOLOGY), "--config", str(path), *flags, "--out", str(out)]) == 0
+    assert len(load_ontology(out)) == nodes_left
+
+
+def test_assemble_by_config_equals_assemble_by_flags(tmp_path):
+    dataset = small_dataset_file(tmp_path)
+    out = tmp_path / "train.jsonl"
+    flags = [*ASSEMBLE_SLICE, "--hard-negatives", "1", "--ontology", "--no-definition", "--seed", "3"]
+    assert run(["assemble", "--dataset", str(dataset), *flags, "--out", str(out)]) == 0
+    by_flags = out.read_bytes(), json.loads(manifest_path(out).read_text())["config_hash"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "assemble": {
+        "dataset": str(dataset), "events": 2, "definitions": 1, "samples": "2", "negatives": 1,
+        "hard-negatives": 1, "with_ontology": True, "with_definition": False, "out": str(out),
+    }}), encoding="utf-8")
+    out.unlink()
+    assert run(["assemble", "--config", str(config)]) == 0
+    assert (out.read_bytes(), json.loads(manifest_path(out).read_text())["config_hash"]) == by_flags
 
 
 # ---------------------------------------------------------------------------

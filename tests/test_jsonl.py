@@ -40,6 +40,14 @@ def test_write_rows_bytes_equal_json_dumps(tmp_path):
     assert path.read_bytes() == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode("utf-8")
 
 
+def test_write_object_bytes_equal_indented_json_dump(tmp_path):
+    obj = {"q": '"\\ é', "n": None, "l": [1.5, True, {"x": []}], "e": {}}
+    path = tmp_path / "obj.json"
+    jsonl.write_object(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_write_rows_crash_keeps_old_file(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(OLD_BYTES)
