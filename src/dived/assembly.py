@@ -7,9 +7,11 @@ ablation variant. All sampling is seeded and derived per event, so output is
 a pure function of (dataset, spec) regardless of scheduling.
 
 Negatives come from a sentence index and copied candidate lists, and rows
-are written from pieces encoded once per event (see ``assemble`` and
+are written from pieces encoded once per event (see ``iter_instances`` and
 ``write_jsonl``). Both give the same instances and bytes as filtering every
-event for every sentence and encoding every row whole.
+event for every sentence and encoding every row whole. ``iter_instances``
+yields the instances one at a time, so ``write_jsonl(iter_instances(...))``
+writes a slice without holding it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import jsonl
 from .errors import DivedError
@@ -131,7 +133,12 @@ def _without(items: list, positions: Iterable[int]) -> list:
 
 
 def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
-    """Build instances for one slice of the dataset.
+    """All instances of one slice of the dataset, as a list (see ``iter_instances``)."""
+    return list(iter_instances(dataset, spec))
+
+
+def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInstance]:
+    """Build instances for one slice of the dataset, one at a time.
 
     Only events with at least one sample are drawn, as positives or as
     negatives; the others are ontology context only. Selects n_events events
@@ -146,13 +153,22 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
     non-occurring events; those fillers are plain negatives (kind
     "negative"), since only true siblings count as hard negatives.
 
+    The slice checks that need no instance (event count, definitions and
+    samples per chosen event, negative candidates) run when this is called,
+    before the first instance is asked for. Running out of negative
+    candidates for one sentence is found only when its turn comes, and
+    raised from the iteration.
+
     Cost: an index from each selected sentence to the events holding it is
     built once. A plain-negative pool is the candidate list (pre-order)
     with the siblings, the event itself, the events already used and the
     sentence's holders cut out at positions found through a node-to-position
     dict, so it is copied, never rescanned. It has the same length and order
     as the filtered list, and ``random.sample`` reads only ``len()`` and
-    indexing, so every draw is the same as from that list.
+    indexing, so every draw is the same as from that list. An event's
+    cousin pool is built the first time one of its positives is short of
+    siblings. Memory follows the dataset and the slice's picks, not the
+    instance count: nothing keeps an instance once it is yielded.
     """
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
@@ -177,7 +193,13 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
         sel_defs = [node.definitions[i] for i in defs_rng.sample(range(len(node.definitions)), spec.n_definitions)]
         sel_samples = [node.samples[i] for i in sorted(samples_rng.sample(range(len(node.samples)), spec.n_samples))]
         picks.append((node, sel_defs, sel_samples))
+    return _instances(dataset, spec, events, picks)
 
+
+def _instances(
+    dataset: Ontology, spec: SliceSpec, events: list[EventTypeNode], picks: list
+) -> Iterator[TrainingInstance]:
+    """The instances of ``iter_instances``, once its checks have passed."""
     holders: dict[str, set[EventTypeNode]] = {s.sentence: set() for _, _, samples in picks for s in samples}
     for node in events:
         for s in node.samples:
@@ -196,7 +218,6 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
             children=tuple(c.name for c in node.children),
         )
 
-    instances: list[TrainingInstance] = []
     fallback_count = 0
     for node, sel_defs, sel_samples in picks:
         event = node.name
@@ -204,7 +225,7 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
         all_siblings = ontology_siblings(dataset, event)
         sibling_pool = [s for s in all_siblings if s in position]
         sibling_set = set(all_siblings)
-        cousins = [c for c in _cousin_pool(node) if c in position]
+        cousins: list[EventTypeNode] | None = None  # built on the first shortfall of siblings
         sibling_positions = sorted(position[s] for s in sibling_pool)
         non_siblings = _without(candidates, sibling_positions)
 
@@ -213,16 +234,14 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
 
         for si, sample in enumerate(sel_samples):
             definition = sel_defs[si % spec.n_definitions]
-            instances.append(
-                TrainingInstance(
-                    instance_id=f"{event}|s{si}|p",
-                    event_name=event,
-                    definition=definition if spec.with_definition else "",
-                    ontology_context=context(node),
-                    sentence=sample.sentence,
-                    target=sample.trigger,
-                    kind="positive",
-                )
+            yield TrainingInstance(
+                instance_id=f"{event}|s{si}|p",
+                event_name=event,
+                definition=definition if spec.with_definition else "",
+                ontology_context=context(node),
+                sentence=sample.sentence,
+                target=sample.trigger,
+                kind="positive",
             )
             if spec.n_negatives == 0:
                 continue
@@ -243,6 +262,8 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
             shortfall = spec.n_hard_negatives - len(hard)
             if shortfall > 0:
                 fallback_count += shortfall
+                if cousins is None:
+                    cousins = [c for c in _cousin_pool(node) if c in position]
                 cousin_pool = eligible(cousins)
                 fill = negatives_rng.sample(cousin_pool, min(shortfall, len(cousin_pool)))
                 used.update(fill)
@@ -270,21 +291,18 @@ def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
             negative_events.extend((neg, "negative") for neg in plain)
 
             for ni, (neg, kind) in enumerate(negative_events):
-                instances.append(
-                    TrainingInstance(
-                        instance_id=f"{event}|s{si}|n{ni}",
-                        event_name=neg.name,
-                        definition=neg.definitions[0] if spec.with_definition else "",
-                        ontology_context=context(neg),
-                        sentence=sentence,
-                        target=NONE_TARGET,
-                        kind=kind,
-                    )
+                yield TrainingInstance(
+                    instance_id=f"{event}|s{si}|n{ni}",
+                    event_name=neg.name,
+                    definition=neg.definitions[0] if spec.with_definition else "",
+                    ontology_context=context(neg),
+                    sentence=sentence,
+                    target=NONE_TARGET,
+                    kind=kind,
                 )
 
     if fallback_count:
         logger.info("hard-negative fallback used for %d slots (not enough siblings)", fallback_count)
-    return instances
 
 
 # ---------------------------------------------------------------------------

@@ -86,14 +86,18 @@ def _load_config(path: str) -> dict:
 
 def _config_value(path: str, key: str, action: argparse.Action, value):
     """A config value as the parser's default for ``action``: true or false for
-    a --[no-] switch, a string or list of strings for a repeatable option, and
-    otherwise a string or number, as its text for the option's type to convert."""
+    a --[no-] switch, a string or list of strings for a repeatable option, one
+    of the choices for an option that has them (argparse checks a flag's
+    choices, never a default's), and otherwise a string or number, as its text
+    for the option's type to convert."""
     if isinstance(action, argparse.BooleanOptionalAction):
         ok, expected, converted = isinstance(value, bool), "true or false", value
     elif isinstance(action, _AppendOverDefault):
         converted = [value] if isinstance(value, str) else value
         ok = isinstance(converted, list) and all(isinstance(item, str) for item in converted)
         expected = "a string or a list of strings"
+    elif action.choices is not None:
+        ok, expected, converted = value in action.choices, f"one of {', '.join(map(repr, action.choices))}", value
     else:
         ok, expected, converted = type(value) in (str, int, float), "a string or a number", str(value)
     if not ok:
@@ -151,14 +155,12 @@ def _require(resolved: dict, *names: str) -> None:
 
 
 def _backend(resolved: dict):
-    kind = resolved["backend"]
-    if kind == "mock":
+    """The backend named by ``--backend``, which the parser has checked against its choices."""
+    if resolved["backend"] == "mock":
         return MockBackend(seed=resolved["seed"])
-    if kind == "http":
-        if not resolved.get("endpoint") or not resolved.get("model"):
-            raise BackendConfigError("http backend needs --endpoint and --model")
-        return HttpBackend(endpoint=resolved["endpoint"], model=resolved["model"])
-    raise UsageError(f"unknown backend {kind!r}")
+    if not resolved.get("endpoint") or not resolved.get("model"):
+        raise BackendConfigError("http backend needs --endpoint and --model")
+    return HttpBackend(endpoint=resolved["endpoint"], model=resolved["model"])
 
 
 def _report_failures(report: curation.CurationReport) -> int:
@@ -268,11 +270,17 @@ def cmd_assemble(args: argparse.Namespace) -> int:
         with_definition=resolved["with_definition"],
         seed=resolved["seed"],
     )
-    instances = assembly.assemble(dataset, spec)
-    assembly.write_jsonl(instances, resolved["out"])
-    kind_counts = assembly.count_kinds(instances)
+    instances = assembly.iter_instances(dataset, spec)  # the slice checks run here, before the output opens
+    kind_counts = dict.fromkeys(assembly.KINDS, 0)
+
+    def counted(instances):
+        for inst in instances:
+            kind_counts[inst.kind] += 1
+            yield inst
+
+    written = assembly.write_jsonl(counted(instances), resolved["out"])
     counts = {
-        "instances": len(instances),
+        "instances": written,
         "positives": kind_counts["positive"],
         "negatives": kind_counts["negative"] + kind_counts["hard_negative"],
         "hard_negatives": kind_counts["hard_negative"],

@@ -415,6 +415,9 @@ class HttpBackend(Backend):
 # ---------------------------------------------------------------------------
 
 
+MAX_RETRY_AFTER = 300.0  # seconds; a server that asks for a longer wait fails the request
+
+
 def complete_batch(
     requests_: Sequence[GenRequest],
     backend: Backend,
@@ -428,8 +431,10 @@ def complete_batch(
     Transient failures are retried up to retry_limit extra attempts. Before
     each retry it waits the server's ``Retry-After`` when the error carries
     one (0 retries at once), and otherwise backoff_base * 2**(attempt - 1)
-    seconds (no jitter, for reproducibility). A request that still fails
-    yields a GenFailure in its slot instead of aborting the batch.
+    seconds (no jitter, for reproducibility). A ``Retry-After`` above
+    MAX_RETRY_AFTER ends the request at that attempt, without a wait. A
+    request that still fails yields a GenFailure in its slot instead of
+    aborting the batch.
     Configuration errors are raised immediately.
     """
     if max_in_flight < 1:
@@ -451,6 +456,10 @@ def complete_batch(
                 delay = exc.retry_after
                 if delay is None:
                     delay = backoff_base * (2 ** (attempts - 1))
+                elif delay > MAX_RETRY_AFTER:
+                    error = f"{exc}: Retry-After {delay:g} s is above the {MAX_RETRY_AFTER:g} s cap"
+                    logger.warning("request failed: %s", error)
+                    return GenFailure(error=error, attempts=attempts)
                 if delay > 0:
                     time.sleep(delay)
             except PermanentBackendError as exc:

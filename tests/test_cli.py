@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
-from dived import cli
+from dived import assembly, cli
 from dived.cli import build_parser, main, manifest_path
-from dived.curation import read_dataset, write_dataset
+from dived.curation import GeneratedSample, read_dataset, write_dataset
 from dived.llm_client import PermanentBackendError
 from dived.ontology import load_ontology
 
-from conftest import TOY_ONTOLOGY, ScriptedBackend, make_dataset, make_sample
+from conftest import TOY_ONTOLOGY, ScriptedBackend, grid_dataset, make_dataset, make_sample
 
 
 def run(args: list[str]) -> int:
@@ -385,9 +386,12 @@ def bad_value_run(tmp_path, command):
         ("prune", {"threshold": "abc"}),
         ("ingest", {"heldout": None}),
         ("ingest", {"heldout": ["attack", 3]}),
+        ("curate-samples", {"backend": "bogus"}),
+        ("curate-samples", {"curate-samples": {"backend": 1}}),
     ],
     ids=["bool_as_string", "bool_as_number", "null", "fraction_for_int", "float_for_int", "bool_for_int",
-         "word_for_int", "object_in_section", "list_for_int", "word_for_float", "null_heldout", "number_in_heldout"],
+         "word_for_int", "object_in_section", "list_for_int", "word_for_float", "null_heldout", "number_in_heldout",
+         "unknown_backend", "number_for_backend"],
 )
 def test_a_bad_config_value_exits_1_naming_the_file(tmp_path, capsys, command, config):
     path = tmp_path / "config.json"
@@ -395,6 +399,18 @@ def test_a_bad_config_value_exits_1_naming_the_file(tmp_path, capsys, command, c
     out = tmp_path / "out.jsonl"
     assert run([*bad_value_run(tmp_path, command), "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: config file {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"backend": "bogus"}, {"curate-samples": {"backend": "Mock"}}],
+                         ids=["flat", "section"])
+def test_a_config_value_outside_the_choices_names_the_file_key_and_choices(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    value = json.dumps(config.get("backend") or config["curate-samples"]["backend"])
+    out = tmp_path / "out.jsonl"
+    assert run([*bad_value_run(tmp_path, "curate-samples"), "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config file {path}: 'backend' must be one of 'mock', 'http', not {value}\n"
     assert not out.exists()
 
 
@@ -424,6 +440,129 @@ def test_assemble_by_config_equals_assemble_by_flags(tmp_path):
     out.unlink()
     assert run(["assemble", "--config", str(config)]) == 0
     assert (out.read_bytes(), json.loads(manifest_path(out).read_text())["config_hash"]) == by_flags
+
+
+# ---------------------------------------------------------------------------
+# assemble streams its output
+# ---------------------------------------------------------------------------
+
+
+def deep_dataset_file(tmp_path):
+    """Three trees of root, 4 children and 2 grandchildren per child, every
+    event with definitions and samples: a grandchild has one sibling, so
+    hard negatives past it come from its cousins."""
+    rows = []
+    for t in range(3):
+        rows.append((f"r{t}", None))
+        for c in range(4):
+            rows.append((f"r{t}c{c}", f"r{t}"))
+            rows.extend((f"r{t}c{c}g{g}", f"r{t}c{c}") for g in range(2))
+    dataset = make_dataset([
+        (event, parent, [f"{event} def {i}" for i in range(3)], [make_sample(event, i) for i in range(4)])
+        for event, parent in rows
+    ])
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(dataset, path)
+    return path
+
+
+@pytest.mark.parametrize("flags", [
+    ["--events", "10", "--definitions", "2", "--samples", "3", "--negatives", "5", "--hard-negatives", "3",
+     "--ontology", "--seed", "4"],
+    ["--events", "10", "--definitions", "2", "--samples", "3", "--negatives", "5", "--hard-negatives", "3",
+     "--ontology", "--no-definition", "--seed", "4"],
+    ["--events", "39", "--definitions", "1", "--samples", "1", "--negatives", "2", "--seed", "5"],
+    ["--events", "6", "--definitions", "3", "--samples", "4", "--negatives", "0"],
+], ids=["cousins", "no_definition", "every_event", "no_negatives"])
+def test_assemble_streams_the_bytes_of_the_assembled_list(tmp_path, flags):
+    dataset = deep_dataset_file(tmp_path)
+    out = tmp_path / "streamed.jsonl"
+    assert run(["assemble", "--dataset", str(dataset), *flags, "--out", str(out)]) == 0
+    args = build_parser().parse_args(["assemble", *flags])
+    spec = assembly.SliceSpec(
+        n_events=args.events, n_definitions=args.definitions, n_samples=args.samples, n_negatives=args.negatives,
+        n_hard_negatives=args.hard_negatives, with_ontology=args.with_ontology,
+        with_definition=args.with_definition, seed=args.seed,
+    )
+    instances = assembly.assemble(read_dataset(dataset), spec)
+    assembly.write_jsonl(instances, tmp_path / "listed.jsonl")
+    assert out.read_bytes() == (tmp_path / "listed.jsonl").read_bytes()
+    kinds = assembly.count_kinds(instances)
+    assert json.loads(manifest_path(out).read_text())["counts"] == {
+        "instances": len(instances),
+        "positives": kinds["positive"],
+        "negatives": kinds["negative"] + kinds["hard_negative"],
+        "hard_negatives": kinds["hard_negative"],
+    }
+
+
+def test_running_out_of_negatives_partway_leaves_no_output(tmp_path, capsys):
+    """A has negatives to spare; B's sentence is held by B, C and D, which
+    leaves it one candidate for two negatives."""
+    shared = "The fire spread to the hall."
+    dataset = make_dataset([
+        ("A", None, ["A def"], [make_sample("A", 0)]),
+        *((event, None, [f"{event} def"], [GeneratedSample(event, shared, "fire")]) for event in "BCD"),
+    ])
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(dataset, path)
+    spec = assembly.SliceSpec(n_events=4, n_definitions=1, n_samples=1, n_negatives=2)
+    streamed = []
+    with pytest.raises(assembly.InsufficientDataError) as err:
+        streamed.extend(assembly.iter_instances(read_dataset(path), spec))
+    assert len(streamed) == 4 and "negative candidates" in str(err.value)  # A's three instances, then B's positive
+
+    out = tmp_path / "out" / "instances.jsonl"
+    out.parent.mkdir()
+    code = run(["assemble", "--dataset", str(path), "--events", "4", "--definitions", "1", "--samples", "1",
+                "--negatives", "2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--events", "99", "--definitions", "1", "--samples", "1"], "need 99 events, dataset has 3"),
+    (["--events", "3", "--definitions", "9", "--samples", "1"], "definitions, need 9"),
+    (["--events", "3", "--definitions", "1", "--samples", "9"], "samples, need 9"),
+])
+def test_a_short_slice_is_reported_before_a_missing_output_directory(tmp_path, capsys, flags, message):
+    dataset = small_dataset_file(tmp_path)
+    out = tmp_path / "missing" / "instances.jsonl"
+    assert run(["assemble", "--dataset", str(dataset), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_no_negative_candidates_is_reported_before_a_missing_output_directory(tmp_path, capsys):
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(make_dataset([("solo", None, ["d"], [make_sample("solo", 0)])]), path)
+    out = tmp_path / "missing" / "instances.jsonl"
+    code = run(["assemble", "--dataset", str(path), "--events", "1", "--definitions", "1", "--samples", "1",
+                "--negatives", "1", "--out", str(out)])
+    assert code == 1
+    assert "negative instances need at least 2 events" in capsys.readouterr().err
+
+
+def test_assemble_memory_does_not_grow_with_the_negatives(tmp_path):
+    """200 events x 10 samples: 4,000 instances at --negatives 1 and 22,000
+    at --negatives 10. Holding the second slice as a list costs ~2.8 MB more
+    than the first (tracemalloc); streamed, the two peaks are within 0.5 MB."""
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(grid_dataset(n_trees=20, children_per_tree=10, n_definitions=1, n_samples=10), path)
+
+    def peak(negatives: int) -> int:
+        out = tmp_path / f"instances{negatives}.jsonl"
+        tracemalloc.start()
+        try:
+            assert run(["assemble", "--dataset", str(path), "--events", "200", "--definitions", "1",
+                        "--samples", "10", "--negatives", str(negatives), "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    larger = peak(10)  # first, so that any first-run allocation counts against the test
+    assert larger - peak(1) < 500_000
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,20 @@ def test_read_gold_and_predictions(tmp_path):
     assert preds[0].triggers == ("a",)  # "None" normalized away
 
 
+@pytest.mark.parametrize("reader, make", [(read_gold, gold), (read_predictions, pred)], ids=["gold", "predictions"])
+def test_readers_share_each_repeated_id_and_type(tmp_path, reader, make):
+    rows = [("s1", "Attack", ["hit"]), ("s1", "Arrest", []), ("s2", "Attack", ["None"]), ("s2", "Arrest", ["took"])]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(
+        json.dumps({"sentence_id": sid, "event_type": etype, "triggers": triggers}) + "\n"
+        for sid, etype, triggers in rows
+    ), encoding="utf-8")
+    records = reader(path)
+    assert records == [make(*row) for row in rows]
+    assert records[0].sentence_id is records[1].sentence_id and records[2].sentence_id is records[3].sentence_id
+    assert records[0].event_type is records[2].event_type and records[1].event_type is records[3].event_type
+
+
 def test_read_gold_schema_error_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
@@ -575,8 +589,14 @@ def _assert_readers_match(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-        assert _records_outcome(read_gold, path) == _records_outcome(read_gold_oracle, path)
-        assert _records_outcome(read_predictions, path) == _records_outcome(read_predictions_oracle, path)
+        for reader, oracle in ((read_gold, read_gold_oracle), (read_predictions, read_predictions_oracle)):
+            outcome = _records_outcome(reader, path)
+            assert outcome == _records_outcome(oracle, path)
+            if outcome[0] == "records":  # equal ids and types are one string object
+                shared = {}
+                for rec in outcome[1]:
+                    assert shared.setdefault(rec.sentence_id, rec.sentence_id) is rec.sentence_id
+                    assert shared.setdefault(rec.event_type, rec.event_type) is rec.event_type
 
 
 @given(rows=st.lists(record_rows(), max_size=5))

@@ -339,6 +339,39 @@ def test_retry_after_does_not_change_the_attempt_limit(stub_server, monkeypatch,
     assert sleeps == [1.0, 1.0]
 
 
+def _far_future() -> str:
+    return format_datetime(datetime.now(timezone.utc) + timedelta(days=1), usegmt=True)
+
+
+@pytest.mark.parametrize("retry_after", ["1000000000000", str(int(llm_client.MAX_RETRY_AFTER) + 1), "9" * 400, None],
+                         ids=["past_time_t", "cap_plus_one", "overflows_float", "http_date_tomorrow"])
+def test_retry_after_above_the_cap_fails_the_request_without_sleeping(stub_server, monkeypatch, sleeps, retry_after):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    headers = {"Retry-After": retry_after or _far_future()}
+    _StubHandler.script = [(429, {}, headers), (200, _ok_body("generated text"))]
+    backend = HttpBackend(endpoint=stub_server, model="test-model")
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3)
+    assert isinstance(results[0], GenFailure) and results[0].attempts == 1
+    assert results[0].error.startswith("HTTP 429: Retry-After ") and "cap" in results[0].error
+    assert sleeps == [] and len(_StubHandler.seen_payloads) == 1
+
+
+def test_retry_after_at_the_cap_is_waited(stub_server, monkeypatch, sleeps):
+    _retry_once(stub_server, monkeypatch, (503, {}, {"Retry-After": str(int(llm_client.MAX_RETRY_AFTER))}))
+    assert sleeps == [llm_client.MAX_RETRY_AFTER]
+
+
+def test_retry_after_past_the_cap_makes_a_generation_command_exit_2(stub_server, monkeypatch, tmp_path, capsys, sleeps):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(429, {}, {"Retry-After": "1000000000000"})] * 3  # one request per tree
+    out = tmp_path / "defs.jsonl"
+    code = main(["curate-defs", "--ontology", str(TOY_ONTOLOGY), "--backend", "http", "--endpoint", stub_server,
+                 "--model", "m", "--out", str(out)])
+    assert code == 2 and sleeps == []
+    assert json.loads(manifest_path(out).read_text())["counts"]["failures"] == 12
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_transient_error_carries_no_retry_after_by_default():
     assert llm_client.TransientBackendError("HTTP 429").retry_after is None
 
