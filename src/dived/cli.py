@@ -19,6 +19,8 @@ from pathlib import Path
 from . import assembly, curation, evaluation, jsonl, pruning
 from .errors import DivedError
 from .llm_client import (
+    MAX_IN_FLIGHT,
+    MAX_RETRY_LIMIT,
     BackendConfigError,
     HttpBackend,
     MockBackend,
@@ -332,14 +334,28 @@ def cmd_ablate_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_in(low: int, high: int):
+    """An option type: an integer from ``low`` to ``high``, both included."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value: ..."
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is not from {low} to {high}")
+        return value
+
+    return integer
+
+
 def _add_backend_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", choices=["mock", "http"], default="mock",
                      help="text-generation backend (default: %(default)s)")
     sub.add_argument("--seed", type=int, default=0, help="seed for the mock backend and any sampling")
     sub.add_argument("--endpoint", help="HTTP backend: chat-completion endpoint URL")
     sub.add_argument("--model", help="HTTP backend: model name")
-    sub.add_argument("--max-in-flight", type=int, default=4, help="max concurrent requests")
-    sub.add_argument("--retry-limit", type=int, default=3, help="retries per request on transient failures")
+    sub.add_argument("--max-in-flight", type=_int_in(1, MAX_IN_FLIGHT), default=4,
+                     help=f"max concurrent requests to a server, 1-{MAX_IN_FLIGHT} (default %(default)s)")
+    sub.add_argument("--retry-limit", type=_int_in(0, MAX_RETRY_LIMIT), default=3,
+                     help=f"retries per request on transient failures, 0-{MAX_RETRY_LIMIT} (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -182,8 +182,16 @@ DEFAULT_EXAMPLES: dict[TemplateId, str] = {
 
 
 class Backend:
-    """Interface for text-generation backends. Implementations must be safe to
-    call from multiple threads."""
+    """Interface for text-generation backends.
+
+    ``waits_on_io`` says whether ``generate`` waits on something outside the
+    process, such as a server. complete_batch then runs up to max_in_flight
+    calls at once on worker threads, so such a backend must be safe to call
+    from multiple threads. A backend that sets it to False only computes, and
+    each batch runs on the calling thread.
+    """
+
+    waits_on_io = True
 
     def generate(self, request: GenRequest) -> str:
         raise NotImplementedError
@@ -233,15 +241,8 @@ _MOCK_PARAPHRASE_FORMS = [
 
 def _event_list(raw: str) -> list[str]:
     """Event names from an 'events' variable: one name per line (indented tree
-    accepted); a name may contain a comma."""
-    lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
-    seen: set[str] = set()
-    out: list[str] = []
-    for name in lines:
-        if name not in seen:
-            seen.add(name)
-            out.append(name)
-    return out or ["event"]
+    accepted); a name may contain a comma. The request builders send unique names."""
+    return [ln.strip() for ln in raw.splitlines() if ln.strip()] or ["event"]
 
 
 def _mock_rng(seed: int, request: GenRequest) -> random.Random:
@@ -276,10 +277,7 @@ def mock_generate(seed: int, request: GenRequest) -> GenResponse:
             lines.append(f"{event}\tdefinition: An occurrence in which a {role} {act}, characteristic of {event}.")
     elif request.template_id is TemplateId.SAMPLE_CURATION:
         events = _event_list(variables.get("events", "event"))
-        try:
-            count = max(1, int(variables.get("count", "10")))
-        except ValueError:
-            count = 10
+        count = int(variables.get("count", "10"))
         bases = _mock_bases(rng, events)
         lines = ["Here are the generated samples:"]
         for event, base in zip(events, bases):
@@ -295,10 +293,7 @@ def mock_generate(seed: int, request: GenRequest) -> GenResponse:
                 lines.append(f"{event}\ttrigger: {trigger}")
     elif request.template_id is TemplateId.DEFINITION_EXPANSION:
         event = variables.get("event", "event").strip() or "event"
-        try:
-            count = max(1, int(variables.get("count", "10")))
-        except ValueError:
-            count = 10
+        count = int(variables.get("count", "10"))
         lines = [f"Here are the paraphrases for {event}:"]
         for i in range(count):
             form = _MOCK_PARAPHRASE_FORMS[i % len(_MOCK_PARAPHRASE_FORMS)]
@@ -316,6 +311,8 @@ def mock_generate(seed: int, request: GenRequest) -> GenResponse:
 
 class MockBackend(Backend):
     """Offline backend: wraps mock_generate with a fixed seed."""
+
+    waits_on_io = False
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -416,6 +413,8 @@ class HttpBackend(Backend):
 
 
 MAX_RETRY_AFTER = 300.0  # seconds; a server that asks for a longer wait fails the request
+MAX_IN_FLIGHT = 64  # the most requests in flight at once, each on its own thread
+MAX_RETRY_LIMIT = 10  # the most retries per request
 
 
 def complete_batch(
@@ -425,9 +424,12 @@ def complete_batch(
     retry_limit: int = 3,
     backoff_base: float = 0.5,
 ) -> list[BatchResult]:
-    """Run requests with at most max_in_flight in flight at once.
+    """Run requests and return one result per request, in request order.
 
-    Results come back in request order regardless of completion order.
+    For a backend that waits on I/O (``backend.waits_on_io``), up to
+    max_in_flight requests run at once, each on a worker thread. Any other
+    backend's requests run one after another on the calling thread, since
+    threads would overlap no waiting; max_in_flight is then only checked.
     Transient failures are retried up to retry_limit extra attempts. Before
     each retry it waits the server's ``Retry-After`` when the error carries
     one (0 retries at once), and otherwise backoff_base * 2**(attempt - 1)
@@ -439,6 +441,8 @@ def complete_batch(
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be a positive integer")
+    if retry_limit < 0:
+        raise ValueError("retry_limit must not be negative")
     if not requests_:
         return []
 
@@ -466,5 +470,8 @@ def complete_batch(
                 logger.warning("request failed permanently: %s", exc)
                 return GenFailure(error=str(exc), attempts=attempts)
 
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+    workers = min(max_in_flight, len(requests_)) if backend.waits_on_io else 1
+    if workers == 1:
+        return [run_one(r) for r in requests_]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, requests_))

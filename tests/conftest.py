@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import pytest
 
 from dived import llm_client
 from dived.curation import GeneratedSample
-from dived.llm_client import Backend
+from dived.llm_client import Backend, MockBackend
 from dived.ontology import Ontology, build_ontology, load_ontology
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +49,27 @@ class ScriptedBackend(Backend):
         if isinstance(item, Exception):
             raise item
         return item
+
+
+class WaitingMockBackend(MockBackend):
+    """MockBackend's replies, sent through complete_batch's worker threads as a
+    backend that waits on a server would be."""
+
+    waits_on_io = True
+
+
+@pytest.fixture
+def thread_starts(monkeypatch) -> list[threading.Thread]:
+    """Every thread started from here on, started as usual."""
+    started: list[threading.Thread] = []
+    start = threading.Thread.start
+
+    def counted(thread, *args, **kwargs):
+        started.append(thread)
+        return start(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
 
 
 def make_sample(event: str, idx: int) -> GeneratedSample:

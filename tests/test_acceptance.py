@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from dived import cli
 from dived.assembly import SliceSpec, assemble, count_kinds, read_jsonl, write_jsonl
 from dived.cli import main
 from dived.curation import read_dataset
@@ -21,7 +22,7 @@ from dived.jsonl import JsonlError
 from dived.ontology import OntologyFormatError, load_ontology, save_ontology, siblings
 from dived.pruning import overlap_ratio, prune_dataset
 
-from conftest import FIXTURES, TOY_ONTOLOGY, grid_dataset, make_dataset, make_sample
+from conftest import FIXTURES, TOY_ONTOLOGY, WaitingMockBackend, grid_dataset, make_dataset, make_sample
 from test_evaluation import gold, oracle_scores, pred, random_case
 from test_pruning import brute_force_max_ratio, record
 
@@ -179,6 +180,22 @@ def test_criterion_5_pipeline_determinism(tmp_path):
         first = (tmp_path / "first" / filename).read_bytes()
         assert first == (tmp_path / "second" / filename).read_bytes(), f"{filename} differs across identical runs"
         assert first == (tmp_path / "wide" / filename).read_bytes(), f"{filename} differs across max_in_flight"
+
+
+def test_criterion_5_pipeline_determinism_on_worker_threads(tmp_path, monkeypatch, thread_starts):
+    """The same bytes when the mock's replies go through complete_batch's
+    worker threads, as a backend that waits on a server does."""
+    run_pipeline(tmp_path / "caller", seed=11, max_in_flight=8)
+    assert thread_starts == []
+    monkeypatch.setattr(cli, "MockBackend", WaitingMockBackend)
+    runs = {"first": 8, "second": 8, "narrow": 1}
+    for name, mif in runs.items():
+        run_pipeline(tmp_path / name, seed=11, max_in_flight=mif)
+    assert thread_starts, "the generation stages ran on worker threads"
+    for filename in PIPELINE_FILES:
+        caller = (tmp_path / "caller" / filename).read_bytes()
+        for name in runs:
+            assert caller == (tmp_path / name / filename).read_bytes(), f"{filename} differs in run {name!r}"
 
 
 # ---------------------------------------------------------------------------

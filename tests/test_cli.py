@@ -388,10 +388,15 @@ def bad_value_run(tmp_path, command):
         ("ingest", {"heldout": ["attack", 3]}),
         ("curate-samples", {"backend": "bogus"}),
         ("curate-samples", {"curate-samples": {"backend": 1}}),
+        ("curate-samples", {"max_in_flight": 100000}),
+        ("curate-samples", {"curate-samples": {"max-in-flight": 0}}),
+        ("curate-samples", {"retry_limit": -1}),
+        ("curate-samples", {"retry_limit": 11}),
     ],
     ids=["bool_as_string", "bool_as_number", "null", "fraction_for_int", "float_for_int", "bool_for_int",
          "word_for_int", "object_in_section", "list_for_int", "word_for_float", "null_heldout", "number_in_heldout",
-         "unknown_backend", "number_for_backend"],
+         "unknown_backend", "number_for_backend", "max_in_flight_too_high", "max_in_flight_zero",
+         "negative_retry_limit", "retry_limit_too_high"],
 )
 def test_a_bad_config_value_exits_1_naming_the_file(tmp_path, capsys, command, config):
     path = tmp_path / "config.json"
@@ -568,6 +573,45 @@ def test_assemble_memory_does_not_grow_with_the_negatives(tmp_path):
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
+
+
+def generation_run(tmp_path, command):
+    """argv of a generation command on small inputs, short of its output flag."""
+    if command == "curate-defs":
+        return [command, "--ontology", str(TOY_ONTOLOGY)]
+    return [command, "--dataset", str(small_dataset_file(tmp_path))]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-in-flight", "0"], "argument --max-in-flight: 0 is not from 1 to 64"),
+    (["--max-in-flight", "65"], "argument --max-in-flight: 65 is not from 1 to 64"),
+    (["--max-in-flight", "100000"], "argument --max-in-flight: 100000 is not from 1 to 64"),
+    (["--max-in-flight", "two"], "argument --max-in-flight: invalid integer value: 'two'"),
+    (["--retry-limit", "-1"], "argument --retry-limit: -1 is not from 0 to 10"),
+    (["--retry-limit", "11"], "argument --retry-limit: 11 is not from 0 to 10"),
+], ids=["max_in_flight_zero", "max_in_flight_65", "max_in_flight_100000", "max_in_flight_word",
+        "retry_limit_negative", "retry_limit_11"])
+@pytest.mark.parametrize("command", ["curate-defs", "curate-samples", "expand-defs"])
+def test_batch_options_out_of_range_exit_1(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "out.jsonl"
+    assert run([*generation_run(tmp_path, command), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dived {command}: ") and err.rstrip().endswith(message)
+    assert not out.exists()
+
+
+def test_batch_options_at_their_bounds_are_accepted(tmp_path):
+    dataset = str(small_dataset_file(tmp_path))
+    for flags in (["--max-in-flight", "1", "--retry-limit", "0"], ["--max-in-flight", "64", "--retry-limit", "10"]):
+        assert run(["expand-defs", "--dataset", dataset, *flags, "--out", str(tmp_path / "out.jsonl")]) == 0
+
+
+@pytest.mark.parametrize("command", ["curate-defs", "curate-samples", "expand-defs"])
+def test_mock_generation_starts_no_thread(tmp_path, thread_starts, command):
+    out = tmp_path / "out.jsonl"
+    assert run([*generation_run(tmp_path, command), "--backend", "mock", "--max-in-flight", "8", "--out", str(out)]) == 0
+    assert out.exists()
+    assert thread_starts == []
 
 
 def test_missing_required_option_exits_1(capsys):

@@ -30,7 +30,7 @@ from dived.llm_client import (
     render,
 )
 
-from conftest import TOY_ONTOLOGY, ScriptedBackend
+from conftest import TOY_ONTOLOGY, ScriptedBackend, WaitingMockBackend
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,80 @@ def test_complete_batch_mock_independent_of_max_in_flight():
     assert [r.text for r in one] == [r.text for r in eight]
 
 
+def test_complete_batch_waiting_mock_independent_of_max_in_flight(thread_starts):
+    requests = [_sample_request(events=f"event{i}") for i in range(8)]
+    one = complete_batch(requests, WaitingMockBackend(seed=3), max_in_flight=1)
+    assert thread_starts == []
+    eight = complete_batch(requests, WaitingMockBackend(seed=3), max_in_flight=8)
+    assert thread_starts, "a batch of 8 on a backend that waits runs on worker threads"
+    on_caller = complete_batch(requests, MockBackend(seed=3), max_in_flight=8)
+    assert [r.text for r in one] == [r.text for r in eight] == [r.text for r in on_caller]
+
+
 def test_complete_batch_rejects_bad_max_in_flight():
     with pytest.raises(ValueError):
         complete_batch([_sample_request()], MockBackend(seed=0), max_in_flight=0)
+
+
+def test_complete_batch_rejects_a_negative_retry_limit():
+    with pytest.raises(ValueError, match="retry_limit"):
+        complete_batch([_sample_request()], MockBackend(seed=0), retry_limit=-1)
+
+
+class _ThreadRecordingBackend(llm_client.Backend):
+    """Replies "ok" and records the thread of every call."""
+
+    def __init__(self, waits_on_io: bool):
+        self.waits_on_io = waits_on_io
+        self.threads: list[int] = []
+
+    def generate(self, request):
+        self.threads.append(threading.get_ident())
+        return "ok"
+
+
+def test_a_backend_that_does_not_wait_runs_every_call_on_the_calling_thread(thread_starts):
+    backend = _ThreadRecordingBackend(waits_on_io=False)
+    results = complete_batch([_sample_request()] * 6, backend, max_in_flight=8)
+    assert [r.text for r in results] == ["ok"] * 6
+    assert backend.threads == [threading.get_ident()] * 6
+    assert thread_starts == []
+
+
+def test_a_one_request_batch_starts_no_thread(thread_starts):
+    backend = _ThreadRecordingBackend(waits_on_io=True)
+    assert complete_batch([_sample_request()], backend, max_in_flight=4)[0].text == "ok"
+    assert backend.threads == [threading.get_ident()]
+    assert thread_starts == []
+
+
+def test_a_waiting_backend_has_max_in_flight_calls_in_flight_at_once():
+    """Three calls meet at a barrier, so three run at once; the calls run on
+    three threads, so no more than three do."""
+    barrier = threading.Barrier(3, timeout=10)
+    lock = threading.Lock()
+    state = {"calls": 0, "in_flight": 0, "peak": 0}
+    threads: set[int] = set()
+
+    class Waiting(llm_client.Backend):
+        def generate(self, request):
+            with lock:
+                call = state["calls"]
+                state["calls"] += 1
+                state["in_flight"] += 1
+                state["peak"] = max(state["peak"], state["in_flight"])
+                threads.add(threading.get_ident())
+            if call < 3:
+                barrier.wait()
+            with lock:
+                state["in_flight"] -= 1
+            return f"ok-{call}"
+
+    results = complete_batch([_sample_request()] * 7, Waiting(), max_in_flight=3)
+    assert all(isinstance(r, GenResponse) for r in results)
+    assert state["calls"] == 7
+    assert state["peak"] == 3
+    assert len(threads) == 3
 
 
 def test_complete_batch_scripted_failure_does_not_abort_batch():
