@@ -6,12 +6,15 @@ hard-negatives, optional ontology context, and the definition-removal
 ablation variant. All sampling is seeded and derived per event, so output is
 a pure function of (dataset, spec) regardless of scheduling.
 
-Negatives come from a sentence index and copied candidate lists, and rows
-are written from pieces encoded once per event (see ``iter_instances`` and
-``write_jsonl``). Both give the same instances and bytes as filtering every
-event for every sentence and encoding every row whole. ``iter_instances``
-yields the instances one at a time, so ``write_jsonl(iter_instances(...))``
-writes a slice without holding it.
+Negatives come from a sentence index, which keeps for each selected
+sentence a list of the distinct events that hold it, and from copied
+candidate lists. Negative rows are written from pieces encoded once per
+event and kept; a positive row's piece is encoded when the row is written,
+since it does not recur (see ``iter_instances`` and ``write_jsonl``). Both
+give the same instances and bytes as filtering every event for every
+sentence and encoding every row whole. ``iter_instances`` yields the
+instances one at a time, so ``write_jsonl(iter_instances(...))`` writes a
+slice without holding it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from . import jsonl
 from .errors import DivedError
 from .llm_client import _PLACEHOLDER_RE, MissingPlaceholderError
 from .ontology import EventTypeNode, Ontology
-from .ontology import siblings as ontology_siblings
 
 logger = logging.getLogger(__name__)
 
@@ -159,15 +161,15 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
     candidates for one sentence is found only when its turn comes, and
     raised from the iteration.
 
-    Cost: an index from each selected sentence to the events holding it is
-    built once. A plain-negative pool is the candidate list (pre-order)
-    with the siblings, the event itself, the events already used and the
-    sentence's holders cut out at positions found through a node-to-position
-    dict, so it is copied, never rescanned. It has the same length and order
-    as the filtered list, and ``random.sample`` reads only ``len()`` and
-    indexing, so every draw is the same as from that list. An event's
-    cousin pool is built the first time one of its positives is short of
-    siblings. Memory follows the dataset and the slice's picks, not the
+    Cost: an index from each selected sentence to a list of the distinct
+    events holding it is built once. A plain-negative pool is the candidate
+    list (pre-order) with the siblings, the event itself, the events already
+    used and the sentence's holders cut out at positions found through a
+    node-to-position dict, so it is copied, never rescanned. It has the same
+    length and order as the filtered list, and ``random.sample`` reads only
+    ``len()`` and indexing, so every draw is the same as from that list. An
+    event's cousin pool is built the first time one of its positives is
+    short of siblings. Memory follows the dataset and the slice's picks, not the
     instance count: nothing keeps an instance once it is yielded.
     """
     events = [node for node in dataset.iter_nodes() if node.samples]
@@ -193,19 +195,17 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
         sel_defs = [node.definitions[i] for i in defs_rng.sample(range(len(node.definitions)), spec.n_definitions)]
         sel_samples = [node.samples[i] for i in sorted(samples_rng.sample(range(len(node.samples)), spec.n_samples))]
         picks.append((node, sel_defs, sel_samples))
-    return _instances(dataset, spec, events, picks)
+    return _instances(spec, events, picks)
 
 
-def _instances(
-    dataset: Ontology, spec: SliceSpec, events: list[EventTypeNode], picks: list
-) -> Iterator[TrainingInstance]:
+def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Iterator[TrainingInstance]:
     """The instances of ``iter_instances``, once its checks have passed."""
-    holders: dict[str, set[EventTypeNode]] = {s.sentence: set() for _, _, samples in picks for s in samples}
+    holders: dict[str, list[EventTypeNode]] = {s.sentence: [] for _, _, samples in picks for s in samples}
     for node in events:
         for s in node.samples:
             held_by = holders.get(s.sentence)
-            if held_by is not None:
-                held_by.add(node)
+            if held_by is not None and node not in held_by:
+                held_by.append(node)
     candidates = [node for node in events if node.definitions]
     position = {node: i for i, node in enumerate(candidates)}
 
@@ -222,7 +222,7 @@ def _instances(
     for node, sel_defs, sel_samples in picks:
         event = node.name
         negatives_rng = _rng(spec.seed, event, "negatives")
-        all_siblings = ontology_siblings(dataset, event)
+        all_siblings = [] if node.parent is None else [c for c in node.parent.children if c is not node]
         sibling_pool = [s for s in all_siblings if s in position]
         sibling_set = set(all_siblings)
         cousins: list[EventTypeNode] | None = None  # built on the first shortfall of siblings
@@ -366,21 +366,29 @@ _STRING_FIELDS = ("instance_id", "event_name", "definition", "sentence", "target
 def write_jsonl(instances: Iterable[TrainingInstance], path: str | Path) -> int:
     """Write instances as JSONL with a stable field order.
 
-    Each line has the bytes of ``json.dumps(row, ensure_ascii=False)``. The
-    event name / definition / ontology context part is encoded once per
-    distinct triple and the other strings one by one, then joined."""
+    Each line has the bytes of ``json.dumps(row, ensure_ascii=False)``: the
+    event name / definition / ontology context part and the other strings
+    are encoded one by one, then joined. Only negative rows' parts are kept,
+    once per distinct triple, since a negative event recurs across positives;
+    a positive row's part is encoded when the row is written."""
     fragments: dict[tuple[str, str, OntologyContext | None], str] = {}
 
+    def encode_part(inst: TrainingInstance) -> str:
+        ctx = inst.ontology_context
+        return jsonl.encode_row({
+            "event_name": inst.event_name,
+            "definition": inst.definition,
+            "ontology_context": None if ctx is None else {"parent": ctx.parent, "children": list(ctx.children)},
+        })[1:-1]
+
     def line(inst: TrainingInstance) -> str:
-        key = (inst.event_name, inst.definition, inst.ontology_context)
-        part = fragments.get(key)
-        if part is None:
-            ctx = inst.ontology_context
-            part = fragments[key] = jsonl.encode_row({
-                "event_name": inst.event_name,
-                "definition": inst.definition,
-                "ontology_context": None if ctx is None else {"parent": ctx.parent, "children": list(ctx.children)},
-            })[1:-1]
+        if inst.kind == "positive":
+            part = encode_part(inst)
+        else:
+            key = (inst.event_name, inst.definition, inst.ontology_context)
+            part = fragments.get(key)
+            if part is None:
+                part = fragments[key] = encode_part(inst)
         return (
             f'{{"instance_id": {_encode(inst.instance_id)}, {part}, "sentence": {_encode(inst.sentence)}, '
             f'"target": {_encode(inst.target)}, "kind": {_encode(inst.kind)}}}'

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import jsonl
 from .errors import DivedError
@@ -113,23 +113,6 @@ class Scores:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         return cls(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1)
 
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Scores":
-        return cls(
-            tp=obj["tp"], fp=obj["fp"], fn=obj["fn"],
-            precision=obj["precision"], recall=obj["recall"], f1=obj["f1"],
-        )
-
 
 @dataclass
 class ScoreReport:
@@ -139,17 +122,20 @@ class ScoreReport:
 
     def to_dict(self) -> dict:
         return {
-            "identification": self.id_scores.to_dict(),
-            "classification": self.cls_scores.to_dict(),
-            "per_event_type": {t: s.to_dict() for t, s in sorted(self.per_event_type.items())},
+            "identification": asdict(self.id_scores),
+            "classification": asdict(self.cls_scores),
+            "per_event_type": {t: asdict(s) for t, s in sorted(self.per_event_type.items())},
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScoreReport":
+        def scores(fields: dict) -> Scores:
+            return Scores(*map(fields.__getitem__, _SCORE_KEYS))
+
         return cls(
-            id_scores=Scores.from_dict(obj["identification"]),
-            cls_scores=Scores.from_dict(obj["classification"]),
-            per_event_type={t: Scores.from_dict(s) for t, s in obj.get("per_event_type", {}).items()},
+            id_scores=scores(obj["identification"]),
+            cls_scores=scores(obj["classification"]),
+            per_event_type={t: scores(s) for t, s in obj.get("per_event_type", {}).items()},
         )
 
     def to_table(self) -> str:
@@ -169,13 +155,13 @@ class ScoreReport:
         )
 
 
-def _span_mode(records: Sequence[GoldRecord | PredictionRecord]) -> bool:
+def _span_mode(records: Collection[GoldRecord | PredictionRecord]) -> bool:
     return bool(records) and all(
         rec.spans is not None and len(rec.spans) == len(rec.triggers) for rec in records
     )
 
 
-def _typed_triggers(records: Sequence[GoldRecord | PredictionRecord], spans: bool) -> dict[tuple, int]:
+def _typed_triggers(records: Iterable[GoldRecord | PredictionRecord], spans: bool) -> dict[tuple, int]:
     """Multiset of (event type, span or normalized trigger) over the records."""
     counts: dict[tuple, int] = {}
     for rec in records:
@@ -194,32 +180,33 @@ def match_and_score(gold: Sequence[GoldRecord], pred: Sequence[PredictionRecord]
     unmatched gold FN. Every event type of the records gets a per-type entry,
     also one with no triggers.
 
-    Cost: one pass groups the records by sentence and rejects a duplicate
-    (sentence, event type) record on either side and a prediction for a
-    sentence without gold. Each sentence then builds one typed multiset per
-    side; the pooled (identification) multisets and the per-type counts are
-    derived from those in the same pass.
+    Cost: one pass groups each side's records per sentence in a dict keyed
+    by event type, in file order. A duplicate (sentence, event type) record
+    on either side is a lookup in that dict, so no key is built per record;
+    a prediction for a sentence without gold is rejected in the same pass.
+    Each sentence then builds one typed multiset per side; the pooled
+    (identification) multisets and the per-type counts are derived from
+    those in the same pass.
     """
-    by_sentence: dict[str, tuple[list[GoldRecord], list[PredictionRecord]]] = {}
+    by_sentence: dict[str, tuple[dict[str, GoldRecord], dict[str, PredictionRecord]]] = {}
     type_counts: dict[str, list[int]] = {}  # type -> [tp, fp, fn]
     for side, (label, records) in enumerate((("gold", gold), ("prediction", pred))):
-        seen: set[tuple[str, str]] = set()
         for rec in records:
-            key = (rec.sentence_id, rec.event_type)
-            if key in seen:
+            if side == 0:
+                group = by_sentence.setdefault(rec.sentence_id, ({}, {}))
+            elif (group := by_sentence.get(rec.sentence_id)) is None:
+                raise EvaluationInputError(f"prediction for unknown sentence id {rec.sentence_id!r}")
+            by_type = group[side]
+            if rec.event_type in by_type:
                 raise EvaluationInputError(
                     f"duplicate {label} record for sentence {rec.sentence_id!r}, type {rec.event_type!r}"
                 )
-            seen.add(key)
-            if side == 0:
-                group = by_sentence.setdefault(rec.sentence_id, ([], []))
-            elif (group := by_sentence.get(rec.sentence_id)) is None:
-                raise EvaluationInputError(f"prediction for unknown sentence id {rec.sentence_id!r}")
-            group[side].append(rec)
+            by_type[rec.event_type] = rec
             type_counts.setdefault(rec.event_type, [0, 0, 0])
 
     id_tp = n_gold = n_pred = 0
-    for g_recs, p_recs in by_sentence.values():
+    for g_by_type, p_by_type in by_sentence.values():
+        g_recs, p_recs = g_by_type.values(), p_by_type.values()
         spans = _span_mode(g_recs) and _span_mode(p_recs)
         g_typed = _typed_triggers(g_recs, spans)
         p_typed = _typed_triggers(p_recs, spans)

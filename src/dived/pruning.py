@@ -15,7 +15,7 @@ every event of a tree shares one trigger, that is still all pairs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -122,15 +122,4 @@ def prune_dataset(dataset: Ontology, threshold: float = 0.5) -> tuple[Ontology, 
 
 
 def write_audit(records: Iterable[OverlapRecord], path: str | Path) -> int:
-    return jsonl.write_rows(
-        path,
-        (
-            {
-                "event_a": r.event_a,
-                "event_b": r.event_b,
-                "ratio": r.ratio,
-                "matched_triggers": list(r.matched_triggers),
-            }
-            for r in records
-        ),
-    )
+    return jsonl.write_rows(path, map(asdict, records))

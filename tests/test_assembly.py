@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import tempfile
 from collections import defaultdict
@@ -19,6 +20,7 @@ from dived.assembly import (
     TrainingInstance,
     assemble,
     count_kinds,
+    iter_instances,
     read_jsonl,
     render_instance,
     write_jsonl,
@@ -136,6 +138,33 @@ def test_negative_candidates_exclude_events_containing_sentence():
         for negative in group[1:]:
             if gold.sentence == shared:
                 assert negative.event_name == "C"
+
+
+def test_sentence_listed_twice_and_shared_by_two_events(tmp_path):
+    """``A`` lists one sentence twice and shares it with its sibling ``B``:
+    no negative for that sentence is ``A`` or ``B``, and the bytes are pinned."""
+    shared = "Something common happened here today."
+    dataset = make_dataset([
+        ("R", None, ["dR"], [make_sample("R", i) for i in range(3)]),
+        ("A", "R", ["dA0", "dA1"], [GeneratedSample("A", shared, "common"), make_sample("A", 1),
+                                   GeneratedSample("A", shared, "happened")]),
+        ("B", "R", ["dB0", "dB1"], [make_sample("B", 0), GeneratedSample("B", shared, "Something"),
+                                   make_sample("B", 2)]),
+        ("C", "R", ["dC"], [make_sample("C", i) for i in range(3)]),
+        ("D", "R", ["dD"], [make_sample("D", i) for i in range(3)]),
+        ("E", None, ["dE"], [make_sample("E", i) for i in range(3)]),
+        ("F", "E", ["dF"], [make_sample("F", i) for i in range(3)]),
+    ])
+    spec = SliceSpec(n_events=7, n_definitions=1, n_samples=3, n_negatives=4, n_hard_negatives=2,
+                     with_ontology=True, seed=5)
+    instances = assemble(dataset, spec)
+    groups = [group for group in group_by_positive(instances).values() if group[0].sentence == shared]
+    assert sorted(group[0].event_name for group in groups) == ["A", "A", "B"]
+    for group in groups:
+        assert len(group) == 5 and not {neg.event_name for neg in group[1:]} & {"A", "B"}
+    write_jsonl(iter_instances(dataset, spec), tmp_path / "slice.jsonl")
+    digest = hashlib.sha256((tmp_path / "slice.jsonl").read_bytes()).hexdigest()
+    assert digest == "47fccf19174d8bc7c0c1ac54fbb0493237feebf7d600f2d05e119f82c0d80ffd"
 
 
 def test_no_negative_candidates_error():

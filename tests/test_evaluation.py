@@ -4,6 +4,7 @@ import json
 import random
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -349,6 +350,135 @@ def test_match_and_score_matches_counter_based_oracle(case):
     assert _score_outcome(gold_records, pred_records, match_and_score) == _score_outcome(
         gold_records, pred_records, counter_based_match_and_score
     )
+
+
+# ---------------------------------------------------------------------------
+# match_and_score against the seen-set scorer
+# ---------------------------------------------------------------------------
+
+
+def seen_set_match_and_score(gold_records, pred_records):
+    """Reference oracle: the scorer as it was before records were grouped in
+    per-sentence dicts keyed by event type. Each side's duplicate check holds
+    one (sentence, type) tuple per record in a set, and each sentence keeps
+    its records in two lists."""
+
+    def span_mode(records):
+        return bool(records) and all(r.spans is not None and len(r.spans) == len(r.triggers) for r in records)
+
+    def typed_triggers(records, spans):
+        counts = {}
+        for rec in records:
+            for ident in rec.spans if spans else map(normalize_trigger, rec.triggers):
+                counts[(rec.event_type, ident)] = counts.get((rec.event_type, ident), 0) + 1
+        return counts
+
+    by_sentence = {}
+    type_counts = {}
+    for side, (label, records) in enumerate((("gold", gold_records), ("prediction", pred_records))):
+        seen = set()
+        for rec in records:
+            key = (rec.sentence_id, rec.event_type)
+            if key in seen:
+                raise EvaluationInputError(
+                    f"duplicate {label} record for sentence {rec.sentence_id!r}, type {rec.event_type!r}"
+                )
+            seen.add(key)
+            if side == 0:
+                group = by_sentence.setdefault(rec.sentence_id, ([], []))
+            elif (group := by_sentence.get(rec.sentence_id)) is None:
+                raise EvaluationInputError(f"prediction for unknown sentence id {rec.sentence_id!r}")
+            group[side].append(rec)
+            type_counts.setdefault(rec.event_type, [0, 0, 0])
+
+    id_tp = n_gold = n_pred = 0
+    for g_recs, p_recs in by_sentence.values():
+        spans = span_mode(g_recs) and span_mode(p_recs)
+        g_typed, p_typed = typed_triggers(g_recs, spans), typed_triggers(p_recs, spans)
+        g_pool, p_pool = {}, {}
+        for (event_type, ident), n in g_typed.items():
+            g_pool[ident] = g_pool.get(ident, 0) + n
+            matched = min(n, p_typed.get((event_type, ident), 0))
+            type_counts[event_type][0] += matched
+            type_counts[event_type][2] += n - matched
+        for (event_type, ident), n in p_typed.items():
+            p_pool[ident] = p_pool.get(ident, 0) + n
+            type_counts[event_type][1] += n - min(n, g_typed.get((event_type, ident), 0))
+        id_tp += sum(min(n, g_pool.get(ident, 0)) for ident, n in p_pool.items())
+        n_gold += sum(g_pool.values())
+        n_pred += sum(p_pool.values())
+    return ScoreReport(
+        id_scores=Scores.from_counts(id_tp, n_pred - id_tp, n_gold - id_tp),
+        cls_scores=Scores.from_counts(*(sum(c[i] for c in type_counts.values()) for i in range(3))),
+        per_event_type={t: Scores.from_counts(*c) for t, c in type_counts.items()},
+    )
+
+
+def _copy(text: str) -> str:
+    """An equal string that is a new object (``text`` has two characters or more)."""
+    return text[:1] + text[1:]
+
+
+@st.composite
+def regrouping_cases(draw):
+    """Gold and prediction records over up to five sentences and four types:
+    (sentence, type) pairs that now and then repeat on either side, now and
+    then a prediction for a sentence without gold, spans on every record of
+    a side, on none or on some, and ids and types that are one string object
+    across records or equal copies."""
+    sentence_ids = [f"s{k}" for k in range(draw(st.integers(1, 5)))]
+
+    def records(make, ids):
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(["T1", "T2", "T3", "T4"]))
+        keys = draw(st.lists(pairs, max_size=12, unique=draw(st.sampled_from([True, True, True, False]))))
+        with_spans = draw(st.sampled_from(["all", "none", "some"]))
+        out = []
+        for sid, event_type in keys:
+            if draw(st.booleans()):
+                sid, event_type = _copy(sid), _copy(event_type)
+            triggers = draw(st.lists(st.sampled_from(SCORE_TRIGGERS), max_size=3))
+            spans = None
+            if with_spans == "all" or (with_spans == "some" and draw(st.booleans())):
+                pair = st.tuples(st.integers(0, 2), st.integers(0, 2))
+                spans = draw(st.lists(pair, min_size=len(triggers), max_size=len(triggers)))
+            out.append(make(sid, event_type, triggers, spans))
+        return out
+
+    gold_records = records(gold, sentence_ids)
+    pred_records = records(pred, sentence_ids + draw(st.sampled_from([[], [], ["s9"]])))
+    return gold_records, pred_records
+
+
+@given(regrouping_cases())
+@settings(max_examples=300, deadline=None)
+def test_match_and_score_matches_seen_set_oracle(case):
+    gold_records, pred_records = case
+    assert _score_outcome(gold_records, pred_records, match_and_score) == _score_outcome(
+        gold_records, pred_records, seen_set_match_and_score
+    )
+
+
+def test_match_and_score_peak_memory_per_record():
+    """The grouping pass keeps each record in a per-sentence dict keyed by
+    event type and builds no (sentence, type) key per record. On 1,000
+    sentences × 10 types per side, ``match_and_score``'s traced peak
+    (``tracemalloc``, CPython 3.11) was 75 B per input record (gold plus
+    prediction) with a set of such keys per side, and is 28-31 B now."""
+    types = [f"type{t}" for t in range(10)]
+    inputs = []
+    for make in (GoldRecord, PredictionRecord):
+        inputs.append([
+            make(f"sentence{s}", event_type, (f"trig{s % 7}",) if (s + t) % 10 == 0 else ())
+            for s in range(1000)
+            for t, event_type in enumerate(types)
+        ])
+    tracemalloc.start()
+    try:
+        match_and_score(*inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (len(inputs[0]) + len(inputs[1])) < 50
 
 
 @given(st.text(st.one_of(st.characters(), st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"))))
