@@ -243,6 +243,8 @@ def cmd_expand_defs(args: argparse.Namespace) -> int:
 def cmd_prune(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _require(resolved, "dataset", "out", "audit")
+    if Path(resolved["out"]).resolve() == Path(resolved["audit"]).resolve():
+        raise UsageError(f"--out {resolved['out']} and --audit {resolved['audit']} name the same file")
     dataset = curation.read_dataset(resolved["dataset"])
     events_in = len(dataset)
     try:

@@ -46,10 +46,10 @@ class InvalidSampleError(DivedError):
 
 @dataclass(slots=True)
 class GeneratedSample:
-    """One (sentence, trigger) pair for an event type.
+    """One generated sample: ``event_name``, a single-line ``sentence`` and
+    the ``trigger``, which occurs verbatim in the sentence.
 
-    Constructing an instance validates the invariants: the trigger occurs
-    verbatim in the sentence and the sentence is a single line. They hold at
+    Constructing an instance validates these invariants. They hold at
     construction only; the class is slotted, not frozen, because a frozen
     ``__init__`` pays one ``object.__setattr__`` per field. The pipeline
     never reassigns a field, so every GeneratedSample in circulation stays
@@ -59,7 +59,6 @@ class GeneratedSample:
     event_name: str
     sentence: str
     trigger: str
-    origin: str = "generated"
 
     def __post_init__(self) -> None:
         if not self.event_name.strip():
@@ -74,25 +73,19 @@ class GeneratedSample:
             raise InvalidSampleError(
                 f"{self.event_name}: trigger {self.trigger!r} is not a substring of the sentence"
             )
-        if self.origin not in ("generated", "imported"):
-            raise InvalidSampleError(f"{self.event_name}: bad origin {self.origin!r}")
 
 
 @dataclass
 class CurationReport:
-    """Bookkeeping for one curation pass.
-
-    requested = parsed + dropped_invalid + (count attributed to failures).
-    """
+    """Bookkeeping for one generation step: ``requested`` records (the target
+    per event times the events), ``parsed`` records kept, ``dropped_invalid``
+    records that failed validation, and in ``failures`` an ``(event, reason)``
+    for each event whose request failed or whose reply lacked required records."""
 
     requested: int = 0
     parsed: int = 0
     dropped_invalid: int = 0
     failures: list[tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def missing(self) -> int:
-        return self.requested - self.parsed - self.dropped_invalid
 
 
 def tree_block(root: EventTypeNode) -> str:

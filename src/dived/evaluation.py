@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -66,11 +66,8 @@ class GoldRecord:
 
 
 @dataclass(slots=True)
-class PredictionRecord:
-    sentence_id: str
-    event_type: str
-    triggers: tuple[str, ...]
-    spans: tuple[tuple[int, int], ...] | None = None
+class PredictionRecord(GoldRecord):
+    """Predicted triggers for one (sentence, event type); the same fields as GoldRecord."""
 
     @classmethod
     def from_raw(
@@ -122,9 +119,9 @@ class ScoreReport:
 
     def to_dict(self) -> dict:
         return {
-            "identification": asdict(self.id_scores),
-            "classification": asdict(self.cls_scores),
-            "per_event_type": {t: asdict(s) for t, s in sorted(self.per_event_type.items())},
+            "identification": dict(vars(self.id_scores)),
+            "classification": dict(vars(self.cls_scores)),
+            "per_event_type": {t: dict(vars(s)) for t, s in sorted(self.per_event_type.items())},
         }
 
     @classmethod
@@ -155,13 +152,11 @@ class ScoreReport:
         )
 
 
-def _span_mode(records: Collection[GoldRecord | PredictionRecord]) -> bool:
-    return bool(records) and all(
-        rec.spans is not None and len(rec.spans) == len(rec.triggers) for rec in records
-    )
+def _span_mode(records: Collection[GoldRecord]) -> bool:
+    return bool(records) and all(rec.spans is not None and len(rec.spans) == len(rec.triggers) for rec in records)
 
 
-def _typed_triggers(records: Iterable[GoldRecord | PredictionRecord], spans: bool) -> dict[tuple, int]:
+def _typed_triggers(records: Iterable[GoldRecord], spans: bool) -> dict[tuple, int]:
     """Multiset of (event type, span or normalized trigger) over the records."""
     counts: dict[tuple, int] = {}
     for rec in records:

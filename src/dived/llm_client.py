@@ -14,6 +14,7 @@ its own connection; HTTPS verifies against the system CA store through
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import logging
@@ -75,17 +76,12 @@ class PermanentBackendError(DivedError):
     """Non-retryable failure: client error or malformed response."""
 
 
-@dataclass(frozen=True)
-class DecodingParams:
-    temperature: float = 0.7
-    max_tokens: int = 2048
-
-
+# The request payload's decoding fields per template, in payload order.
 # Curation wants consistent output, expansion wants diversity.
-DEFAULT_DECODING: dict[TemplateId, DecodingParams] = {
-    TemplateId.DEFINITION_CURATION: DecodingParams(temperature=0.7, max_tokens=2048),
-    TemplateId.SAMPLE_CURATION: DecodingParams(temperature=0.7, max_tokens=4096),
-    TemplateId.DEFINITION_EXPANSION: DecodingParams(temperature=1.0, max_tokens=2048),
+DEFAULT_DECODING: dict[TemplateId, dict[str, float | int]] = {
+    TemplateId.DEFINITION_CURATION: {"temperature": 0.7, "max_tokens": 2048},
+    TemplateId.SAMPLE_CURATION: {"temperature": 0.7, "max_tokens": 4096},
+    TemplateId.DEFINITION_EXPANSION: {"temperature": 1.0, "max_tokens": 2048},
 }
 
 
@@ -113,25 +109,19 @@ BatchResult = Union[GenResponse, GenFailure]
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
-_TEMPLATE_CACHE: dict[tuple[str | None, str], str] = {}
 
-
+@functools.cache
 def _load_template(template_id: TemplateId, templates_dir: str | Path | None) -> str:
-    key = (str(templates_dir) if templates_dir is not None else None, template_id.value)
-    if key not in _TEMPLATE_CACHE:
-        if templates_dir is not None:
-            path = Path(templates_dir) / f"{template_id.value}.txt"
-            if not path.is_file():
-                raise TemplateNotFoundError(f"no template file {path}")
-            text = path.read_text(encoding="utf-8")
-        else:
-            ref = resources.files("dived").joinpath("templates", f"{template_id.value}.txt")
-            try:
-                text = ref.read_text(encoding="utf-8")
-            except FileNotFoundError:
-                raise TemplateNotFoundError(f"no packaged template {template_id.value!r}") from None
-        _TEMPLATE_CACHE[key] = text
-    return _TEMPLATE_CACHE[key]
+    if templates_dir is not None:
+        path = Path(templates_dir) / f"{template_id.value}.txt"
+        if not path.is_file():
+            raise TemplateNotFoundError(f"no template file {path}")
+        return path.read_text(encoding="utf-8")
+    ref = resources.files("dived").joinpath("templates", f"{template_id.value}.txt")
+    try:
+        return ref.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise TemplateNotFoundError(f"no packaged template {template_id.value!r}") from None
 
 
 def render(
@@ -375,12 +365,10 @@ class HttpBackend(Backend):
         if not api_key:
             raise BackendConfigError(f"environment variable {self.api_key_env} is not set")
         prompt = render(request.template_id, request.variables, self.templates_dir)
-        decoding = DEFAULT_DECODING[request.template_id]
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": decoding.temperature,
-            "max_tokens": decoding.max_tokens,
+            **DEFAULT_DECODING[request.template_id],
         }
         req = urllib.request.Request(self.endpoint, data=json.dumps(payload).encode())
         req.add_header("Content-Type", "application/json")

@@ -171,6 +171,8 @@ def _build_ontology(numbered_rows: list[tuple[int, tuple[str, str | None, str | 
             raise OntologyFormatError(origin, lineno, "field 'parent' must be a string or null")
         if external_id is not None and not isinstance(external_id, str):
             raise OntologyFormatError(origin, lineno, "field 'external_id' must be a string or null")
+        if "\t" in name.strip() or len(name.strip().splitlines()) > 1:
+            raise OntologyFormatError(origin, lineno, f"event name {name!r} holds a tab or line break")
         key = _name_key(name)
         if key in first_seen:
             prev_line, prev_name = first_seen[key]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable
 
 from . import jsonl
 from .errors import DivedError
@@ -45,7 +45,7 @@ class OverlapRecord:
     matched_triggers: tuple[str, ...]
 
 
-def overlap_ratio(triggers_a: Sequence[str], triggers_b: Sequence[str]) -> float:
+def overlap_ratio(triggers_a: Collection[str], triggers_b: Collection[str]) -> float:
     """|A ∩ B| / min(|A|, |B|) over deduplicated, trimmed trigger sets.
 
     Symmetric in its arguments. With the nominal ten distinct triggers per
@@ -79,8 +79,7 @@ def prune_tree(root: EventTypeNode, threshold: float = 0.5) -> list[OverlapRecor
         if not node.samples:
             raise PruneInputError(node.name)
 
-    triggers = [[s.trigger for s in node.samples] for node in tree]
-    stripped = [{t.strip() for t in node_triggers} for node_triggers in triggers]
+    stripped = [{s.trigger.strip() for s in node.samples} for node in tree]
     holders: dict[str, list[int]] = {}
     for position, trigger_set in enumerate(stripped):
         for trigger in trigger_set:
@@ -95,7 +94,7 @@ def prune_tree(root: EventTypeNode, threshold: float = 0.5) -> list[OverlapRecor
             if j in dead:
                 continue
             second = tree[j]
-            ratio = overlap_ratio(triggers[i], triggers[j])
+            ratio = overlap_ratio(stripped[i], stripped[j])
             if ratio > threshold:
                 dead.add(j)
                 audits.append(

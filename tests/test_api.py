@@ -47,7 +47,7 @@ PER_ROW_RECORDS = [
     (assembly.TrainingInstance,
      ["instance_id", "event_name", "definition", "ontology_context", "sentence", "target", "kind"],
      ("i", "E", "d", None, "a hit", "hit", "positive")),
-    (curation.GeneratedSample, ["event_name", "sentence", "trigger", "origin"], ("E", "a hit", "hit")),
+    (curation.GeneratedSample, ["event_name", "sentence", "trigger"], ("E", "a hit", "hit")),
 ]
 
 
@@ -58,6 +58,12 @@ def test_per_row_records_are_slotted_with_the_same_fields(cls, fields, args):
     assert not hasattr(record, "__dict__") and not cls.__dataclass_params__.frozen
     assert dataclasses.replace(record) == record and dataclasses.replace(record) is not record
     assert cls.__hash__ is None
+
+
+def test_prediction_record_is_a_gold_record_with_its_own_constructor():
+    assert evaluation.PredictionRecord.__mro__[1] is evaluation.GoldRecord
+    assert "from_raw" in vars(evaluation.PredictionRecord) and not hasattr(evaluation.GoldRecord, "from_raw")
+    assert evaluation.PredictionRecord.from_raw("s1", "T", ["hit", " none "]).triggers == ("hit",)
 
 
 @pytest.mark.parametrize("make", [

@@ -109,6 +109,19 @@ def test_prune_writes_audit(tmp_path):
     assert manifest_path(audit).exists() and manifest_path(out).exists()
 
 
+@pytest.mark.parametrize("spelling", ["same.jsonl", "sub/../same.jsonl"])
+def test_prune_rejects_out_and_audit_naming_one_file_before_reading(tmp_path, capsys, spelling):
+    (tmp_path / "sub").mkdir()
+    same = tmp_path / "same.jsonl"
+    # A missing dataset fails the same way: the check comes before the read.
+    for dataset in (small_dataset_file(tmp_path), tmp_path / "no_such_dataset.jsonl"):
+        code = run(["prune", "--dataset", str(dataset), "--out", str(same), "--audit", str(tmp_path / spelling)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out" in err and "--audit" in err and "same file" in err
+        assert not same.exists()
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -166,6 +179,29 @@ def test_prune_rejects_malformed_sample_entry_naming_the_line(tmp_path, capsys, 
     assert run(["prune", "--dataset", str(dataset), "--out", str(out), "--audit", str(audit)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["a\tb", "c\nd", "e\rf", "g\x0bh", "i\x1cj", "k\x85l", "m\u2028n"])
+def test_an_event_name_the_reply_format_cannot_carry_exits_1_naming_the_line(tmp_path, capsys, name):
+    # Reply lines are EVENT<TAB>FIELD: value, so no reply could name this event.
+    ontology = tmp_path / "ontology.jsonl"
+    ontology.write_text(json.dumps({"name": "ok"}) + "\n" + json.dumps({"name": name, "parent": "ok"}) + "\n",
+                        encoding="utf-8")
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in [
+        {"event": "ok", "parent": None, "children": [name], "definitions": ["ok def"],
+         "samples": [{"sentence": "The ok hit.", "trigger": "hit"}]},
+        {"event": name, "parent": "ok", "children": [], "definitions": ["def"],
+         "samples": [{"sentence": "The other hit.", "trigger": "hit"}]},
+    ]), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    for args, path in ((["ingest", "--ontology", str(ontology)], ontology),
+                       (["curate-defs", "--ontology", str(ontology)], ontology),
+                       (["prune", "--dataset", str(dataset), "--audit", str(tmp_path / "audit.jsonl")], dataset)):
+        assert run([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: ") and repr(name) in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ def test_sample_invariants_enforced_at_construction():
         GeneratedSample(event_name="attack", sentence="Line one.\nLine two.", trigger="Line")
     with pytest.raises(InvalidSampleError):
         GeneratedSample(event_name="attack", sentence="", trigger="x")
-    with pytest.raises(InvalidSampleError):
-        GeneratedSample(event_name="attack", sentence="ok trigger here", trigger="trigger", origin="weird")
+    with pytest.raises(TypeError):  # a sample has no origin field
+        GeneratedSample(event_name="attack", sentence="ok trigger here", trigger="trigger", origin="generated")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_curate_samples_drops_invalid_trigger():
     assert len(samples) == 2
     assert report.parsed == 2
     assert report.dropped_invalid == 1
-    assert report.missing == 0
+    assert report.requested == report.parsed + report.dropped_invalid
     assert report.failures == []
 
 

@@ -606,6 +606,18 @@ def test_report_json_round_trip(tmp_path):
     assert "identification" in table and "classification" in table
 
 
+def test_report_to_dict_holds_copies_not_the_frozen_scores_fields():
+    report = match_and_score(*perfect_fixture())
+    before = report.id_scores
+    fields = report.to_dict()
+    fields["identification"]["tp"] = -1
+    for scores in fields["per_event_type"].values():
+        scores["f1"] = -1.0
+    assert report.id_scores == before and report.id_scores.tp != -1
+    assert all(s.f1 != -1.0 for s in report.per_event_type.values())
+    assert list(report.to_dict()["classification"]) == ["tp", "fp", "fn", "precision", "recall", "f1"]
+
+
 # ---------------------------------------------------------------------------
 # read_gold / read_predictions against the row-by-row readers they replaced
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ def test_render_unknown_template_file(tmp_path):
 
 
 def test_default_decoding_defaults():
-    assert DEFAULT_DECODING[TemplateId.DEFINITION_CURATION].temperature == 0.7
-    assert DEFAULT_DECODING[TemplateId.DEFINITION_EXPANSION].temperature == 1.0
+    assert DEFAULT_DECODING[TemplateId.DEFINITION_CURATION]["temperature"] == 0.7
+    assert DEFAULT_DECODING[TemplateId.DEFINITION_EXPANSION]["temperature"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +260,15 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     script: list[tuple] = []
     seen_payloads: list[dict] = []
+    seen_bodies: list[bytes] = []
     seen_headers: list[dict] = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         type(self).seen_headers.append(dict(self.headers))
-        type(self).seen_payloads.append(json.loads(self.rfile.read(length)))
+        body = self.rfile.read(length)
+        type(self).seen_bodies.append(body)
+        type(self).seen_payloads.append(json.loads(body))
         status, body, *headers = type(self).script.pop(0) if type(self).script else (500, {})
         payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
@@ -287,6 +290,7 @@ def stub_server():
     thread.start()
     _StubHandler.script = []
     _StubHandler.seen_payloads = []
+    _StubHandler.seen_bodies = []
     _StubHandler.seen_headers = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
@@ -471,9 +475,30 @@ def test_http_backend_sends_credential_content_type_and_payload(stub_server, mon
     assert _StubHandler.seen_payloads == [{
         "model": "test-model",
         "messages": [{"role": "user", "content": render(request.template_id, request.variables)}],
-        "temperature": decoding.temperature,
-        "max_tokens": decoding.max_tokens,
+        "temperature": decoding["temperature"],
+        "max_tokens": decoding["max_tokens"],
     }]
+
+
+@pytest.mark.parametrize(
+    ("template_id", "decoding"),
+    [
+        (TemplateId.DEFINITION_CURATION, b'"temperature": 0.7, "max_tokens": 2048'),
+        (TemplateId.SAMPLE_CURATION, b'"temperature": 0.7, "max_tokens": 4096'),
+        (TemplateId.DEFINITION_EXPANSION, b'"temperature": 1.0, "max_tokens": 2048'),
+    ],
+)
+def test_http_request_body_bytes_per_template(stub_server, monkeypatch, template_id, decoding):
+    # The raw body, not its parsed JSON: key order and 1.0 (not 1) are part of the request.
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    _StubHandler.script = [(200, _ok_body("generated text"))]
+    variables = {"events": "attack\nprotest", "definitions": "attack: d", "count": "3", "event": "attack",
+                 "definition": "d", "ontology": "parent: none", "example": "E"}
+    HttpBackend(endpoint=stub_server, model="test-model").generate(GenRequest(template_id, variables))
+    content = json.dumps(render(template_id, variables)).encode()
+    assert _StubHandler.seen_bodies == [
+        b'{"model": "test-model", "messages": [{"role": "user", "content": ' + content + b'}], ' + decoding + b"}"
+    ]
 
 
 def test_http_backend_non_json_reply_is_malformed(stub_server, monkeypatch):
