@@ -1,9 +1,11 @@
 """Golden digests: the README walkthrough (seed 11, mock backend) run in
 process must reproduce every data output byte for byte.
 
-Manifests are left out: they carry a timestamp and absolute paths. The
-walkthrough's audit is empty (mock triggers never overlap), so a second
-prune runs on a copy of the expanded dataset in which ``attack`` carries the
+The walkthrough runs in its own directory on relative paths, so its
+manifests' ``config_hash`` is the same wherever it runs; each manifest's
+fields other than its timestamp and paths are pinned, and so is every
+command's stdout. The walkthrough's audit is empty (mock triggers never
+overlap), so a second prune runs on a copy of the expanded dataset in which ``attack`` carries the
 samples of its parent ``conflict``: ``attack`` is removed and its children
 are re-parented to ``conflict``.
 
@@ -19,12 +21,15 @@ output format updates them in the same commit and says so.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import shutil
 
 import pytest
 
-from dived.cli import main
+from dived.cli import main, manifest_path
 
 from conftest import TOY_ONTOLOGY
 
@@ -44,36 +49,164 @@ GOLDEN = {
     "drops.json": "b8ac537b07484d31cdd85af25c8d0db20f8d3632cca00859aace76f13c79f5f2",
 }
 
+# The path-free fields of each walkthrough manifest; the timestamp is left out.
+MANIFESTS = {
+    "filtered.jsonl": {
+        "command": "ingest", "seed": None, "input_manifests": [],
+        "config_hash": "ff272ca5a296a4fa86c59211d140c14179e79154a18dee8892a0686decb2f759",
+        "counts": {"trees_in": 3, "nodes_in": 12, "trees_out": 2, "nodes_out": 7},
+    },
+    "defs.jsonl": {
+        "command": "curate-defs", "seed": 11, "input_manifests": [],
+        "config_hash": "83274308bece212b4018fa540bb80c3012c521b8beae518cee0fe989f66a97b3",
+        "counts": {"events": 12, "definitions": 12, "failures": 0},
+    },
+    "samples.jsonl": {
+        "command": "curate-samples", "seed": 11, "input_manifests": ["defs.jsonl"],
+        "config_hash": "cc47c651fcf95c1dfc5cd09bcc3075ebea0abeb4d9dcbdc8973e3a0db47e9de2",
+        "counts": {"events": 12, "samples": 120, "dropped_invalid": 0, "failures": 0},
+    },
+    "expanded.jsonl": {
+        "command": "expand-defs", "seed": 11, "input_manifests": ["samples.jsonl"],
+        "config_hash": "4a3c012ca775a6869752838bf5d7791860de47ef9b912f860db4568eb6bdc479",
+        "counts": {"events": 12, "paraphrases_added": 120, "failures": 0},
+    },
+    "pruned.jsonl": {
+        "command": "prune", "seed": None, "input_manifests": ["expanded.jsonl"],
+        "config_hash": "76b2dd51e1885ffa21c8b13642be3660b284a520c6ca434ab2afdfd5cb00c842",
+        "counts": {"events_in": 12, "events_removed": 0, "events_out": 12},
+    },
+    "audit.jsonl": {
+        "command": "prune", "seed": None, "input_manifests": ["expanded.jsonl"],
+        "config_hash": "76b2dd51e1885ffa21c8b13642be3660b284a520c6ca434ab2afdfd5cb00c842",
+        "counts": {"events_in": 12, "events_removed": 0, "events_out": 12},
+    },
+    "train.jsonl": {
+        "command": "assemble", "seed": 11, "input_manifests": ["pruned.jsonl"],
+        "config_hash": "d2c1c13685b2f90f25c4221aa0f9e88b3289b201e4a11e20b93ce314bc9f0342",
+        "counts": {"instances": 1320, "positives": 120, "negatives": 1200, "hard_negatives": 120},
+    },
+    "train_nodef.jsonl": {
+        "command": "assemble", "seed": 11, "input_manifests": ["pruned.jsonl"],
+        "config_hash": "40f9df7f405ea0b8ba9d60a71ef570c765858fc1891acfcce89ef74588353744",
+        "counts": {"instances": 1320, "positives": 120, "negatives": 1200, "hard_negatives": 120},
+    },
+    "planted_pruned.jsonl": {
+        "command": "prune", "seed": None, "input_manifests": [],
+        "config_hash": "56348fcbe596c9a00ef9e2986d226940da7ea3b6efffb31a4124ef0f05b4f5da",
+        "counts": {"events_in": 12, "events_removed": 1, "events_out": 11},
+    },
+    "planted_audit.jsonl": {
+        "command": "prune", "seed": None, "input_manifests": [],
+        "config_hash": "56348fcbe596c9a00ef9e2986d226940da7ea3b6efffb31a4124ef0f05b4f5da",
+        "counts": {"events_in": 12, "events_removed": 1, "events_out": 11},
+    },
+    "report.json": {
+        "command": "score", "seed": None, "input_manifests": [],
+        "config_hash": "195f68052c81bdb1d6935bea9739015f8a697718c119c912be8a09a4bc7ab9c8",
+        "counts": {"gold_records": 1320, "pred_records": 1200},
+    },
+    "report_nodef.json": {
+        "command": "score", "seed": None, "input_manifests": [],
+        "config_hash": "2416be65904f7a0975458580e91dfb72154d701df4447eb629417adaa8ed01a4",
+        "counts": {"gold_records": 1320, "pred_records": 1120},
+    },
+    "drops.json": {
+        "command": "ablate-report", "seed": None, "input_manifests": ["report.json", "report_nodef.json"],
+        "config_hash": "ad7321f31a1743861feb8a842adf47aac3074239a43653a73452a56823e332af",
+        "counts": {},
+    },
+}
+
+STDOUT = {
+    "filtered.jsonl": "ingest: 12 nodes in 3 trees -> 7 nodes in 2 trees\n",
+    "defs.jsonl": "curate-defs: 12/12 definitions\n",
+    "samples.jsonl": "curate-samples: 120 samples for 12 events (0 invalid dropped)\n",
+    "expanded.jsonl": "expand-defs: 120 paraphrases added across 12 events\n",
+    "pruned.jsonl": "prune: 12 events -> 12 (removed 0)\n",
+    "train.jsonl": "assemble: 1320 instances (120 positive, 1200 negative, of which 120 hard)\n",
+    "train_nodef.jsonl": "assemble: 1320 instances (120 positive, 1200 negative, of which 120 hard)\n",
+    "planted_pruned.jsonl": "prune: 12 events -> 11 (removed 1)\n",
+    "report.json": (
+        "                     P       R      F1  TP  FP  FN\n"
+        "identification  0.7750  0.7750  0.7750  93  27  27\n"
+        "classification  0.6750  0.6750  0.6750  81  39  39\n"
+        "  ambush        0.7000  0.7000  0.7000   7   3   3\n"
+        "  arrival       0.7000  0.7000  0.7000   7   3   3\n"
+        "  attack        0.7000  0.7000  0.7000   7   3   3\n"
+        "  bombing       0.5833  0.7000  0.6364   7   5   3\n"
+        "  conflict      0.7500  0.6000  0.6667   6   2   4\n"
+        "  departure     0.7000  0.7000  0.7000   7   3   3\n"
+        "  donation      0.6364  0.7000  0.6667   7   4   3\n"
+        "  movement      0.8750  0.7000  0.7778   7   1   3\n"
+        "  protest       0.5455  0.6000  0.5714   6   5   4\n"
+        "  purchase      0.5833  0.7000  0.6364   7   5   3\n"
+        "  refund        0.6000  0.6000  0.6000   6   4   4\n"
+        "  transaction   0.8750  0.7000  0.7778   7   1   3\n"
+    ),
+    "report_nodef.json": (
+        "                     P       R      F1  TP  FP  FN\n"
+        "identification  0.7083  0.7083  0.7083  85  35  35\n"
+        "classification  0.5417  0.5417  0.5417  65  55  55\n"
+        "  ambush        0.4545  0.5000  0.4762   5   6   5\n"
+        "  arrival       0.6667  0.6000  0.6316   6   3   4\n"
+        "  attack        0.6000  0.6000  0.6000   6   4   4\n"
+        "  bombing       0.4615  0.6000  0.5217   6   7   4\n"
+        "  conflict      0.5714  0.4000  0.4706   4   3   6\n"
+        "  departure     0.4286  0.6000  0.5000   6   8   4\n"
+        "  donation      0.6000  0.6000  0.6000   6   4   4\n"
+        "  movement      0.7143  0.5000  0.5882   5   2   5\n"
+        "  protest       0.5000  0.5000  0.5000   5   5   5\n"
+        "  purchase      0.4545  0.5000  0.4762   5   6   5\n"
+        "  refund        0.4545  0.5000  0.4762   5   6   5\n"
+        "  transaction   0.8571  0.6000  0.7059   6   1   4\n"
+    ),
+    "drops.json": (
+        "identification drop: 8.602150538% (6.666666667 points)\n"
+        "classification drop: 19.75308642% (13.333333333 points)\n"
+    ),
+}
+
 ASSEMBLE = ["--events", "12", "--definitions", "10", "--samples", "10",
             "--negatives", "10", "--hard-negatives", "3", "--ontology", "--seed", "11"]
 
 
-def run_walkthrough(d) -> None:
-    steps = [
-        ["ingest", "--ontology", str(TOY_ONTOLOGY), "--heldout", "attack", "--out", str(d / "filtered.jsonl")],
-        ["curate-defs", "--ontology", str(TOY_ONTOLOGY), "--backend", "mock", "--seed", "11",
-         "--out", str(d / "defs.jsonl")],
-        ["curate-samples", "--dataset", str(d / "defs.jsonl"), "--backend", "mock", "--seed", "11",
-         "--per-event", "10", "--out", str(d / "samples.jsonl")],
-        ["expand-defs", "--dataset", str(d / "samples.jsonl"), "--backend", "mock", "--seed", "11",
-         "--count", "10", "--out", str(d / "expanded.jsonl")],
-        ["prune", "--dataset", str(d / "expanded.jsonl"), "--out", str(d / "pruned.jsonl"),
-         "--audit", str(d / "audit.jsonl")],
-        ["assemble", "--dataset", str(d / "pruned.jsonl"), *ASSEMBLE, "--out", str(d / "train.jsonl")],
-        ["assemble", "--dataset", str(d / "pruned.jsonl"), *ASSEMBLE, "--no-definition",
-         "--out", str(d / "train_nodef.jsonl")],
-    ]
-    for step in steps:
-        assert main(step) == 0, f"walkthrough step failed: {step[0]}"
+def run_step(args: list[str]) -> str:
+    """Run one command in process; its stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(args)
+    assert code == 0, f"walkthrough step failed: {args[0]}"
+    return buf.getvalue()
 
 
-def plant_duplicate(d) -> None:
+def run_walkthrough() -> dict[str, str]:
+    """The README walkthrough in the current directory, on relative paths; each
+    step's stdout by its first output."""
+    shutil.copyfile(TOY_ONTOLOGY, "ontology.jsonl")
+    steps = {
+        "filtered.jsonl": ["ingest", "--ontology", "ontology.jsonl", "--heldout", "attack", "--out", "filtered.jsonl"],
+        "defs.jsonl": ["curate-defs", "--ontology", "ontology.jsonl", "--backend", "mock", "--seed", "11",
+                       "--out", "defs.jsonl"],
+        "samples.jsonl": ["curate-samples", "--dataset", "defs.jsonl", "--backend", "mock", "--seed", "11",
+                          "--per-event", "10", "--out", "samples.jsonl"],
+        "expanded.jsonl": ["expand-defs", "--dataset", "samples.jsonl", "--backend", "mock", "--seed", "11",
+                           "--count", "10", "--out", "expanded.jsonl"],
+        "pruned.jsonl": ["prune", "--dataset", "expanded.jsonl", "--out", "pruned.jsonl", "--audit", "audit.jsonl"],
+        "train.jsonl": ["assemble", "--dataset", "pruned.jsonl", *ASSEMBLE, "--out", "train.jsonl"],
+        "train_nodef.jsonl": ["assemble", "--dataset", "pruned.jsonl", *ASSEMBLE, "--no-definition",
+                              "--out", "train_nodef.jsonl"],
+    }
+    return {name: run_step(step) for name, step in steps.items()}
+
+
+def plant_duplicate(d) -> str:
     rows = [json.loads(line) for line in (d / "expanded.jsonl").read_text(encoding="utf-8").splitlines()]
     by_event = {row["event"]: row for row in rows}
     by_event["attack"]["samples"] = by_event["conflict"]["samples"]
     (d / "planted.jsonl").write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
-    assert main(["prune", "--dataset", str(d / "planted.jsonl"), "--out", str(d / "planted_pruned.jsonl"),
-                 "--audit", str(d / "planted_audit.jsonl")]) == 0
+    return run_step(["prune", "--dataset", "planted.jsonl", "--out", "planted_pruned.jsonl",
+                     "--audit", "planted_audit.jsonl"])
 
 
 def by_sentence(path) -> list[list[dict]]:
@@ -138,25 +271,35 @@ def write_rows(path, rows: list[dict]) -> None:
     path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
 
 
-def score_walkthrough(d) -> None:
+def score_walkthrough(d) -> dict[str, str]:
     train, nodef = by_sentence(d / "train.jsonl"), by_sentence(d / "train_nodef.jsonl")
     write_rows(d / "gold.jsonl", gold_rows(train))
     write_rows(d / "pred.jsonl", prediction_rows(train, every=10))
     write_rows(d / "pred_nodef.jsonl", prediction_rows(nodef, every=6))
-    for pred, report in (("pred.jsonl", "report.json"), ("pred_nodef.jsonl", "report_nodef.json")):
-        assert main(["score", "--gold", str(d / "gold.jsonl"), "--pred", str(d / pred),
-                     "--out", str(d / report)]) == 0
-    assert main(["ablate-report", "--baseline", str(d / "report.json"), "--ablated", str(d / "report_nodef.json"),
-                 "--out", str(d / "drops.json")]) == 0
+    stdout = {
+        report: run_step(["score", "--gold", "gold.jsonl", "--pred", pred, "--out", report])
+        for pred, report in (("pred.jsonl", "report.json"), ("pred_nodef.jsonl", "report_nodef.json"))
+    }
+    stdout["drops.json"] = run_step(["ablate-report", "--baseline", "report.json", "--ablated", "report_nodef.json",
+                                     "--out", "drops.json"])
+    return stdout
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def walkthrough(tmp_path_factory):
+    """The walkthrough's directory and each step's stdout by its first output."""
     d = tmp_path_factory.mktemp("walkthrough")
-    run_walkthrough(d)
-    plant_duplicate(d)
-    score_walkthrough(d)
-    return d
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.chdir(d)
+        stdout = run_walkthrough()
+        stdout["planted_pruned.jsonl"] = plant_duplicate(d)
+        stdout.update(score_walkthrough(d))
+    return d, stdout
+
+
+@pytest.fixture(scope="module")
+def outputs(walkthrough):
+    return walkthrough[0]
 
 
 def test_walkthrough_outputs_match_golden_digests(outputs):
@@ -179,3 +322,18 @@ def test_scored_walkthrough_counts_every_planted_error(outputs):
     assert 0 < report["classification"]["f1"] < baseline["classification"]["f1"] < 1
     assert report["identification"]["fp"] > 0 and report["identification"]["fn"] > 0
     assert report["classification"]["tp"] < report["identification"]["tp"]  # a wrong type still identifies
+
+
+def test_walkthrough_manifests_match_their_pins(outputs):
+    """The path-free fields of every manifest. The paths are relative, so
+    ``config_hash`` does not depend on where the test runs."""
+    pins = {}
+    for name in MANIFESTS:
+        manifest = json.loads(manifest_path(outputs / name).read_text(encoding="utf-8"))
+        pins[name] = {**{key: manifest[key] for key in ("command", "config_hash", "seed", "counts")},
+                      "input_manifests": sorted(manifest["input_manifests"])}
+    assert pins == MANIFESTS
+
+
+def test_walkthrough_stdout_matches_its_pins(walkthrough):
+    assert walkthrough[1] == STDOUT
