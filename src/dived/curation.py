@@ -251,10 +251,10 @@ def _generate(
     dropped = 0
     for _ in range(rounds):
         todo = [unit for unit in units if any(n not in best or best[n].score < target for n in unit[1:])]
+        if not todo:  # every item is full, so no later round requests anything
+            break
         round_best: dict[str, _Parse] = {}
         for _ in range(2):  # the round's requests, then one retry of the units left short
-            if not todo:
-                break
             results = complete_batch([unit[0] for unit in todo], backend, max_in_flight, retry_limit=retry_limit)
             short = []
             for unit, result in zip(todo, results):
@@ -265,6 +265,8 @@ def _generate(
                 _keep_better(round_best, parse(result.text, names))
                 if any(round_best[n].score < target for n in names):
                     short.append(unit)
+            if not short:
+                break
             todo = short
         dropped += sum(parsed.dropped for parsed in round_best.values())
         _keep_better(best, round_best)

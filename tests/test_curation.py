@@ -4,6 +4,7 @@ import json
 import logging
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,18 @@ def test_curate_samples_deterministic_with_mock():
     curate_samples_for_trees([one], MockBackend(seed=21), per_event=5, max_in_flight=1)
     curate_samples_for_trees([two], MockBackend(seed=21), per_event=5, max_in_flight=1)
     assert samples_of(one) == samples_of(two)
+
+
+def test_regenerate_rounds_stop_once_every_event_is_full():
+    """Rounds after the one that fills every event request nothing, so they
+    are not run: ten million of them cost what none do."""
+    full, plain = tree_with_defs(), tree_with_defs()
+    curate_samples_for_trees([plain], MockBackend(seed=21), per_event=5, max_in_flight=1)
+    start = time.perf_counter()
+    report = curate_samples_for_trees([full], MockBackend(seed=21), per_event=5, max_in_flight=1, regenerate=10**7)
+    assert time.perf_counter() - start < 1.0
+    assert samples_of(full) == samples_of(plain)
+    assert report.failures == []
 
 
 # ---------------------------------------------------------------------------
