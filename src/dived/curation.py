@@ -441,8 +441,7 @@ def read_dataset(path: str | Path) -> Ontology:
     known, no cycles); ``children`` is only type-checked. Every error names
     ``path:line``.
     """
-    numbered: list[tuple[int, tuple[str, str | None, str | None]]] = []
-    contents: list[tuple[list[str], list[GeneratedSample]]] = []
+    rows: list[tuple[int, str, str | None, dict]] = []
     for lineno, obj in jsonl.read_rows(path):
         try:
             event = obj["event"]
@@ -467,11 +466,5 @@ def read_dataset(path: str | Path) -> Ontology:
             raise jsonl.JsonlError(path, lineno, f"missing required field {exc.args[0]!r}") from exc
         except InvalidSampleError as exc:
             raise jsonl.JsonlError(path, lineno, str(exc)) from exc
-        numbered.append((lineno, (event, obj.get("parent"), None)))
-        contents.append((definitions, samples))
-
-    dataset = ontology._build_ontology(numbered, str(path))
-    for (_, (event, _, _)), (definitions, samples) in zip(numbered, contents):
-        node = dataset.get(event)
-        node.definitions, node.samples = definitions, samples
-    return dataset
+        rows.append((lineno, event, obj.get("parent"), {"definitions": definitions, "samples": samples}))
+    return ontology._build_ontology(rows, str(path))

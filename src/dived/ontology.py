@@ -130,21 +130,17 @@ class Ontology:
         """A new ontology of the kept nodes in the same pre-order, each
         re-parented to its nearest kept ancestor, with copies of their
         definitions and samples. The input is unchanged."""
-        rows: list[tuple[str, str | None, str | None]] = []
-        kept: list[EventTypeNode] = []
+        rows: list[tuple[int, str, str | None, dict]] = []
         target: dict[EventTypeNode, str | None] = {}  # node -> nearest kept ancestor-or-self
         for node in self.iter_nodes():
             up = target[node.parent] if node.parent is not None else None
             if node in keep:
-                rows.append((node.name, up, node.external_id))
-                kept.append(node)
+                fields = {"external_id": node.external_id, "definitions": list(node.definitions),
+                          "samples": list(node.samples)}
+                rows.append((len(rows) + 1, node.name, up, fields))
                 up = node.name
             target[node] = up
-        sub = build_ontology(rows)
-        for old, new in zip(kept, sub.iter_nodes(), strict=True):
-            new.definitions = list(old.definitions)
-            new.samples = list(old.samples)
-        return sub
+        return _build_ontology(rows, "<memory>")
 
 
 def build_ontology(rows: Iterable[tuple[str, str | None, str | None]], origin: str = "<memory>") -> Ontology:
@@ -154,22 +150,25 @@ def build_ontology(rows: Iterable[tuple[str, str | None, str | None]], origin: s
     Raises OntologyFormatError, DuplicateEventNameError, or OntologyCycleError
     on invariant violations.
     """
-    numbered = [(lineno, row) for lineno, row in enumerate(rows, start=1)]
+    numbered = [(lineno, name, parent, {"external_id": external_id})
+                for lineno, (name, parent, external_id) in enumerate(rows, start=1)]
     return _build_ontology(numbered, origin)
 
 
-def _build_ontology(numbered_rows: list[tuple[int, tuple[str, str | None, str | None]]], origin: str) -> Ontology:
-    """Build from (line number, row) pairs; every error names ``origin:line``."""
+def _build_ontology(rows: list[tuple[int, str, str | None, dict]], origin: str) -> Ontology:
+    """Build from (line number, name, parent name, node fields) rows, the
+    fields being ``external_id`` or ``definitions`` and ``samples``; every
+    error names ``origin:line``."""
     nodes: dict[str, EventTypeNode] = {}
     first_seen: dict[str, tuple[int, str]] = {}
     ordered: list[tuple[int, EventTypeNode, str | None]] = []
 
-    for lineno, (name, parent_name, external_id) in numbered_rows:
+    for lineno, name, parent_name, fields in rows:
         if not isinstance(name, str) or not name.strip():
             raise OntologyFormatError(origin, lineno, "field 'name' must be a non-empty string")
         if parent_name is not None and not isinstance(parent_name, str):
             raise OntologyFormatError(origin, lineno, "field 'parent' must be a string or null")
-        if external_id is not None and not isinstance(external_id, str):
+        if fields.get("external_id") is not None and not isinstance(fields["external_id"], str):
             raise OntologyFormatError(origin, lineno, "field 'external_id' must be a string or null")
         if "\t" in name.strip() or len(name.strip().splitlines()) > 1:
             raise OntologyFormatError(origin, lineno, f"event name {name!r} holds a tab or line break")
@@ -182,7 +181,7 @@ def _build_ontology(numbered_rows: list[tuple[int, tuple[str, str | None, str | 
                 f"duplicate event name {name!r}, already defined as {prev_name!r} at {origin}:{prev_line}",
             )
         first_seen[key] = (lineno, name)
-        node = EventTypeNode(name=name.strip(), external_id=external_id)
+        node = EventTypeNode(name=name.strip(), **fields)
         nodes[key] = node
         ordered.append((lineno, node, parent_name))
 
@@ -221,12 +220,12 @@ def load_ontology(path: str | Path) -> Ontology:
 
     File order defines tree order and the order of children under a parent.
     """
-    numbered: list[tuple[int, tuple[str, str | None, str | None]]] = []
+    rows: list[tuple[int, str, str | None, dict]] = []
     for lineno, obj in jsonl.read_rows(path):
         if "name" not in obj:
             raise OntologyFormatError(str(path), lineno, "missing required field 'name'")
-        numbered.append((lineno, (obj["name"], obj.get("parent"), obj.get("external_id"))))
-    return _build_ontology(numbered, str(path))
+        rows.append((lineno, obj["name"], obj.get("parent"), {"external_id": obj.get("external_id")}))
+    return _build_ontology(rows, str(path))
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> int:
