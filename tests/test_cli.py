@@ -650,9 +650,39 @@ def test_mock_generation_starts_no_thread(tmp_path, thread_starts, command):
     assert thread_starts == []
 
 
-def test_missing_required_option_exits_1(capsys):
+def test_missing_required_option_exits_1(tmp_path, capsys):
     assert run(["ingest", "--ontology", str(TOY_ONTOLOGY)]) == 1
     assert "--out" in capsys.readouterr().err
+    # a required option may come from the config file
+    out, config = tmp_path / "out.jsonl", tmp_path / "config.json"
+    config.write_text(json.dumps({"ingest": {"out": str(out)}}), encoding="utf-8")
+    assert run(["ingest", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: missing required option --ontology\n"
+    assert run(["ingest", "--ontology", str(TOY_ONTOLOGY), "--config", str(config)]) == 0
+    assert out.exists()
+
+
+REQUIRED = {
+    "ingest": ["--ontology", "--out"],
+    "curate-defs": ["--ontology", "--out"],
+    "curate-samples": ["--dataset", "--out"],
+    "expand-defs": ["--dataset", "--out"],
+    "prune": ["--dataset", "--out", "--audit"],
+    "assemble": ["--dataset", "--out", "--events", "--definitions", "--samples"],
+    "score": ["--gold", "--pred"],
+    "ablate-report": ["--baseline", "--ablated"],
+}
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c, options in REQUIRED.items() for o in options])
+def test_each_missing_required_option_exits_1_before_any_file_is_touched(tmp_path, capsys, command, option):
+    argv = [command]
+    for flag in REQUIRED[command]:
+        if flag != option:  # a path that does not exist, or a count for assemble
+            argv += [flag, "1" if flag in ("--events", "--definitions", "--samples") else str(tmp_path / flag[2:])]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: missing required option {option}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):
