@@ -1,9 +1,12 @@
 """Subcommand front-end wiring the pipeline stages.
 
-Every subcommand validates its inputs, writes its outputs plus one run
-manifest per output file, and exits 0 on success, 1 on a validation/usage
-error, 2 on a backend failure. With the mock backend and a fixed seed,
-re-running a command reproduces its outputs byte for byte.
+Every subcommand runs one path: the parser resolves its options (defaults <
+``--config`` file < flags), ``main`` checks the ones the command requires, and
+the command's function takes them, writes its outputs and returns (inputs,
+outputs, counts, exit code); ``main`` then writes one run manifest per output.
+Exit codes: 0 on success, 1 on a validation/usage error, 2 on a backend
+failure or an event a generation command left without its output. With the
+mock backend and a fixed seed, a rerun reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -147,13 +150,8 @@ class _CommandParser(_Parser):
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The command's options: the parsed namespace without the front-end's own entries."""
-    return {key: value for key, value in vars(args).items() if key not in ("verbose", "command", "config", "func")}
-
-
-def _require(resolved: dict, *names: str) -> None:
-    for name in names:
-        if resolved.get(name) in (None, []):
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+    front_end = ("verbose", "command", "config", "func", "required")
+    return {key: value for key, value in vars(args).items() if key not in front_end}
 
 
 def _backend(resolved: dict):
@@ -165,84 +163,64 @@ def _backend(resolved: dict):
     return HttpBackend(endpoint=resolved["endpoint"], model=resolved["model"])
 
 
-def _report_failures(report: curation.CurationReport) -> int:
+def _batch(resolved: dict) -> dict:
+    """The generation commands' options for ``complete_batch``."""
+    return {"max_in_flight": resolved["max_in_flight"], "retry_limit": resolved["retry_limit"]}
+
+
+def _generated(resolved: dict, source: str, dataset, report: curation.CurationReport, counts: dict, summary: str):
+    """A generation command's end: write its dataset, print its summary and log
+    each failure. The exit code is 2 if there was a failure."""
+    events = curation.write_dataset(dataset, resolved["out"])
+    print(summary)
     for event, reason in report.failures:
         logger.warning("curation failure: %s: %s", event, reason)
-    return 2 if report.failures else 0
-
-
-def _generation(args: argparse.Namespace, source: str, load, run) -> int:
-    """The generation commands' shared body: read ``resolved[source]`` with ``load``, run
-    the stage, write the dataset and its manifest, and print one summary line.
-    ``run(dataset, backend, resolved, batch)`` returns (report, own counts, summary)."""
-    resolved = _resolve(args)
-    _require(resolved, source, "out")
-    dataset = load(resolved[source])
-    batch = {"max_in_flight": resolved["max_in_flight"], "retry_limit": resolved["retry_limit"]}
-    report, counts, summary = run(dataset, _backend(resolved), resolved, batch)
-    events = curation.write_dataset(dataset, resolved["out"])
     counts = {"events": events, **counts, "failures": len(report.failures)}
-    write_manifests(args.command, resolved, [resolved[source]], [resolved["out"]], counts)
-    print(f"{args.command}: {summary}")
-    return _report_failures(report)
+    return [resolved[source]], [resolved["out"]], counts, 2 if report.failures else 0
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the resolved options and returns (inputs, outputs, counts, exit code)
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "ontology", "out")
+def cmd_ingest(resolved: dict):
     heldout = [part.strip() for chunk in resolved["heldout"] for part in chunk.split(",") if part.strip()]
     ontology = load_ontology(resolved["ontology"])
-    trees_in, nodes_in = len(ontology.trees), len(ontology)
     filtered = filter_heldout(ontology, heldout)
     save_ontology(filtered, resolved["out"])
-    counts = {
-        "trees_in": trees_in,
-        "nodes_in": nodes_in,
-        "trees_out": len(filtered.trees),
-        "nodes_out": len(filtered),
-    }
-    write_manifests("ingest", resolved, [resolved["ontology"]], [resolved["out"]], counts)
-    print(f"ingest: {nodes_in} nodes in {trees_in} trees -> {counts['nodes_out']} nodes in {counts['trees_out']} trees")
-    return 0
+    counts = {"trees_in": len(ontology.trees), "nodes_in": len(ontology),
+              "trees_out": len(filtered.trees), "nodes_out": len(filtered)}
+    print("ingest: {nodes_in} nodes in {trees_in} trees -> {nodes_out} nodes in {trees_out} trees".format(**counts))
+    return [resolved["ontology"]], [resolved["out"]], counts, 0
 
 
-def cmd_curate_defs(args: argparse.Namespace) -> int:
-    def run(ontology, backend, resolved, batch):
-        report = curation.curate_definitions_for_trees(ontology.trees, backend, **batch)
-        return report, {"definitions": report.parsed}, f"{report.parsed}/{report.requested} definitions"
-
-    return _generation(args, "ontology", load_ontology, run)
-
-
-def cmd_curate_samples(args: argparse.Namespace) -> int:
-    def run(dataset, backend, resolved, batch):
-        report = curation.curate_samples_for_trees(
-            dataset.trees, backend, per_event=resolved["per_event"], regenerate=resolved["regenerate"], **batch
-        )
-        summary = f"{report.parsed} samples for {len(dataset)} events ({report.dropped_invalid} invalid dropped)"
-        return report, {"samples": report.parsed, "dropped_invalid": report.dropped_invalid}, summary
-
-    return _generation(args, "dataset", curation.read_dataset, run)
+def cmd_curate_defs(resolved: dict):
+    ontology = load_ontology(resolved["ontology"])
+    report = curation.curate_definitions_for_trees(ontology.trees, _backend(resolved), **_batch(resolved))
+    summary = f"curate-defs: {report.parsed}/{report.requested} definitions"
+    return _generated(resolved, "ontology", ontology, report, {"definitions": report.parsed}, summary)
 
 
-def cmd_expand_defs(args: argparse.Namespace) -> int:
-    def run(dataset, backend, resolved, batch):
-        nodes = list(dataset.iter_nodes())
-        report = curation.expand_definitions_for_nodes(nodes, backend, count=resolved["count"], **batch)
-        summary = f"{report.parsed} paraphrases added across {len(dataset)} events"
-        return report, {"paraphrases_added": report.parsed}, summary
+def cmd_curate_samples(resolved: dict):
+    dataset = curation.read_dataset(resolved["dataset"])
+    report = curation.curate_samples_for_trees(dataset.trees, _backend(resolved), per_event=resolved["per_event"],
+                                               regenerate=resolved["regenerate"], **_batch(resolved))
+    summary = (f"curate-samples: {report.parsed} samples for {len(dataset)} events "
+               f"({report.dropped_invalid} invalid dropped)")
+    counts = {"samples": report.parsed, "dropped_invalid": report.dropped_invalid}
+    return _generated(resolved, "dataset", dataset, report, counts, summary)
 
-    return _generation(args, "dataset", curation.read_dataset, run)
+
+def cmd_expand_defs(resolved: dict):
+    dataset = curation.read_dataset(resolved["dataset"])
+    report = curation.expand_definitions_for_nodes(list(dataset.iter_nodes()), _backend(resolved),
+                                                   count=resolved["count"], **_batch(resolved))
+    summary = f"expand-defs: {report.parsed} paraphrases added across {len(dataset)} events"
+    return _generated(resolved, "dataset", dataset, report, {"paraphrases_added": report.parsed}, summary)
 
 
-def cmd_prune(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "dataset", "out", "audit")
+def cmd_prune(resolved: dict):
     if Path(resolved["out"]).resolve() == Path(resolved["audit"]).resolve():
         raise UsageError(f"--out {resolved['out']} and --audit {resolved['audit']} name the same file")
     dataset = curation.read_dataset(resolved["dataset"])
@@ -254,25 +232,17 @@ def cmd_prune(args: argparse.Namespace) -> int:
         raise jsonl.JsonlError(resolved["dataset"], line, str(exc)) from None
     events_out = curation.write_dataset(pruned, resolved["out"])
     pruning.write_audit(audits, resolved["audit"])
-    counts = {"events_in": events_in, "events_removed": len(audits), "events_out": events_out}
-    write_manifests("prune", resolved, [resolved["dataset"]], [resolved["out"], resolved["audit"]], counts)
     print(f"prune: {events_in} events -> {events_out} (removed {len(audits)})")
-    return 0
+    counts = {"events_in": events_in, "events_removed": len(audits), "events_out": events_out}
+    return [resolved["dataset"]], [resolved["out"], resolved["audit"]], counts, 0
 
 
-def cmd_assemble(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "dataset", "out", "events", "definitions", "samples")
+def cmd_assemble(resolved: dict):
     dataset = curation.read_dataset(resolved["dataset"])
     spec = assembly.SliceSpec(
-        n_events=resolved["events"],
-        n_definitions=resolved["definitions"],
-        n_samples=resolved["samples"],
-        n_negatives=resolved["negatives"],
-        n_hard_negatives=resolved["hard_negatives"],
-        with_ontology=resolved["with_ontology"],
-        with_definition=resolved["with_definition"],
-        seed=resolved["seed"],
+        n_events=resolved["events"], n_definitions=resolved["definitions"], n_samples=resolved["samples"],
+        n_negatives=resolved["negatives"], n_hard_negatives=resolved["hard_negatives"],
+        with_ontology=resolved["with_ontology"], with_definition=resolved["with_definition"], seed=resolved["seed"],
     )
     instances = assembly.iter_instances(dataset, spec)  # the slice checks run here, before the output opens
     kind_counts = dict.fromkeys(assembly.KINDS, 0)
@@ -283,38 +253,26 @@ def cmd_assemble(args: argparse.Namespace) -> int:
             yield inst
 
     written = assembly.write_jsonl(counted(instances), resolved["out"])
-    counts = {
-        "instances": written,
-        "positives": kind_counts["positive"],
-        "negatives": kind_counts["negative"] + kind_counts["hard_negative"],
-        "hard_negatives": kind_counts["hard_negative"],
-    }
-    write_manifests("assemble", resolved, [resolved["dataset"]], [resolved["out"]], counts)
-    print(
-        f"assemble: {counts['instances']} instances "
-        f"({counts['positives']} positive, {counts['negatives']} negative, "
-        f"of which {counts['hard_negatives']} hard)"
-    )
-    return 0
+    counts = {"instances": written, "positives": kind_counts["positive"],
+              "negatives": kind_counts["negative"] + kind_counts["hard_negative"],
+              "hard_negatives": kind_counts["hard_negative"]}
+    print("assemble: {instances} instances ({positives} positive, {negatives} negative, "
+          "of which {hard_negatives} hard)".format(**counts))
+    return [resolved["dataset"]], [resolved["out"]], counts, 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "gold", "pred")
+def cmd_score(resolved: dict):
     gold = evaluation.read_gold(resolved["gold"])
     pred = evaluation.read_predictions(resolved["pred"])
     report = evaluation.match_and_score(gold, pred)
     print(report.to_table())
-    counts = {"gold_records": len(gold), "pred_records": len(pred)}
     if resolved["out"]:
         evaluation.write_report(report, resolved["out"])
-        write_manifests("score", resolved, [resolved["gold"], resolved["pred"]], [resolved["out"]], counts)
-    return 0
+    counts = {"gold_records": len(gold), "pred_records": len(pred)}
+    return [resolved["gold"], resolved["pred"]], ([resolved["out"]] if resolved["out"] else []), counts, 0
 
 
-def cmd_ablate_report(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "baseline", "ablated")
+def cmd_ablate_report(resolved: dict):
     baseline = evaluation.read_report(resolved["baseline"])
     ablated = evaluation.read_report(resolved["ablated"])
     drops = evaluation.drop_rate(baseline, ablated)
@@ -327,8 +285,7 @@ def cmd_ablate_report(args: argparse.Namespace) -> int:
     print(f"classification drop: {drops['cls_drop_pct']}% ({drops['cls_drop_points']} points)")
     if resolved["out"]:
         jsonl.write_object(resolved["out"], result)
-        write_manifests("ablate-report", resolved, [resolved["baseline"], resolved["ablated"]], [resolved["out"]], {})
-    return 0
+    return [resolved["baseline"], resolved["ablated"]], ([resolved["out"]] if resolved["out"] else []), {}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,44 +323,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+    def command(name: str, func, help: str, required: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+        """A subcommand run by ``func``; ``main`` checks the options named in ``required``."""
         p = subs.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, required=required)
         return p
 
-    p = command("ingest", cmd_ingest, "load an ontology and remove held-out trees")
+    p = command("ingest", cmd_ingest, "load an ontology and remove held-out trees", required=("ontology", "out"))
     p.add_argument("--ontology", help="ontology JSONL file")
     p.add_argument("--heldout", action=_AppendOverDefault, default=[],
                    help="held-out event name (repeatable, comma-splittable)")
     p.add_argument("--out", help="filtered ontology JSONL output")
 
-    p = command("curate-defs", cmd_curate_defs, "generate one definition per event type, a prompt per tree")
+    p = command("curate-defs", cmd_curate_defs, "generate one definition per event type, a prompt per tree",
+                required=("ontology", "out"))
     p.add_argument("--ontology", help="ontology JSONL file")
     p.add_argument("--out", help="dataset JSONL output")
     _add_backend_options(p)
 
-    p = command("curate-samples", cmd_curate_samples, "generate validated samples per event type")
+    p = command("curate-samples", cmd_curate_samples, "generate validated samples per event type",
+                required=("dataset", "out"))
     p.add_argument("--dataset", help="dataset JSONL with definitions")
     p.add_argument("--out", help="dataset JSONL output")
     p.add_argument("--per-event", type=int, default=10, help="samples per event (default %(default)s)")
     p.add_argument("--regenerate", type=int, default=0, help="extra regeneration rounds for events short of samples")
     _add_backend_options(p)
 
-    p = command("expand-defs", cmd_expand_defs, "paraphrase each event definition")
+    p = command("expand-defs", cmd_expand_defs, "paraphrase each event definition", required=("dataset", "out"))
     p.add_argument("--dataset", help="dataset JSONL with definitions")
     p.add_argument("--out", help="dataset JSONL output")
     p.add_argument("--count", type=int, default=10, help="paraphrases per event (default %(default)s)")
     _add_backend_options(p)
 
-    p = command("prune", cmd_prune, "remove duplicate events by trigger overlap")
+    p = command("prune", cmd_prune, "remove duplicate events by trigger overlap",
+                required=("dataset", "out", "audit"))
     p.add_argument("--dataset", help="dataset JSONL with samples")
     p.add_argument("--out", help="pruned dataset JSONL output")
     p.add_argument("--audit", help="overlap audit JSONL output")
     p.add_argument("--threshold", type=float, default=0.5,
                    help="overlap ratio threshold (default %(default)s, strict >)")
 
-    p = command("assemble", cmd_assemble, "build training instances from a pruned dataset")
+    p = command("assemble", cmd_assemble, "build training instances from a pruned dataset",
+                required=("dataset", "out", "events", "definitions", "samples"))
     p.add_argument("--dataset", help="pruned dataset JSONL")
     p.add_argument("--out", help="instances JSONL output")
     p.add_argument("--events", type=int, help="number of event types")
@@ -418,12 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the definition text (--no-definition = ablation)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
-    p = command("score", cmd_score, "score predictions against gold triggers")
+    p = command("score", cmd_score, "score predictions against gold triggers", required=("gold", "pred"))
     p.add_argument("--gold", help="gold JSONL file")
     p.add_argument("--pred", help="prediction JSONL file")
     p.add_argument("--out", help="score report JSON output")
 
-    p = command("ablate-report", cmd_ablate_report, "drop rates between a baseline and an ablated score report")
+    p = command("ablate-report", cmd_ablate_report, "drop rates between a baseline and an ablated score report",
+                required=("baseline", "ablated"))
     p.add_argument("--baseline", help="baseline score report JSON")
     p.add_argument("--ablated", help="ablated score report JSON")
     p.add_argument("--out", help="drop report JSON output")
@@ -439,7 +402,14 @@ def main(argv: list[str] | None = None) -> int:
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        return args.func(args)
+        resolved = _resolve(args)
+        for name in args.required:
+            if resolved[name] in (None, []):
+                raise UsageError(f"missing required option --{name.replace('_', '-')}")
+        inputs, outputs, counts, code = args.func(resolved)
+        if outputs:
+            write_manifests(args.command, resolved, inputs, outputs, counts)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
