@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    def command(name: str, func, help: str, required: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    def command(name: str, func, help: str, required: tuple[str, ...]) -> argparse.ArgumentParser:
         """A subcommand run by ``func``; ``main`` checks the options named in ``required``."""
         p = subs.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
