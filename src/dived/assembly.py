@@ -3,23 +3,21 @@
 Turns a (pruned) generated dataset into serialized instruction instances:
 positives, sentence-reusing negatives with target "None", sibling
 hard-negatives, optional ontology context, and the definition-removal
-ablation variant. All sampling is seeded and derived per event, so output is
-a pure function of (dataset, spec) regardless of scheduling.
+ablation variant. All sampling is seeded per event and per positive, so
+output is a pure function of (dataset, spec) regardless of scheduling, and a
+smaller slice lies inside a larger one.
 
-Negatives come from a sentence index, which keeps for each selected
-sentence a list of the distinct events that hold it, and from copied
-candidate lists. Negative rows are written from pieces encoded once per
-event and kept; a positive row's piece is encoded when the row is written,
-since it does not recur (see ``iter_instances`` and ``write_jsonl``). Both
-give the same instances and bytes as filtering every event for every
-sentence and encoding every row whole. ``iter_instances`` yields the
+Each positive draws its negatives from its own RNG, by rejection from the
+candidate list, against a sentence index that keeps for each selected
+sentence the distinct events that hold it. Negative rows are written from
+pieces encoded once per event and kept; a positive row's piece is encoded
+when the row is written (see ``write_jsonl``). ``iter_instances`` yields the
 instances one at a time, so ``write_jsonl(iter_instances(...))`` writes a
 slice without holding it.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import logging
@@ -123,17 +121,6 @@ def _cousin_pool(node: EventTypeNode) -> list[EventTypeNode]:
     return pool
 
 
-def _without(items: list, positions: Iterable[int]) -> list:
-    """``items`` minus the given (distinct) positions, in order, copied slice by slice."""
-    out: list = []
-    start = 0
-    for pos in sorted(positions):
-        out += items[start:pos]
-        start = pos + 1
-    out += items[start:]
-    return out
-
-
 def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
     """All instances of one slice of the dataset, as a list (see ``iter_instances``)."""
     return list(iter_instances(dataset, spec))
@@ -143,17 +130,22 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
     """Build instances for one slice of the dataset, one at a time.
 
     Only events with at least one sample are drawn, as positives or as
-    negatives; the others are ontology context only. Selects n_events events
-    (seeded, without replacement), per event n_samples samples and
-    n_definitions definitions; definitions are assigned to positives
-    round-robin so the instance count is invariant along the definition
-    axis. Every positive is followed by n_negatives negatives that reuse its
-    sentence with target "None": the first n_hard_negatives drawn from
-    siblings in the ontology, the rest from non-sibling events with no gold
-    sample for this sentence. When an event has fewer siblings than
-    requested, the shortfall is filled from cousins and then random
-    non-occurring events; those fillers are plain negatives (kind
-    "negative"), since only true siblings count as hard negatives.
+    negatives; the others are ontology context only. The n_events events,
+    and per chosen event its n_definitions definitions and n_samples
+    samples, are each the prefix of one seeded permutation. Events come in
+    pre-order, samples in permutation order (``s{si}`` is a sample's place
+    in it), and definitions are assigned to positives round-robin so the
+    instance count is invariant along the definition axis. Every positive is
+    followed by n_negatives negatives that reuse its sentence with target
+    "None": the first n_hard_negatives drawn from siblings in the ontology,
+    the rest from non-sibling events with no gold sample for this sentence.
+    When an event has fewer siblings than requested, the shortfall is filled
+    from cousins and then random non-occurring events; those fillers are
+    plain negatives (kind "negative"), since only true siblings count as
+    hard negatives. Each positive draws them from its own RNG, seeded by its
+    event and its sample's index in ``node.samples``. So slices nest: growing
+    n_events or n_samples keeps every row of the smaller slice unchanged, and
+    growing n_definitions only adds definitions to each event's rotation.
 
     The slice checks that need no instance (event count, definitions and
     samples per chosen event, negative candidates) run when this is called,
@@ -161,16 +153,15 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
     candidates for one sentence is found only when its turn comes, and
     raised from the iteration.
 
-    Cost: an index from each selected sentence to a list of the distinct
-    events holding it is built once. A plain-negative pool is the candidate
-    list (pre-order) with the siblings, the event itself, the events already
-    used and the sentence's holders cut out at positions found through a
-    node-to-position dict, so it is copied, never rescanned. It has the same
-    length and order as the filtered list, and ``random.sample`` reads only
-    ``len()`` and indexing, so every draw is the same as from that list. An
+    Cost: the sentence index is built once. A plain negative is a uniform
+    pick from the whole candidate list, drawn again while it falls in the
+    skip set (the event, its siblings, the sentence's holders and the
+    negatives already drawn); when no more candidates lie outside that set
+    than are needed, all of them are taken in pre-order. So a positive costs
+    about its skip set and its draws, not a pass over the candidates. An
     event's cousin pool is built the first time one of its positives is
-    short of siblings. Memory follows the dataset and the slice's picks, not the
-    instance count: nothing keeps an instance once it is yielded.
+    short of siblings. Memory follows the dataset and the slice's picks, not
+    the instance count: nothing keeps an instance once it is yielded.
     """
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
@@ -178,36 +169,32 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
     if spec.n_negatives > 0 and len(events) < 2:
         raise NoNegativeCandidatesError("negative instances need at least 2 events in the dataset")
 
-    select_rng = _rng(spec.seed, "select")
-    chosen = sorted(select_rng.sample(range(len(events)), spec.n_events))
-    picks = []  # (event, its chosen definitions, its chosen samples)
-    for node in (events[i] for i in chosen):
+    order = list(range(len(events)))  # each permutation is the same for every slice size
+    _rng(spec.seed, "select").shuffle(order)
+    picks = []  # (event, its chosen definitions, the indices of its chosen samples)
+    for node in (events[i] for i in sorted(order[: spec.n_events])):
         if len(node.definitions) < spec.n_definitions:
             raise InsufficientDataError(
                 f"event {node.name!r} has {len(node.definitions)} definitions, need {spec.n_definitions}"
             )
         if len(node.samples) < spec.n_samples:
-            raise InsufficientDataError(
-                f"event {node.name!r} has {len(node.samples)} samples, need {spec.n_samples}"
-            )
-        defs_rng = _rng(spec.seed, node.name, "defs")
-        samples_rng = _rng(spec.seed, node.name, "samples")
-        sel_defs = [node.definitions[i] for i in defs_rng.sample(range(len(node.definitions)), spec.n_definitions)]
-        sel_samples = [node.samples[i] for i in sorted(samples_rng.sample(range(len(node.samples)), spec.n_samples))]
-        picks.append((node, sel_defs, sel_samples))
+            raise InsufficientDataError(f"event {node.name!r} has {len(node.samples)} samples, need {spec.n_samples}")
+        definitions, sample_ids = list(node.definitions), list(range(len(node.samples)))
+        _rng(spec.seed, node.name, "defs").shuffle(definitions)
+        _rng(spec.seed, node.name, "samples").shuffle(sample_ids)
+        picks.append((node, definitions[: spec.n_definitions], sample_ids[: spec.n_samples]))
     return _instances(spec, events, picks)
 
 
 def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Iterator[TrainingInstance]:
     """The instances of ``iter_instances``, once its checks have passed."""
-    holders: dict[str, list[EventTypeNode]] = {s.sentence: [] for _, _, samples in picks for s in samples}
-    for node in events:
-        for s in node.samples:
-            held_by = holders.get(s.sentence)
-            if held_by is not None and node not in held_by:
-                held_by.append(node)
     candidates = [node for node in events if node.definitions]
-    position = {node: i for i, node in enumerate(candidates)}
+    is_candidate = set(candidates)
+    holders: dict[str, set[EventTypeNode]] = {node.samples[i].sentence: set() for node, _, ids in picks for i in ids}
+    for node in candidates:
+        for s in node.samples:
+            if s.sentence in holders:
+                holders[s.sentence].add(node)
 
     @functools.cache
     def context(node: EventTypeNode) -> OntologyContext | None:
@@ -219,25 +206,18 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
         )
 
     fallback_count = 0
-    for node, sel_defs, sel_samples in picks:
+    for node, sel_defs, sample_ids in picks:
         event = node.name
-        negatives_rng = _rng(spec.seed, event, "negatives")
-        all_siblings = [] if node.parent is None else [c for c in node.parent.children if c is not node]
-        sibling_pool = [s for s in all_siblings if s in position]
-        sibling_set = set(all_siblings)
+        sibling_pool = [c for c in (node.parent.children if node.parent else ()) if c is not node and c in is_candidate]
+        own_skip = {node, *sibling_pool}  # every set here holds candidates only
         cousins: list[EventTypeNode] | None = None  # built on the first shortfall of siblings
-        sibling_positions = sorted(position[s] for s in sibling_pool)
-        non_siblings = _without(candidates, sibling_positions)
 
-        def non_sibling_position(c: EventTypeNode) -> int:
-            return position[c] - bisect.bisect_left(sibling_positions, position[c])
-
-        for si, sample in enumerate(sel_samples):
-            definition = sel_defs[si % spec.n_definitions]
+        for si, sample_index in enumerate(sample_ids):
+            sample = node.samples[sample_index]
             yield TrainingInstance(
                 instance_id=f"{event}|s{si}|p",
                 event_name=event,
-                definition=definition if spec.with_definition else "",
+                definition=sel_defs[si % spec.n_definitions] if spec.with_definition else "",
                 ontology_context=context(node),
                 sentence=sample.sentence,
                 target=sample.trigger,
@@ -246,8 +226,8 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
             if spec.n_negatives == 0:
                 continue
 
-            sentence = sample.sentence
-            held_by = holders[sentence]
+            negatives_rng = _rng(spec.seed, event, "negatives", str(sample_index))
+            held_by = holders[sample.sentence]
             used: set[EventTypeNode] = set()
 
             def eligible(pool: Iterable[EventTypeNode]) -> list[EventTypeNode]:
@@ -263,7 +243,7 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
             if shortfall > 0:
                 fallback_count += shortfall
                 if cousins is None:
-                    cousins = [c for c in _cousin_pool(node) if c in position]
+                    cousins = [c for c in _cousin_pool(node) if c in is_candidate]
                 cousin_pool = eligible(cousins)
                 fill = negatives_rng.sample(cousin_pool, min(shortfall, len(cousin_pool)))
                 used.update(fill)
@@ -271,11 +251,16 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
                 shortfall -= len(fill)
 
             plain_needed = (spec.n_negatives - spec.n_hard_negatives) + shortfall
-            cut = {node, *used, *held_by}
-            plain_pool = _without(
-                non_siblings, {non_sibling_position(c) for c in cut if c in position and c not in sibling_set}
-            )
-            plain = negatives_rng.sample(plain_pool, min(plain_needed, len(plain_pool)))
+            skip = own_skip.union(held_by, used)
+            if len(candidates) - len(skip) <= plain_needed:
+                plain = [c for c in candidates if c not in skip]
+            else:
+                plain = []
+                while len(plain) < plain_needed:
+                    neg = candidates[negatives_rng.randrange(len(candidates))]
+                    if neg not in skip:
+                        skip.add(neg)
+                        plain.append(neg)
             if len(plain) < plain_needed:
                 # Non-sibling candidates exhausted (small trees): top up from
                 # the remaining siblings, still as plain negatives.
@@ -296,7 +281,7 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
                     event_name=neg.name,
                     definition=neg.definitions[0] if spec.with_definition else "",
                     ontology_context=context(neg),
-                    sentence=sentence,
+                    sentence=sample.sentence,
                     target=NONE_TARGET,
                     kind=kind,
                 )

@@ -12,6 +12,7 @@ mock backend and a fixed seed, a rerun reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -48,11 +49,23 @@ def manifest_path(output_path: str | Path) -> Path:
     return Path(f"{output_path}.manifest.json")
 
 
+def _manifest_digest(path: Path) -> str:
+    """sha256 of a manifest as written without its ``volatile`` block, so that a
+    rerun digests the same; of its raw bytes if it is not a JSON object."""
+    data = path.read_bytes()
+    with contextlib.suppress(ValueError, RecursionError):  # not JSON, or not UTF-8 on the way back
+        if isinstance(manifest := json.loads(data), dict):
+            manifest.pop("volatile", None)
+            data = (json.dumps(manifest, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
 def write_manifests(command: str, resolved: dict, inputs: list[str], outputs: list[str], counts: dict[str, int]) -> None:
     """Write the run's provenance record next to every output, as
     <output>.manifest.json. Manifests chain: input_manifests records the
-    digest of each input's own manifest when one exists."""
-    chained = {str(p): hashlib.sha256(m.read_bytes()).hexdigest() for p in inputs if (m := manifest_path(p)).is_file()}
+    digest of each input's own manifest, without its ``volatile`` block, when
+    one exists. Only the ``volatile`` block differs between two runs."""
+    chained = {str(p): _manifest_digest(m) for p in inputs if (m := manifest_path(p)).is_file()}
     manifest = {
         "command": command,
         "config_hash": hashlib.sha256(json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")).hexdigest(),
@@ -61,7 +74,7 @@ def write_manifests(command: str, resolved: dict, inputs: list[str], outputs: li
         "output_paths": [str(p) for p in outputs],
         "counts": counts,
         "input_manifests": chained,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "volatile": {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds")},
     }
     for output_path in outputs:
         jsonl.write_object(manifest_path(output_path), manifest)

@@ -164,7 +164,7 @@ def test_sentence_listed_twice_and_shared_by_two_events(tmp_path):
         assert len(group) == 5 and not {neg.event_name for neg in group[1:]} & {"A", "B"}
     write_jsonl(iter_instances(dataset, spec), tmp_path / "slice.jsonl")
     digest = hashlib.sha256((tmp_path / "slice.jsonl").read_bytes()).hexdigest()
-    assert digest == "47fccf19174d8bc7c0c1ac54fbb0493237feebf7d600f2d05e119f82c0d80ffd"
+    assert digest == "9984ba8de07c51625629987c14e6295b42d9be5c42781388e7b2f8af2d07d893"
 
 
 def test_no_negative_candidates_error():
@@ -210,6 +210,38 @@ def test_definitions_assigned_round_robin():
     for event, defs in by_event.items():
         assert len(set(defs[:3])) == 3  # three distinct definitions in rotation
         assert defs[3:] == defs[: len(defs) - 3]  # repeats with period 3
+
+
+def _rows(instances):
+    return {(i.instance_id, i.event_name, i.definition, i.sentence, i.kind) for i in instances}
+
+
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(2, 8), st.integers(1, 5), st.integers(1, 6)),
+    axis=st.sampled_from(["n_events", "n_definitions", "n_samples"]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_smaller_slices_nest_in_larger_ones(shape, axis, data):
+    """Growing one axis keeps every row of the smaller slice unchanged; along
+    the definition axis each event's definitions in use only gain members."""
+    n_trees, children, n_definitions, n_samples = shape
+    dataset = grid_dataset(n_trees, children, n_definitions, n_samples)
+    limits = {"n_events": n_trees * children, "n_definitions": n_definitions, "n_samples": n_samples}
+    spec = {name: data.draw(st.integers(1, high), label=name) for name, high in limits.items()}
+    n_negatives = data.draw(st.integers(0, min(8, n_trees * children - 1)), label="n_negatives")
+    small = SliceSpec(**spec, n_negatives=n_negatives, n_hard_negatives=data.draw(st.integers(0, n_negatives)),
+                      seed=data.draw(st.integers(0, 50), label="seed"))
+    large = dataclasses.replace(small, **{axis: data.draw(st.integers(spec[axis], limits[axis]), label="larger")})
+    small_rows, large_rows = assemble(dataset, small), assemble(dataset, large)
+    if axis != "n_definitions":
+        assert _rows(small_rows) <= _rows(large_rows)
+        return
+    assert [(i.instance_id, i.event_name, i.sentence, i.kind) for i in small_rows] == [
+        (i.instance_id, i.event_name, i.sentence, i.kind) for i in large_rows]
+    for event in {i.event_name for i in small_rows}:
+        assert {i.definition for i in small_rows if i.event_name == event} <= {
+            i.definition for i in large_rows if i.event_name == event}
 
 
 def test_definition_count_never_changes_instance_count():
@@ -412,16 +444,24 @@ def test_instance_invariants_at_construction():
 
 def list_based_assemble(dataset, spec):
     """Reference oracle: every negative pool is a filtered list, rescanned for
-    each sentence, and each instance gets its own ontology context."""
+    each sentence, and each instance gets its own ontology context. A plain
+    negative is a uniform pick from all candidates, redrawn until it lies in
+    that list and is new; a list no longer than the need is taken whole."""
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
         raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
     if spec.n_negatives > 0 and len(events) < 2:
         raise NoNegativeCandidatesError("negative instances need at least 2 events in the dataset")
     sentences = {node: {s.sentence for s in node.samples} for node in events}
-    candidates = {node for node in events if node.definitions}
-    chosen = sorted(_rng(spec.seed, "select").sample(range(len(events)), spec.n_events))
-    selected = [events[i] for i in chosen]
+    candidate_list = [node for node in events if node.definitions]
+    candidates = set(candidate_list)
+
+    def permuted(items, *scope):
+        items = list(items)
+        _rng(spec.seed, *scope).shuffle(items)
+        return items
+
+    selected = [events[i] for i in sorted(permuted(range(len(events)), "select")[:spec.n_events])]
     for node in selected:
         if len(node.definitions) < spec.n_definitions:
             raise InsufficientDataError(
@@ -439,15 +479,15 @@ def list_based_assemble(dataset, spec):
     instances = []
     for node in selected:
         event = node.name
-        defs_rng, samples_rng = _rng(spec.seed, event, "defs"), _rng(spec.seed, event, "samples")
-        negatives_rng = _rng(spec.seed, event, "negatives")
-        sel_defs = [node.definitions[i] for i in defs_rng.sample(range(len(node.definitions)), spec.n_definitions)]
-        sel_samples = [node.samples[i] for i in sorted(samples_rng.sample(range(len(node.samples)), spec.n_samples))]
+        sel_defs = permuted(node.definitions, event, "defs")[:spec.n_definitions]
+        sample_ids = permuted(range(len(node.samples)), event, "samples")[:spec.n_samples]
         all_siblings = siblings(dataset, event)
         sibling_pool = [s for s in all_siblings if s in candidates]
         cousins = [c for c in _cousin_pool(node) if c in candidates]
         non_siblings = [c for c in events if c not in set(all_siblings) and c in candidates]
-        for si, sample in enumerate(sel_samples):
+        for si, index in enumerate(sample_ids):
+            sample = node.samples[index]
+            negatives_rng = _rng(spec.seed, event, "negatives", str(index))
             instances.append(TrainingInstance(
                 f"{event}|s{si}|p", event, sel_defs[si % spec.n_definitions] if spec.with_definition else "",
                 context(node), sample.sentence, sample.trigger, "positive",
@@ -472,7 +512,14 @@ def list_based_assemble(dataset, spec):
                 shortfall -= len(fill)
             plain_needed = (spec.n_negatives - spec.n_hard_negatives) + shortfall
             plain_pool = eligible(non_siblings)
-            plain = negatives_rng.sample(plain_pool, min(plain_needed, len(plain_pool)))
+            if len(plain_pool) <= plain_needed:
+                plain = plain_pool
+            else:
+                plain = []
+                while len(plain) < plain_needed:
+                    neg = candidate_list[negatives_rng.randrange(len(candidate_list))]
+                    if neg in plain_pool and neg not in plain:
+                        plain.append(neg)
             if len(plain) < plain_needed:
                 used.update(plain)
                 overflow_pool = eligible(sibling_pool)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
+from datetime import datetime
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,7 +48,7 @@ def test_ingest_heldout_writes_filtered_ontology_and_manifest(tmp_path):
     assert manifest["input_paths"] == [str(TOY_ONTOLOGY)]
     assert manifest["output_paths"] == [str(out)]
     assert manifest["config_hash"]
-    assert manifest["timestamp"]
+    assert manifest["volatile"]["timestamp"]
 
 
 def test_ingest_comma_and_repeat_heldout(tmp_path):
@@ -72,6 +75,28 @@ def test_pipeline_chain_and_manifest_links(tmp_path):
     # chaining: d2's manifest records the digest of d1's manifest
     assert str(d1) in manifest["input_manifests"]
     assert len(manifest["input_manifests"][str(d1)]) == 64
+
+
+def test_reruns_write_the_same_manifests_but_for_the_volatile_block(tmp_path, monkeypatch):
+    """The chain digests each input manifest without its ``volatile`` block, so
+    a rerun at another time chains the same digest; a manifest that is not a
+    JSON object is digested as raw bytes."""
+    d1, d2 = tmp_path / "d1.jsonl", tmp_path / "d2.jsonl"
+    runs = []
+    for year in (2020, 2031):
+        monkeypatch.setattr(cli, "datetime", SimpleNamespace(now=lambda tz, year=year: datetime(year, 1, 1, tzinfo=tz)))
+        assert run(["curate-defs", "--ontology", str(TOY_ONTOLOGY), "--seed", "3", "--out", str(d1)]) == 0
+        assert run(["curate-samples", "--dataset", str(d1), "--seed", "3", "--per-event", "2", "--out", str(d2)]) == 0
+        runs.append([json.loads(manifest_path(p).read_text(encoding="utf-8")) for p in (d1, d2)])
+    assert [m.pop("volatile") for m in runs[0]] != [m.pop("volatile") for m in runs[1]]
+    assert runs[0] == runs[1]
+    written = json.dumps(runs[1][0], ensure_ascii=False, indent=2) + "\n"
+    assert runs[1][1]["input_manifests"] == {str(d1): hashlib.sha256(written.encode("utf-8")).hexdigest()}
+
+    manifest_path(d1).write_bytes(b"[1, 2]\n")
+    assert run(["curate-samples", "--dataset", str(d1), "--per-event", "2", "--out", str(d2)]) == 0
+    chained = json.loads(manifest_path(d2).read_text(encoding="utf-8"))["input_manifests"]
+    assert chained == {str(d1): hashlib.sha256(b"[1, 2]\n").hexdigest()}
 
 
 def test_mock_generation_keeps_a_comma_in_an_event_name(tmp_path):
