@@ -28,7 +28,6 @@ from typing import Iterable, Iterator
 
 from . import jsonl
 from .errors import DivedError
-from .llm_client import _PLACEHOLDER_RE, MissingPlaceholderError
 from .ontology import EventTypeNode, Ontology
 
 logger = logging.getLogger(__name__)
@@ -294,49 +293,18 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
 # Instance rendering
 # ---------------------------------------------------------------------------
 
-DEFAULT_INSTANCE_TEMPLATE = (
-    "Identify the event trigger in the sentence.\n"
-    "Event type: {event}\n"
-    "{definition_block}"
-    "{ontology_block}"
-    "Sentence: {sentence}\n"
-    "Answer with the trigger word, or None if the event does not occur.\n"
-)
 
-def render_instance(
-    instance: TrainingInstance, template: str = DEFAULT_INSTANCE_TEMPLATE
-) -> tuple[str, str]:
-    """Serialize one instance into a (prompt, completion) pair.
-
-    The definition and ontology blocks are emitted only when the instance
-    carries them, so the ablation variant simply has no Definition block.
-    """
-    present = set(_PLACEHOLDER_RE.findall(template))
-    required = {"event", "sentence"}
+def render_instance(instance: TrainingInstance) -> tuple[str, str]:
+    """Serialize one instance into a (prompt, completion) pair, in one fixed
+    instruction format. The Definition line appears only when the instance
+    has a definition (so the ablation variant has none), the Ontology line
+    only when it has a context. Field values go in as they are."""
+    prompt = f"Identify the event trigger in the sentence.\nEvent type: {instance.event_name}\n"
     if instance.definition:
-        required.add("definition_block")
-    if instance.ontology_context is not None:
-        required.add("ontology_block")
-    missing = required - present
-    if missing:
-        raise MissingPlaceholderError(sorted(missing))
-
-    definition_block = f"Definition: {instance.definition}\n" if instance.definition else ""
-    if instance.ontology_context is not None:
-        ctx = instance.ontology_context
-        ontology_block = (
-            f"Ontology: parent event: {ctx.parent or 'none'}; "
-            f"child events: {', '.join(ctx.children) or 'none'}\n"
-        )
-    else:
-        ontology_block = ""
-    values = {
-        "event": instance.event_name,
-        "sentence": instance.sentence,
-        "definition_block": definition_block,
-        "ontology_block": ontology_block,
-    }
-    prompt = _PLACEHOLDER_RE.sub(lambda m: values.get(m.group(1), m.group(0)), template)
+        prompt += f"Definition: {instance.definition}\n"
+    if (ctx := instance.ontology_context) is not None:
+        prompt += f"Ontology: parent event: {ctx.parent or 'none'}; child events: {', '.join(ctx.children) or 'none'}\n"
+    prompt += f"Sentence: {instance.sentence}\nAnswer with the trigger word, or None if the event does not occur.\n"
     return prompt, instance.target
 
 

@@ -16,6 +16,7 @@ same as matching every event type on its own.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,16 +39,15 @@ def normalize_trigger(text: str) -> str:
     return " ".join(text.split())
 
 
-def parse_model_output(raw: str, delimiters: str = ",\n") -> list[str]:
+def parse_model_output(raw: str) -> list[str]:
     """Split raw model output into trigger strings.
 
-    Splits on any delimiter character, trims, drops empty pieces and the
+    Splits on each comma and line feed, trims, drops empty pieces and the
     literal "None" (case-insensitive). Order is preserved and duplicates are
     kept: triggers are multisets.
     """
-    parts = re.split(f"[{re.escape(delimiters)}]", raw)
     out = []
-    for part in parts:
+    for part in re.split("[,\n]", raw):
         trimmed = part.strip()
         if trimmed and trimmed.casefold() != NONE_TOKEN:
             out.append(trimmed)
@@ -331,8 +331,14 @@ _SCORE_KEYS = ("tp", "fp", "fn", "precision", "recall", "f1")
 
 
 def _check_scores(obj: object, path: str | Path, where: str) -> None:
-    if not isinstance(obj, dict) or not all(type(obj.get(key)) in (int, float) for key in _SCORE_KEYS):
-        raise EvaluationInputError(f"{path}: {where} must be an object with numbers {', '.join(_SCORE_KEYS)}")
+    try:  # math.isfinite raises OverflowError on an integer too large for a float
+        ok = isinstance(obj, dict) and all(
+            type(v := obj.get(key)) in (int, float) and math.isfinite(v) for key in _SCORE_KEYS
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise EvaluationInputError(f"{path}: {where} must be an object with finite numbers {', '.join(_SCORE_KEYS)}")
 
 
 def read_report(path: str | Path) -> ScoreReport:

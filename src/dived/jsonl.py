@@ -3,7 +3,7 @@
 All files are UTF-8, one JSON object per line, LF line endings. Writers are
 deterministic: same rows in, same bytes out. Every output of the pipeline is
 written through ``open_atomic``, so a crash mid-write leaves the previous file
-(or none) in place, never a truncated one.
+(or none) in place, never a truncated one. NaN and Infinity raise ValueError.
 
 Reading costs one call of the C scanner per non-blank line (plus two
 whitespace matches), not the Python wrappers of ``json.loads``. A line the
@@ -107,7 +107,7 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
 
 # One encoder for every row: the same bytes as json.dumps(row, ensure_ascii=False),
 # which builds a new encoder on each call.
-encode_row: Callable[[Any], str] = json.JSONEncoder(ensure_ascii=False).encode
+encode_row: Callable[[Any], str] = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
 def write_rows(path: str | Path, rows: Iterable[Any], encode: Callable[[Any], str] = encode_row) -> int:
@@ -124,5 +124,5 @@ def write_rows(path: str | Path, rows: Iterable[Any], encode: Callable[[Any], st
 def write_object(path: str | Path, obj: Any) -> None:
     """Write one JSON value, indented by two spaces and ending in a newline, atomically."""
     with open_atomic(path) as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=2)
+        json.dump(obj, fh, ensure_ascii=False, indent=2, allow_nan=False)
         fh.write("\n")

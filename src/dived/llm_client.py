@@ -246,8 +246,8 @@ def _mock_bases(rng: random.Random, events: list[str]) -> list[str]:
     return [f"{_MOCK_VERBS[i % len(_MOCK_VERBS)]}{i // len(_MOCK_VERBS)}" for i in range(len(events))]
 
 
-def mock_generate(seed: int, request: GenRequest) -> GenResponse:
-    """Deterministic stand-in for a generation API.
+def mock_generate(seed: int, request: GenRequest) -> str:
+    """Deterministic stand-in for a generation API: the reply text.
 
     The output is a pure function of (seed, template_id, variables) and always
     parses under the grammar of the corresponding pipeline step: sample
@@ -296,7 +296,7 @@ def mock_generate(seed: int, request: GenRequest) -> GenResponse:
     else:  # pragma: no cover - TemplateId is closed
         raise ValueError(f"unknown template id {request.template_id!r}")
 
-    return GenResponse(text="\n".join(lines), attempts=1)
+    return "\n".join(lines)
 
 
 class MockBackend(Backend):
@@ -308,7 +308,7 @@ class MockBackend(Backend):
         self.seed = seed
 
     def generate(self, request: GenRequest) -> str:
-        return mock_generate(self.seed, request).text
+        return mock_generate(self.seed, request)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +400,7 @@ class HttpBackend(Backend):
 # ---------------------------------------------------------------------------
 
 
+BACKOFF_BASE_S = 0.5  # seconds; the first wait without a usable Retry-After, doubled before each later retry
 MAX_RETRY_AFTER = 300.0  # seconds; a server that asks for a longer wait fails the request
 MAX_IN_FLIGHT = 64  # the most requests in flight at once, each on its own thread
 MAX_RETRY_LIMIT = 10  # the most retries per request
@@ -410,7 +411,6 @@ def complete_batch(
     backend: Backend,
     max_in_flight: int = 4,
     retry_limit: int = 3,
-    backoff_base: float = 0.5,
 ) -> list[BatchResult]:
     """Run requests and return one result per request, in request order.
 
@@ -420,7 +420,7 @@ def complete_batch(
     threads would overlap no waiting; max_in_flight is then only checked.
     Transient failures are retried up to retry_limit extra attempts. Before
     each retry it waits the server's ``Retry-After`` when the error carries
-    one (0 retries at once), and otherwise backoff_base * 2**(attempt - 1)
+    one (0 retries at once), and otherwise BACKOFF_BASE_S * 2**(attempt - 1)
     seconds (no jitter, for reproducibility). A ``Retry-After`` above
     MAX_RETRY_AFTER ends the request at that attempt, without a wait. A
     request that still fails yields a GenFailure in its slot instead of
@@ -447,7 +447,7 @@ def complete_batch(
                     return GenFailure(error=str(exc), attempts=attempts)
                 delay = exc.retry_after
                 if delay is None:
-                    delay = backoff_base * (2 ** (attempts - 1))
+                    delay = BACKOFF_BASE_S * (2 ** (attempts - 1))
                 elif delay > MAX_RETRY_AFTER:
                     error = f"{exc}: Retry-After {delay:g} s is above the {MAX_RETRY_AFTER:g} s cap"
                     logger.warning("request failed: %s", error)

@@ -4,7 +4,10 @@ its per-row records."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,8 @@ import pytest
 
 import dived
 from dived import assembly, curation, evaluation, llm_client
+
+from conftest import FIXTURES, REPO_ROOT
 
 
 def test_every_exported_name_resolves():
@@ -39,6 +44,15 @@ def test_removed_request_and_result_fields_are_gone():
     assert [f.name for f in dataclasses.fields(llm_client.GenResponse)] == ["text", "attempts"]
     assert [f.name for f in dataclasses.fields(llm_client.GenFailure)] == ["error", "attempts"]
     assert not hasattr(llm_client.Backend, "name") and not hasattr(llm_client.MockBackend(seed=1), "name")
+
+
+def test_removed_knobs_are_gone():
+    """One instance prompt, one back-off base and one set of trigger delimiters."""
+    assert list(inspect.signature(assembly.render_instance).parameters) == ["instance"]
+    assert not hasattr(assembly, "DEFAULT_INSTANCE_TEMPLATE")
+    assert list(inspect.signature(llm_client.complete_batch).parameters) == [
+        "requests_", "backend", "max_in_flight", "retry_limit"]
+    assert list(inspect.signature(evaluation.parse_model_output).parameters) == ["raw"]
 
 
 PER_ROW_RECORDS = [
@@ -95,3 +109,16 @@ def test_import_loads_no_third_party_http_stack():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    """README's one Python block runs as written, from a directory holding a
+    copy of ``fixtures/``."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (REPO_ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert isinstance(namespace["prompt"], str) and namespace["prompt"]

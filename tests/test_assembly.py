@@ -3,12 +3,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import tempfile
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dived.assembly import (
@@ -28,7 +29,6 @@ from dived.assembly import (
 from dived.assembly import _cousin_pool, _rng
 from dived.curation import GeneratedSample
 from dived.jsonl import JsonlError
-from dived.llm_client import MissingPlaceholderError
 from dived.ontology import build_ontology, siblings
 
 from conftest import grid_dataset, make_dataset, make_sample
@@ -360,9 +360,62 @@ def test_render_ablated_has_no_definition_block():
     assert "Definition:" not in prompt
 
 
-def test_render_missing_placeholder_error():
-    with pytest.raises(MissingPlaceholderError):
-        render_instance(_positive(), template="Event: {event}\nSentence: {sentence}\n")
+# The template engine that render_instance used to run, as the oracle for
+# the fixed prompt: the template's placeholders are filled once, so brace
+# text inside a value is never substituted.
+_REFERENCE_TEMPLATE = (
+    "Identify the event trigger in the sentence.\n"
+    "Event type: {event}\n"
+    "{definition_block}"
+    "{ontology_block}"
+    "Sentence: {sentence}\n"
+    "Answer with the trigger word, or None if the event does not occur.\n"
+)
+
+
+def _reference_render(instance: TrainingInstance) -> tuple[str, str]:
+    definition_block = f"Definition: {instance.definition}\n" if instance.definition else ""
+    if instance.ontology_context is not None:
+        ctx = instance.ontology_context
+        ontology_block = (
+            f"Ontology: parent event: {ctx.parent or 'none'}; "
+            f"child events: {', '.join(ctx.children) or 'none'}\n"
+        )
+    else:
+        ontology_block = ""
+    values = {
+        "event": instance.event_name,
+        "sentence": instance.sentence,
+        "definition_block": definition_block,
+        "ontology_block": ontology_block,
+    }
+    return re.sub(r"\{([a-z_]+)\}", lambda m: values.get(m.group(1), m.group(0)), _REFERENCE_TEMPLATE), instance.target
+
+
+_render_text = st.one_of(
+    st.lists(st.sampled_from(["{event}", "{sentence}", "{definition_block}", "{ontology_block}", "{other}",
+                              "{", "}", "é", "事件", "none", "a", " ", ", "]), max_size=6).map("".join),
+    st.text(max_size=12),
+)
+_render_context = st.one_of(
+    st.none(),
+    st.builds(OntologyContext, parent=st.none() | _render_text, children=st.lists(_render_text, max_size=4).map(tuple)),
+)
+
+
+@given(event=_render_text, definition=st.just("") | _render_text, context=_render_context,
+       sentence=_render_text, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_render_instance_equals_the_template_engine(event, definition, context, sentence, data):
+    if sentence and data.draw(st.booleans(), label="positive"):
+        start = data.draw(st.integers(0, len(sentence) - 1), label="start")
+        target = sentence[start:data.draw(st.integers(start + 1, len(sentence)), label="end")]
+        assume(target != "None")
+        kind = "positive"
+    else:
+        target, kind = "None", data.draw(st.sampled_from(["negative", "hard_negative"]), label="kind")
+    inst = TrainingInstance("i", event, definition, context, sentence, target, kind)
+    assert render_instance(inst) == _reference_render(inst)
 
 
 # ---------------------------------------------------------------------------

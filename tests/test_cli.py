@@ -807,3 +807,23 @@ def test_ablate_report_rejects_a_malformed_report_naming_the_file(tmp_path, caps
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "infinity", "minus_infinity", "int_too_large_for_a_float"])
+@pytest.mark.parametrize("where", ["identification", "classification", "per_event_type"])
+@pytest.mark.parametrize("side", ["baseline", "ablated"])
+def test_ablate_report_rejects_a_score_that_is_not_a_finite_float(tmp_path, capsys, value, where, side):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(fake_report(0.5)), encoding="utf-8")
+    report = {"identification": dict(SCORES), "classification": dict(SCORES), "per_event_type": {"T": dict(SCORES)}}
+    scores = report[where]["T"] if where == "per_event_type" else report[where]
+    scores["f1"] = "@"  # stands for a literal that json.dumps does not write
+    bad.write_text(json.dumps(report).replace('"@"', value), encoding="utf-8")
+    paths = {"baseline": good, "ablated": good, side: bad}
+    out = tmp_path / "drops.json"
+    code = run(["ablate-report", "--baseline", str(paths["baseline"]), "--ablated", str(paths["ablated"]),
+                "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()

@@ -48,6 +48,18 @@ def test_write_object_bytes_equal_indented_json_dump(tmp_path):
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("write", [jsonl.write_object, lambda path, obj: jsonl.write_rows(path, [obj])],
+                         ids=["write_object", "write_rows"])
+def test_writers_refuse_nan_and_infinity_and_keep_the_old_file(tmp_path, value, write):
+    path = tmp_path / "out.json"
+    path.write_bytes(OLD_BYTES)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write(path, {"f1": [1.0, value]})
+    assert path.read_bytes() == OLD_BYTES
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_write_rows_crash_keeps_old_file(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(OLD_BYTES)

@@ -84,18 +84,19 @@ def _sample_request(events: str = "attack\nprotest", count: str = "10") -> GenRe
 
 def test_mock_deterministic_for_same_seed_and_request():
     req = _sample_request()
-    assert mock_generate(3, req).text == mock_generate(3, req).text
+    assert isinstance(mock_generate(3, req), str)
+    assert mock_generate(3, req) == mock_generate(3, req)
 
 
 def test_mock_differs_across_seeds():
     req = _sample_request()
-    assert mock_generate(1, req).text != mock_generate(2, req).text
+    assert mock_generate(1, req) != mock_generate(2, req)
 
 
 def test_mock_sample_output_parses_to_exact_counts():
     events = ["attack", "protest", "bombing"]
     req = _sample_request(events="\n".join(events))
-    text = mock_generate(9, req).text
+    text = mock_generate(9, req)
     stats = parse_samples(text, events, per_event=10)
     for event in events:
         assert len(stats[event].samples) == 10
@@ -107,7 +108,7 @@ def test_mock_sample_output_parses_to_exact_counts():
 def test_mock_triggers_disjoint_across_events_in_one_request():
     events = ["attack", "protest", "bombing", "ambush"]
     req = _sample_request(events="\n".join(events))
-    stats = parse_samples(mock_generate(5, req).text, events, per_event=10)
+    stats = parse_samples(mock_generate(5, req), events, per_event=10)
     seen: dict[str, set[str]] = {e: {s.trigger for s in stats[e].samples} for e in events}
     for a in events:
         for b in events:
@@ -118,7 +119,7 @@ def test_mock_triggers_disjoint_across_events_in_one_request():
 def test_mock_definition_output_covers_all_events():
     events = ["attack", "protest"]
     req = GenRequest(TemplateId.DEFINITION_CURATION, {"events": "attack\nprotest", "example": ""})
-    text = mock_generate(4, req).text
+    text = mock_generate(4, req)
     for event in events:
         assert f"{event}\tdefinition: " in text
 
@@ -128,7 +129,7 @@ def test_mock_expansion_emits_distinct_paraphrases():
         TemplateId.DEFINITION_EXPANSION,
         {"event": "attack", "definition": "seed", "ontology": "", "count": "10", "example": ""},
     )
-    lines = [ln for ln in mock_generate(2, req).text.splitlines() if "\tparaphrase: " in ln]
+    lines = [ln for ln in mock_generate(2, req).splitlines() if "\tparaphrase: " in ln]
     assert len(lines) == 10
     assert len(set(lines)) == 10
 
@@ -240,13 +241,14 @@ def test_complete_batch_scripted_failure_does_not_abort_batch():
     assert isinstance(results[2], GenResponse) and results[2].text == "ok-3"
 
 
-def test_complete_batch_retries_transient_then_succeeds():
+def test_complete_batch_retries_transient_then_succeeds(sleeps):
     from dived.llm_client import TransientBackendError
 
     backend = ScriptedBackend([TransientBackendError("HTTP 429"), TransientBackendError("HTTP 429"), "ok"])
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, backoff_base=0)
+    results = complete_batch([_sample_request()], backend, max_in_flight=1)
     assert isinstance(results[0], GenResponse)
     assert results[0].attempts == 3
+    assert sleeps == [0.5, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,45 +309,49 @@ def test_http_backend_requires_credential(stub_server, monkeypatch):
         backend.generate(_sample_request())
 
 
-def test_http_backend_retries_429_then_succeeds(stub_server, monkeypatch):
+def test_http_backend_retries_429_then_succeeds(stub_server, monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(429, {}), (429, {}), (200, _ok_body("generated text"))]
     backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, backoff_base=0)
+    results = complete_batch([_sample_request()], backend, max_in_flight=1)
     assert isinstance(results[0], GenResponse)
     assert results[0].text == "generated text"
     assert results[0].attempts == 3
+    assert sleeps == [0.5, 1.0]
     assert _StubHandler.seen_payloads[0]["model"] == "test-model"
     assert "messages" in _StubHandler.seen_payloads[0]
 
 
-def test_http_backend_retry_exhaustion_yields_failure_record(stub_server, monkeypatch):
+def test_http_backend_retry_exhaustion_yields_failure_record(stub_server, monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(500, {})] * 10
     backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2, backoff_base=0)
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2)
     assert isinstance(results[0], GenFailure)
     assert results[0].attempts == 3  # retry limit 2 = three attempts total
     assert "500" in results[0].error
+    assert sleeps == [0.5, 1.0]  # no wait after the last attempt
 
 
-def test_http_backend_client_error_is_permanent(stub_server, monkeypatch):
+def test_http_backend_client_error_is_permanent(stub_server, monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(404, {})]
     backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3, backoff_base=0)
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3)
     assert isinstance(results[0], GenFailure)
     assert results[0].attempts == 1
+    assert sleeps == []
 
 
 @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "parts"}], 7], ids=["null", "list", "number"])
-def test_http_backend_non_string_content_is_permanent(stub_server, monkeypatch, content):
+def test_http_backend_non_string_content_is_permanent(stub_server, monkeypatch, sleeps, content):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(200, {"choices": [{"message": {"content": content}}]})]
     backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3, backoff_base=0)
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3)
     assert isinstance(results[0], GenFailure)
     assert results[0].attempts == 1 and "content" in results[0].error
+    assert sleeps == []
 
 
 def test_null_content_makes_a_generation_command_exit_2(stub_server, monkeypatch, tmp_path, capsys):
@@ -363,11 +369,11 @@ def test_null_content_makes_a_generation_command_exit_2(stub_server, monkeypatch
 # ---------------------------------------------------------------------------
 
 
-def _retry_once(stub_server, monkeypatch, first: tuple, backoff_base: float = 0.5) -> GenResponse:
+def _retry_once(stub_server, monkeypatch, first: tuple) -> GenResponse:
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [first, (200, _ok_body("generated text"))]
     backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, backoff_base=backoff_base)
+    results = complete_batch([_sample_request()], backend, max_in_flight=1)
     assert isinstance(results[0], GenResponse) and results[0].attempts == 2
     return results[0]
 
@@ -400,7 +406,7 @@ def test_missing_or_bad_retry_after_keeps_exponential_backoff(stub_server, monke
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(429, {}, headers), (500, {}, headers), (200, _ok_body("generated text"))]
     backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, backoff_base=0.5)
+    results = complete_batch([_sample_request()], backend, max_in_flight=1)
     assert isinstance(results[0], GenResponse) and results[0].attempts == 3
     assert sleeps == [0.5, 1.0]
 
@@ -562,7 +568,7 @@ def test_a_redirect_target_on_another_host_never_sees_the_credential(stub_server
 def test_refused_connection_is_a_transient_network_error(monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     backend = HttpBackend(endpoint=f"http://127.0.0.1:{_closed_port()}/v1/chat/completions", model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2, backoff_base=0.5)
+    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2)
     assert isinstance(results[0], GenFailure) and results[0].attempts == 3
     assert results[0].error.startswith("network error")
     assert sleeps == [0.5, 1.0]
