@@ -7,13 +7,16 @@ ablation variant. All sampling is seeded per event and per positive, so
 output is a pure function of (dataset, spec) regardless of scheduling, and a
 smaller slice lies inside a larger one.
 
-Each positive draws its negatives from its own RNG, by rejection from the
-candidate list, against a sentence index that keeps for each selected
-sentence the distinct events that hold it. Negative rows are written from
-pieces encoded once per event and kept; a positive row's piece is encoded
-when the row is written (see ``write_jsonl``). ``iter_instances`` yields the
-instances one at a time, so ``write_jsonl(iter_instances(...))`` writes a
-slice without holding it.
+Each positive draws its negatives from its own RNG, out of four pools that
+leave out the events holding its sentence (a sentence index keeps, for
+each selected sentence, the distinct events that hold it): hard negatives
+from the event's free siblings, a cousin fill for their shortfall, plain
+negatives by rejection from the candidate list, and a top-up from the free
+siblings left over when the plain ones run out. Negative rows are written
+from pieces encoded once per event and kept; a positive row's piece is
+encoded when the row is written (see ``write_jsonl``). ``iter_instances``
+yields the instances one at a time, so ``write_jsonl(iter_instances(...))``
+writes a slice without holding it.
 """
 
 from __future__ import annotations
@@ -152,15 +155,20 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
     candidates for one sentence is found only when its turn comes, and
     raised from the iteration.
 
-    Cost: the sentence index is built once. A plain negative is a uniform
-    pick from the whole candidate list, drawn again while it falls in the
-    skip set (the event, its siblings, the sentence's holders and the
-    negatives already drawn); when no more candidates lie outside that set
-    than are needed, all of them are taken in pre-order. So a positive costs
-    about its skip set and its draws, not a pass over the candidates. An
-    event's cousin pool is built the first time one of its positives is
-    short of siblings. Memory follows the dataset and the slice's picks, not
-    the instance count: nothing keeps an instance once it is yielded.
+    Cost: the sentence index is built once. A positive draws from four
+    pools, in this order: hard negatives from its free siblings (the
+    event's candidate siblings that do not hold the sentence, listed once
+    per positive); the cousin fill from the cousins that do not hold it;
+    plain negatives, each a uniform pick from the whole candidate list drawn
+    again while it falls in the skip set (the event, its siblings, the
+    sentence's holders, the cousin fill and the plain negatives already
+    drawn), or all candidates outside that set in pre-order when no more lie
+    outside it than are needed; and the top-up from the free siblings not
+    drawn as hard negatives. So a positive costs about its siblings, its
+    skip set and its draws, not a pass over the candidates. An event's
+    cousin pool is built the first time one of its positives is short of
+    siblings. Memory follows the dataset and the slice's picks, not the
+    instance count: nothing keeps an instance once it is yielded.
     """
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
@@ -207,8 +215,7 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
     fallback_count = 0
     for node, sel_defs, sample_ids in picks:
         event = node.name
-        sibling_pool = [c for c in (node.parent.children if node.parent else ()) if c is not node and c in is_candidate]
-        own_skip = {node, *sibling_pool}  # every set here holds candidates only
+        siblings = [c for c in (node.parent.children if node.parent else ()) if c is not node and c in is_candidate]
         cousins: list[EventTypeNode] | None = None  # built on the first shortfall of siblings
 
         for si, sample_index in enumerate(sample_ids):
@@ -227,30 +234,19 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
 
             negatives_rng = _rng(spec.seed, event, "negatives", str(sample_index))
             held_by = holders[sample.sentence]
-            used: set[EventTypeNode] = set()
-
-            def eligible(pool: Iterable[EventTypeNode]) -> list[EventTypeNode]:
-                return [c for c in pool if c is not node and c not in used and c not in held_by]
-
-            negative_events: list[tuple[EventTypeNode, str]] = []  # (event, kind)
-            sib_pool = eligible(sibling_pool)
-            hard = negatives_rng.sample(sib_pool, min(spec.n_hard_negatives, len(sib_pool)))
-            used.update(hard)
-            negative_events.extend((neg, "hard_negative") for neg in hard)
-
+            free_siblings = [c for c in siblings if c not in held_by]
+            hard = negatives_rng.sample(free_siblings, min(spec.n_hard_negatives, len(free_siblings)))
+            fill: list[EventTypeNode] = []
             shortfall = spec.n_hard_negatives - len(hard)
             if shortfall > 0:
                 fallback_count += shortfall
                 if cousins is None:
                     cousins = [c for c in _cousin_pool(node) if c in is_candidate]
-                cousin_pool = eligible(cousins)
-                fill = negatives_rng.sample(cousin_pool, min(shortfall, len(cousin_pool)))
-                used.update(fill)
-                negative_events.extend((neg, "negative") for neg in fill)
-                shortfall -= len(fill)
+                free_cousins = [c for c in cousins if c not in held_by]
+                fill = negatives_rng.sample(free_cousins, min(shortfall, len(free_cousins)))
 
-            plain_needed = (spec.n_negatives - spec.n_hard_negatives) + shortfall
-            skip = own_skip.union(held_by, used)
+            plain_needed = spec.n_negatives - len(hard) - len(fill)
+            skip = {node, *siblings}.union(held_by, fill)  # every set here holds candidates only
             if len(candidates) - len(skip) <= plain_needed:
                 plain = [c for c in candidates if c not in skip]
             else:
@@ -262,19 +258,16 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
                         plain.append(neg)
             if len(plain) < plain_needed:
                 # Non-sibling candidates exhausted (small trees): top up from
-                # the remaining siblings, still as plain negatives.
-                used.update(plain)
-                overflow_pool = eligible(sibling_pool)
-                overflow = negatives_rng.sample(overflow_pool, min(plain_needed - len(plain), len(overflow_pool)))
-                plain.extend(overflow)
+                # the free siblings left over, still as plain negatives.
+                rest = [c for c in free_siblings if c not in hard]
+                plain += negatives_rng.sample(rest, min(plain_needed - len(plain), len(rest)))
             if len(plain) < plain_needed:
                 raise InsufficientDataError(
                     f"event {event!r}, sample {si}: need {plain_needed - len(plain)} more "
                     f"negative candidates than the dataset offers"
                 )
-            negative_events.extend((neg, "negative") for neg in plain)
 
-            for ni, (neg, kind) in enumerate(negative_events):
+            for ni, neg in enumerate(hard + fill + plain):
                 yield TrainingInstance(
                     instance_id=f"{event}|s{si}|n{ni}",
                     event_name=neg.name,
@@ -282,7 +275,7 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
                     ontology_context=context(neg),
                     sentence=sample.sentence,
                     target=NONE_TARGET,
-                    kind=kind,
+                    kind="hard_negative" if ni < len(hard) else "negative",
                 )
 
     if fallback_count:
@@ -377,10 +370,3 @@ def read_jsonl(path: str | Path) -> list[TrainingInstance]:
         except ValueError as exc:
             raise jsonl.JsonlError(path, lineno, str(exc)) from exc
     return instances
-
-
-def count_kinds(instances: Iterable[TrainingInstance]) -> dict[str, int]:
-    counts = {kind: 0 for kind in KINDS}
-    for inst in instances:
-        counts[inst.kind] += 1
-    return counts

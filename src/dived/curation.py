@@ -438,8 +438,8 @@ def read_dataset(path: str | Path) -> Ontology:
     """Load a dataset as an Ontology with definitions and samples on its nodes.
 
     The rows must form a valid ontology (names unique up to case, parents
-    known, no cycles); ``children`` is only type-checked. Every error names
-    ``path:line``.
+    known, no cycles); ``children`` is only type-checked. A definition must
+    be one non-blank line. Every error names ``path:line``.
     """
     rows: list[tuple[int, str, str | None, dict]] = []
     for lineno, obj in jsonl.read_rows(path):
@@ -453,6 +453,9 @@ def read_dataset(path: str | Path) -> Ontology:
                 raise jsonl.JsonlError(path, lineno, "field 'children' must be a list of strings")
             if not isinstance(definitions, list) or not all(isinstance(d, str) for d in definitions):
                 raise jsonl.JsonlError(path, lineno, "field 'definitions' must be a list of strings")
+            for definition in definitions:  # one line of text, as an event name is
+                if not definition.strip() or definition.splitlines() != [definition]:
+                    raise jsonl.JsonlError(path, lineno, f"definition {definition!r} is blank or holds a line break")
             samples = obj.get("samples", [])
             if not isinstance(samples, list) or not all(
                 isinstance(s, dict) and isinstance(s.get("sentence"), str) and isinstance(s.get("trigger"), str)

@@ -30,7 +30,6 @@ from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import Mapping, Sequence, Union
 from urllib.parse import urlsplit
 
@@ -43,10 +42,6 @@ class TemplateId(str, Enum):
     DEFINITION_CURATION = "definition_curation"
     SAMPLE_CURATION = "sample_curation"
     DEFINITION_EXPANSION = "definition_expansion"
-
-
-class TemplateNotFoundError(DivedError):
-    pass
 
 
 class MissingPlaceholderError(DivedError):
@@ -111,30 +106,18 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
 @functools.cache
-def _load_template(template_id: TemplateId, templates_dir: str | Path | None) -> str:
-    if templates_dir is not None:
-        path = Path(templates_dir) / f"{template_id.value}.txt"
-        if not path.is_file():
-            raise TemplateNotFoundError(f"no template file {path}")
-        return path.read_text(encoding="utf-8")
-    ref = resources.files("dived").joinpath("templates", f"{template_id.value}.txt")
-    try:
-        return ref.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise TemplateNotFoundError(f"no packaged template {template_id.value!r}") from None
+def _load_template(template_id: TemplateId) -> str:
+    return resources.files("dived").joinpath("templates", f"{template_id.value}.txt").read_text(encoding="utf-8")
 
 
-def render(
-    template_id: TemplateId,
-    variables: Mapping[str, str],
-    templates_dir: str | Path | None = None,
-) -> str:
+def render(template_id: TemplateId, variables: Mapping[str, str]) -> str:
     """Substitute {name} placeholders in the named template.
 
-    Pure placeholder substitution: bytes outside placeholders are untouched.
+    Pure placeholder substitution in one pass: bytes outside placeholders
+    are untouched, and a value that holds ``{name}`` text goes in as it is.
     Raises MissingPlaceholderError listing every unbound placeholder.
     """
-    text = _load_template(TemplateId(template_id), templates_dir)
+    text = _load_template(TemplateId(template_id))
     placeholders = set(_PLACEHOLDER_RE.findall(text))
     missing = placeholders - set(variables)
     if missing:
@@ -348,7 +331,6 @@ class HttpBackend(Backend):
     model: str
     api_key_env: str = "DIVED_API_KEY"
     timeout: float = 60.0
-    templates_dir: str | None = None
 
     def __post_init__(self) -> None:
         try:  # .port raises ValueError on a port that is not a number up to 65535
@@ -364,7 +346,7 @@ class HttpBackend(Backend):
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise BackendConfigError(f"environment variable {self.api_key_env} is not set")
-        prompt = render(request.template_id, request.variables, self.templates_dir)
+        prompt = render(request.template_id, request.variables)
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

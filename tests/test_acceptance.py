@@ -10,11 +10,12 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from dived import cli
-from dived.assembly import SliceSpec, assemble, count_kinds, read_jsonl, write_jsonl
+from dived.assembly import SliceSpec, assemble, read_jsonl, write_jsonl
 from dived.cli import main
 from dived.curation import read_dataset
 from dived.evaluation import ScoreReport, Scores, drop_rate, match_and_score
@@ -117,7 +118,7 @@ def test_criterion_4_assembly_counts_across_sweeps():
             n_negatives=n_negatives, n_hard_negatives=n_hard, seed=1729,
         )
         instances = assemble(dataset, spec)
-        counts = count_kinds(instances)
+        counts = Counter(inst.kind for inst in instances)
         assert counts["positive"] == n_events * n_samples
         assert counts["negative"] + counts["hard_negative"] == n_events * n_samples * n_negatives
         assert counts["hard_negative"] == n_events * n_samples * n_hard
@@ -252,7 +253,7 @@ def test_criterion_7_end_to_end_mock_pipeline(tmp_path):
     instances = read_jsonl(outdir / "instances.jsonl")
     # 12 events x 10 samples positives, each with 10 negatives: E*S*(1+N)
     assert len(instances) == 12 * 10 * (1 + 10)
-    counts = count_kinds(instances)
+    counts = Counter(inst.kind for inst in instances)
     assert counts["positive"] == 120
     assert counts["negative"] + counts["hard_negative"] == 1200
 

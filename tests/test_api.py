@@ -47,12 +47,17 @@ def test_removed_request_and_result_fields_are_gone():
 
 
 def test_removed_knobs_are_gone():
-    """One instance prompt, one back-off base and one set of trigger delimiters."""
+    """One instance prompt, one back-off base, one set of trigger delimiters,
+    only the packaged prompt templates and one per-kind instance count."""
     assert list(inspect.signature(assembly.render_instance).parameters) == ["instance"]
     assert not hasattr(assembly, "DEFAULT_INSTANCE_TEMPLATE")
     assert list(inspect.signature(llm_client.complete_batch).parameters) == [
         "requests_", "backend", "max_in_flight", "retry_limit"]
     assert list(inspect.signature(evaluation.parse_model_output).parameters) == ["raw"]
+    assert list(inspect.signature(llm_client.render).parameters) == ["template_id", "variables"]
+    assert "templates_dir" not in {f.name for f in dataclasses.fields(llm_client.HttpBackend)}
+    assert not hasattr(llm_client, "TemplateNotFoundError")
+    assert not hasattr(assembly, "count_kinds")
 
 
 PER_ROW_RECORDS = [

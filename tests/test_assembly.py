@@ -5,7 +5,7 @@ import hashlib
 import json
 import re
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,6 @@ from dived.assembly import (
     SliceSpec,
     TrainingInstance,
     assemble,
-    count_kinds,
     iter_instances,
     read_jsonl,
     render_instance,
@@ -60,7 +59,7 @@ def test_counts_match_spec_example():
     spec = SliceSpec(n_events=2, n_definitions=1, n_samples=2, n_negatives=1, n_hard_negatives=0, seed=7)
     instances = assemble(dataset, spec)
     assert len(instances) == 8
-    counts = count_kinds(instances)
+    counts = Counter(inst.kind for inst in instances)
     assert counts["positive"] == 4
     assert counts["negative"] == 4
     assert counts["hard_negative"] == 0
@@ -82,7 +81,7 @@ def test_hard_negatives_are_siblings_exact_count():
     dataset = grid_dataset(n_trees=4, children_per_tree=10)
     spec = SliceSpec(n_events=4, n_definitions=2, n_samples=2, n_negatives=10, n_hard_negatives=3, seed=3)
     instances = assemble(dataset, spec)
-    counts = count_kinds(instances)
+    counts = Counter(inst.kind for inst in instances)
     assert counts["positive"] == 8
     assert counts["hard_negative"] == 8 * 3
     assert counts["negative"] == 8 * 7
@@ -639,6 +638,38 @@ def _outcome(assemble_fn, dataset, spec):
 def test_assemble_matches_list_based_oracle(case):
     dataset, spec = case
     assert _outcome(assemble, dataset, spec) == _outcome(list_based_assemble, dataset, spec)
+
+
+@given(slice_cases())
+@settings(max_examples=200, deadline=None)
+def test_each_positives_negatives_follow_the_draw_rules(case):
+    """The negative rules checked on the rows, not against the oracle: after
+    each positive, its negatives' ids run n0…n{N-1}, their events are
+    distinct, none is the positive's own event or holds its sentence, and
+    every hard negative is a candidate sibling (one with samples and
+    definitions)."""
+    dataset, spec = case
+    try:
+        instances = assemble(dataset, spec)
+    except AssemblyError:
+        return
+    groups: list[tuple[TrainingInstance, list[TrainingInstance]]] = []
+    for inst in instances:
+        if inst.kind == "positive":
+            groups.append((inst, []))
+        else:
+            groups[-1][1].append(inst)
+    for positive, negatives in groups:
+        prefix = positive.instance_id.removesuffix("p")
+        assert [neg.instance_id for neg in negatives] == [f"{prefix}n{i}" for i in range(spec.n_negatives)]
+        names = [neg.event_name for neg in negatives]
+        assert len(set(names)) == len(names)
+        assert positive.event_name not in names
+        for neg in negatives:
+            assert neg.sentence == positive.sentence
+            assert positive.sentence not in {s.sentence for s in dataset.get(neg.event_name).samples}
+        candidate_siblings = {n.name for n in siblings(dataset, positive.event_name) if n.samples and n.definitions}
+        assert {neg.event_name for neg in negatives if neg.kind == "hard_negative"} <= candidate_siblings
 
 
 # ---------------------------------------------------------------------------

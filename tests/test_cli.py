@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from datetime import datetime
 from types import SimpleNamespace
 
@@ -172,6 +173,24 @@ def test_prune_rejects_invalid_dataset_naming_the_line(tmp_path, capsys, rows):
     out, audit = tmp_path / "pruned.jsonl", tmp_path / "audit.jsonl"
     assert run(["prune", "--dataset", str(dataset), "--out", str(out), "--audit", str(audit)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("definition", ["", "  ", "c\nd", "e\rf", "g\x0bh", "i\x1cj", "k\x85l", "m\u2028n", "end\n"])
+def test_a_blank_or_multi_line_definition_exits_1_naming_the_line(tmp_path, capsys, definition):
+    # A blank definition would render like the --no-definition ablation.
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in [
+        {"event": "A", "parent": None, "children": [], "definitions": ["A def"],
+         "samples": [{"sentence": "The A hit.", "trigger": "hit"}]},
+        {"event": "B", "parent": None, "children": [], "definitions": [definition],
+         "samples": [{"sentence": "The B hit.", "trigger": "hit"}]},
+    ]), encoding="utf-8")
+    out = tmp_path / "train.jsonl"
+    assert run(["assemble", "--dataset", str(dataset), "--events", "2", "--definitions", "1", "--samples", "1",
+                "--negatives", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset}:2: ") and repr(definition) in err
     assert not out.exists()
 
 
@@ -553,7 +572,7 @@ def test_assemble_streams_the_bytes_of_the_assembled_list(tmp_path, flags):
     instances = assembly.assemble(read_dataset(dataset), spec)
     assembly.write_jsonl(instances, tmp_path / "listed.jsonl")
     assert out.read_bytes() == (tmp_path / "listed.jsonl").read_bytes()
-    kinds = assembly.count_kinds(instances)
+    kinds = Counter(inst.kind for inst in instances)
     assert json.loads(manifest_path(out).read_text())["counts"] == {
         "instances": len(instances),
         "positives": kinds["positive"],

@@ -24,7 +24,6 @@ from dived.llm_client import (
     MockBackend,
     PermanentBackendError,
     TemplateId,
-    TemplateNotFoundError,
     complete_batch,
     mock_generate,
     render,
@@ -56,16 +55,13 @@ def test_render_is_deterministic():
     assert render(TemplateId.DEFINITION_CURATION, variables) == render(TemplateId.DEFINITION_CURATION, variables)
 
 
-def test_render_preserves_non_placeholder_bytes(tmp_path):
-    template = tmp_path / "definition_curation.txt"
-    template.write_text("keep {UPPER} and { spaced } but fill {events}|{example}", encoding="utf-8")
-    prompt = render(TemplateId.DEFINITION_CURATION, {"events": "x", "example": "y"}, templates_dir=tmp_path)
-    assert prompt == "keep {UPPER} and { spaced } but fill x|y"
-
-
-def test_render_unknown_template_file(tmp_path):
-    with pytest.raises(TemplateNotFoundError):
-        render(TemplateId.SAMPLE_CURATION, {}, templates_dir=tmp_path)
+def test_render_inserts_placeholder_text_in_a_value_as_is():
+    """One pass: a value holding ``{example}`` or ``{UPPER}`` is not filled in again."""
+    events = "a {example} b {UPPER} c {events}"
+    prompt = render(TemplateId.DEFINITION_CURATION, {"events": events, "example": "E"})
+    plain = render(TemplateId.DEFINITION_CURATION, {"events": "<EVENTS>", "example": "E"})
+    assert prompt == plain.replace("<EVENTS>", events)
+    assert prompt.count("{example}") == 1 and prompt.count("{UPPER}") == 1
 
 
 def test_default_decoding_defaults():
