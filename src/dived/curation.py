@@ -12,11 +12,13 @@ scores strictly higher. Each step fills the nodes in place and returns a Curatio
 
 Responses are line-oriented: one record per line of the form
 ``EVENT<TAB>FIELD: value``. Anything that does not match is treated as
-surrounding prose and ignored; the record lines themselves are strict.
+surrounding prose and ignored; the record lines themselves are strict. Each
+parser returns one ``_Parse`` per expected event, the type ``_generate`` keeps.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -65,8 +67,8 @@ class GeneratedSample:
             raise InvalidSampleError("empty event name")
         if not self.sentence.strip():
             raise InvalidSampleError(f"{self.event_name}: empty sentence")
-        if "\n" in self.sentence or "\r" in self.sentence:
-            raise InvalidSampleError(f"{self.event_name}: sentence contains a newline")
+        if self.sentence.splitlines() != [self.sentence]:  # one line of text, as a definition is
+            raise InvalidSampleError(f"{self.event_name}: sentence {self.sentence!r} holds a line break")
         if not self.trigger.strip():
             raise InvalidSampleError(f"{self.event_name}: empty trigger")
         if self.trigger not in self.sentence:
@@ -146,6 +148,18 @@ def expansion_request(node: EventTypeNode, count: int) -> GenRequest:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _Parse:
+    """What one reply gave one item: a score (the number of usable records),
+    the parsed value, why the item falls short if it does, and how many
+    invalid records were dropped."""
+
+    score: int
+    value: object = None
+    reason: str | None = None
+    dropped: int = 0
+
+
 def _records(text: str) -> Iterable[tuple[str, str, str]]:
     for line in text.splitlines():
         m = _RECORD_RE.match(line)
@@ -153,38 +167,27 @@ def _records(text: str) -> Iterable[tuple[str, str, str]]:
             yield _name_key(m.group("event")), m.group("field"), m.group("value").strip()
 
 
-def parse_definitions(text: str, expected_events: Sequence[str]) -> dict[str, str]:
-    """Extract one definition per expected event (first record wins).
-
-    Missing or empty definitions simply do not appear in the result.
-    """
+def parse_definitions(text: str, expected_events: Sequence[str]) -> dict[str, _Parse]:
+    """One definition per expected event (the first non-empty record wins);
+    an event without one scores 0."""
     wanted = {_name_key(name): name for name in expected_events}
     found: dict[str, str] = {}
     for key, fieldname, value in _records(text):
-        if fieldname != "definition" or key not in wanted:
-            continue
-        if value and wanted[key] not in found:
-            found[wanted[key]] = value
-    return found
+        if fieldname == "definition" and key in wanted and value:
+            found.setdefault(wanted[key], value)
+    missing = _Parse(0, reason="no definition line in response (after retry)")
+    return {name: _Parse(1, found[name]) if name in found else missing for name in expected_events}
 
 
-@dataclass
-class _SampleStats:
-    samples: list[GeneratedSample] = field(default_factory=list)
-    dropped: int = 0
-    pairs: int = 0
-
-
-def parse_samples(
-    text: str, expected_events: Sequence[str], per_event: int
-) -> dict[str, _SampleStats]:
+def parse_samples(text: str, expected_events: Sequence[str], per_event: int) -> dict[str, _Parse]:
     """Pair up sentence/trigger record lines per event and validate each pair.
 
-    Keeps at most per_event valid samples per event; invalid pairs are counted
-    in ``dropped``. Unpaired sentence or trigger lines are ignored.
+    Takes at most per_event pairs per event: the valid ones are the value
+    (and the score), the invalid ones are counted in ``dropped``. Unpaired
+    sentence or trigger lines are ignored.
     """
     wanted = {_name_key(name): name for name in expected_events}
-    stats = {name: _SampleStats() for name in expected_events}
+    parses = {name: _Parse(0, []) for name in expected_events}
     pending: dict[str, str] = {}
     for key, fieldname, value in _records(text):
         if key not in wanted:
@@ -199,39 +202,35 @@ def parse_samples(
             if sentence is None:
                 logger.debug("orphan trigger line for %s discarded", name)
                 continue
-            st = stats[name]
-            if st.pairs >= per_event:
+            parsed = parses[name]
+            if parsed.score + parsed.dropped >= per_event:
                 continue
-            st.pairs += 1
             try:
-                st.samples.append(GeneratedSample(event_name=name, sentence=sentence, trigger=value))
+                parsed.value.append(GeneratedSample(event_name=name, sentence=sentence, trigger=value))
+                parsed.score += 1
             except InvalidSampleError as exc:
                 logger.debug("invalid sample dropped: %s", exc)
-                st.dropped += 1
-    return stats
+                parsed.dropped += 1
+    for parsed in parses.values():
+        pairs = parsed.score + parsed.dropped
+        if pairs < per_event:
+            parsed.reason = f"response contained {pairs} of {per_event} sample records"
+    return parses
 
 
-def parse_paraphrases(text: str, event: str) -> list[str]:
-    """All non-empty paraphrase record values for the event, in order."""
-    key = _name_key(event)
-    return [value for k, fieldname, value in _records(text) if k == key and fieldname == "paraphrase" and value]
+def parse_paraphrases(text: str, expected_events: Sequence[str]) -> dict[str, _Parse]:
+    """All non-empty paraphrase record values per expected event, in order."""
+    wanted = {_name_key(name): name for name in expected_events}
+    found: dict[str, list[str]] = {name: [] for name in expected_events}
+    for key, fieldname, value in _records(text):
+        if fieldname == "paraphrase" and key in wanted and value:
+            found[wanted[key]].append(value)
+    return {name: _Parse(len(paraphrases), paraphrases) for name, paraphrases in found.items()}
 
 
 # ---------------------------------------------------------------------------
 # The generation loop shared by steps 2-4
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Parse:
-    """What one reply gave one item: a score (the number of usable records),
-    the parsed value, why the item falls short if it does, and how many
-    invalid records were dropped."""
-
-    score: int
-    value: object = None
-    reason: str | None = None
-    dropped: int = 0
 
 
 def _generate(
@@ -300,14 +299,8 @@ def curate_definitions_for_trees(
     as failures. Found definitions are attached to the nodes as
     ``definitions[0]``.
     """
-
-    def parse(text: str, names: Sequence[str]) -> dict[str, _Parse]:
-        found = parse_definitions(text, names)
-        missing = _Parse(0, reason="no definition line in response (after retry)")
-        return {name: _Parse(1, found[name]) if name in found else missing for name in names}
-
     units = [(definition_request(tree), *(node.name for node in tree.iter_preorder())) for tree in trees]
-    best, report = _generate(units, parse, 1, backend, max_in_flight, retry_limit)
+    best, report = _generate(units, parse_definitions, 1, backend, max_in_flight, retry_limit)
     for tree in trees:
         for node in tree.iter_preorder():
             if best[node.name].value is not None:
@@ -346,19 +339,8 @@ def curate_samples_for_trees(
     for node in nodes:
         if not node.definitions:
             raise ValueError(f"node {node.name!r} has no definition; run definition curation first")
-
-    def parse(text: str, names: Sequence[str]) -> dict[str, _Parse]:
-        return {
-            name: _Parse(
-                len(st.samples),
-                st.samples,
-                f"response contained {st.pairs} of {per_event} sample records" if st.pairs < per_event else None,
-                st.dropped,
-            )
-            for name, st in parse_samples(text, names, per_event).items()
-        }
-
     units = [(sample_request(tree, per_event), *(node.name for node in tree.iter_preorder())) for tree in trees]
+    parse = functools.partial(parse_samples, per_event=per_event)
     best, report = _generate(units, parse, per_event, backend, max_in_flight, retry_limit, rounds=1 + regenerate)
     for node in nodes:
         node.samples = best[node.name].value or []
@@ -389,13 +371,8 @@ def expand_definitions_for_nodes(
     for node in nodes:
         if not node.definitions:
             raise ValueError(f"node {node.name!r} has no definition; run definition curation first")
-
-    def parse(text: str, names: Sequence[str]) -> dict[str, _Parse]:
-        paraphrases = parse_paraphrases(text, names[0])
-        return {names[0]: _Parse(len(paraphrases), paraphrases)}
-
     units = [(expansion_request(node, count), node.name) for node in nodes]
-    best, report = _generate(units, parse, count, backend, max_in_flight, retry_limit)
+    best, report = _generate(units, parse_paraphrases, count, backend, max_in_flight, retry_limit)
     report.parsed = 0
     for node in nodes:
         existing = {d.strip() for d in node.definitions}
@@ -438,8 +415,9 @@ def read_dataset(path: str | Path) -> Ontology:
     """Load a dataset as an Ontology with definitions and samples on its nodes.
 
     The rows must form a valid ontology (names unique up to case, parents
-    known, no cycles); ``children`` is only type-checked. A definition must
-    be one non-blank line. Every error names ``path:line``.
+    known, no cycles); ``children`` is only type-checked. A definition, like
+    a sample's sentence, must be one non-blank line. Every error names
+    ``path:line``.
     """
     rows: list[tuple[int, str, str | None, dict]] = []
     for lineno, obj in jsonl.read_rows(path):

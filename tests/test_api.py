@@ -48,7 +48,8 @@ def test_removed_request_and_result_fields_are_gone():
 
 def test_removed_knobs_are_gone():
     """One instance prompt, one back-off base, one set of trigger delimiters,
-    only the packaged prompt templates and one per-kind instance count."""
+    only the packaged prompt templates, one per-kind instance count and one
+    parse result type, which each parser returns per expected event."""
     assert list(inspect.signature(assembly.render_instance).parameters) == ["instance"]
     assert not hasattr(assembly, "DEFAULT_INSTANCE_TEMPLATE")
     assert list(inspect.signature(llm_client.complete_batch).parameters) == [
@@ -58,6 +59,11 @@ def test_removed_knobs_are_gone():
     assert "templates_dir" not in {f.name for f in dataclasses.fields(llm_client.HttpBackend)}
     assert not hasattr(llm_client, "TemplateNotFoundError")
     assert not hasattr(assembly, "count_kinds")
+    assert not hasattr(curation, "_SampleStats")
+    for parser, params in [(curation.parse_definitions, ["text", "expected_events"]),
+                           (curation.parse_samples, ["text", "expected_events", "per_event"]),
+                           (curation.parse_paraphrases, ["text", "expected_events"])]:
+        assert list(inspect.signature(parser).parameters) == params
 
 
 PER_ROW_RECORDS = [

@@ -176,22 +176,36 @@ def test_prune_rejects_invalid_dataset_naming_the_line(tmp_path, capsys, rows):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("definition", ["", "  ", "c\nd", "e\rf", "g\x0bh", "i\x1cj", "k\x85l", "m\u2028n", "end\n"])
-def test_a_blank_or_multi_line_definition_exits_1_naming_the_line(tmp_path, capsys, definition):
-    # A blank definition would render like the --no-definition ablation.
+def assert_assemble_rejects_line_2(tmp_path, capsys, b_row, bad_text):
+    """``assemble`` on a dataset of event A and then ``b_row`` exits 1 and
+    names line 2 and ``bad_text``, writing nothing."""
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("".join(json.dumps(row) + "\n" for row in [
         {"event": "A", "parent": None, "children": [], "definitions": ["A def"],
          "samples": [{"sentence": "The A hit.", "trigger": "hit"}]},
-        {"event": "B", "parent": None, "children": [], "definitions": [definition],
-         "samples": [{"sentence": "The B hit.", "trigger": "hit"}]},
+        {"event": "B", "parent": None, "children": [], **b_row},
     ]), encoding="utf-8")
     out = tmp_path / "train.jsonl"
     assert run(["assemble", "--dataset", str(dataset), "--events", "2", "--definitions", "1", "--samples", "1",
                 "--negatives", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {dataset}:2: ") and repr(definition) in err
+    assert err.startswith(f"error: {dataset}:2: ") and repr(bad_text) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("definition", ["", "  ", "c\nd", "e\rf", "g\x0bh", "i\x1cj", "k\x85l", "m\u2028n", "end\n"])
+def test_a_blank_or_multi_line_definition_exits_1_naming_the_line(tmp_path, capsys, definition):
+    # A blank definition would render like the --no-definition ablation.
+    b_row = {"definitions": [definition], "samples": [{"sentence": "The B hit.", "trigger": "hit"}]}
+    assert_assemble_rejects_line_2(tmp_path, capsys, b_row, definition)
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_a_sentence_holding_a_line_break_exits_1_naming_the_line(tmp_path, capsys, brk):
+    # Such a sentence would break the Sentence: line of the rendered prompt.
+    sentence = f"z{brk}hit2 w"
+    b_row = {"definitions": ["B def"], "samples": [{"sentence": sentence, "trigger": "hit2"}]}
+    assert_assemble_rejects_line_2(tmp_path, capsys, b_row, sentence)
 
 
 @pytest.mark.parametrize("threshold", ["-0.1", "1.5", "nan"])

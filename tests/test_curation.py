@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import tempfile
 import threading
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from dived.curation import (
     CurationReport,
     GeneratedSample,
     InvalidSampleError,
-    _SampleStats,
+    _Parse,
     curate_definitions_for_trees,
     curate_samples_for_trees,
     expand_definitions_for_nodes,
@@ -39,7 +41,7 @@ from dived.llm_client import (
     TemplateId,
     complete_batch,
 )
-from dived.ontology import build_ontology, load_ontology, save_ontology
+from dived.ontology import _name_key, build_ontology, load_ontology, save_ontology
 from dived.pruning import prune_dataset
 
 from conftest import ScriptedBackend, make_dataset, make_sample
@@ -258,7 +260,8 @@ def test_expand_definitions_requires_seed_definition():
 
 def test_parse_definitions_ignores_prose_and_unknown_events():
     text = "Sure! Here you go:\nattack\tdefinition: a def\nzebra\tdefinition: not requested\nnonsense line"
-    assert parse_definitions(text, ["attack", "protest"]) == {"attack": "a def"}
+    assert parse_definitions(text, ["attack", "protest"]) == {
+        "attack": _Parse(1, "a def"), "protest": _Parse(0, reason="no definition line in response (after retry)")}
 
 
 def test_parsed_plus_dropped_never_exceed_sample_record_lines():
@@ -273,11 +276,12 @@ def test_parsed_plus_dropped_never_exceed_sample_record_lines():
             "Closing prose.",
         ]
     )
-    stats = parse_samples(text, ["attack"], per_event=10)
+    parsed = parse_samples(text, ["attack"], per_event=10)["attack"]
     attributed_lines = sum(1 for ln in text.splitlines() if "\tsentence: " in ln or "\ttrigger: " in ln)
-    assert len(stats["attack"].samples) + stats["attack"].dropped <= attributed_lines
-    assert len(stats["attack"].samples) == 1
-    assert stats["attack"].dropped == 1
+    assert parsed.score + parsed.dropped <= attributed_lines
+    assert parsed.score == len(parsed.value) == 1
+    assert parsed.dropped == 1
+    assert parsed.reason == "response contained 2 of 10 sample records"
 
 
 def test_parse_samples_ignores_orphan_lines():
@@ -289,9 +293,127 @@ def test_parse_samples_ignores_orphan_lines():
             "attack\ttrigger: raided",
         ]
     )
-    stats = parse_samples(text, ["attack"], per_event=5)
-    assert len(stats["attack"].samples) == 1
-    assert stats["attack"].samples[0].trigger == "raided"
+    parsed = parse_samples(text, ["attack"], per_event=5)["attack"]
+    assert [sample.trigger for sample in parsed.value] == ["raided"]
+
+
+# The parsers as they were when each returned its own shape, with the
+# per-stage closures that turned that shape into a _Parse, kept here as the
+# reference for the parsers that return one _Parse per event themselves.
+
+REFERENCE_RECORD_RE = re.compile(
+    r"^(?P<event>[^\t]+)\t(?P<field>definition|sentence|trigger|paraphrase):\s?(?P<value>.*)$")
+
+
+def reference_records(text):
+    for line in text.splitlines():
+        m = REFERENCE_RECORD_RE.match(line)
+        if m:
+            yield _name_key(m.group("event")), m.group("field"), m.group("value").strip()
+
+
+def reference_parse_definitions(text, expected_events):
+    wanted = {_name_key(name): name for name in expected_events}
+    found = {}
+    for key, fieldname, value in reference_records(text):
+        if fieldname != "definition" or key not in wanted:
+            continue
+        if value and wanted[key] not in found:
+            found[wanted[key]] = value
+    return found
+
+
+@dataclass
+class ReferenceSampleStats:
+    samples: list = field(default_factory=list)
+    dropped: int = 0
+    pairs: int = 0
+
+
+def reference_parse_samples(text, expected_events, per_event):
+    wanted = {_name_key(name): name for name in expected_events}
+    stats = {name: ReferenceSampleStats() for name in expected_events}
+    pending = {}
+    for key, fieldname, value in reference_records(text):
+        if key not in wanted:
+            continue
+        name = wanted[key]
+        if fieldname == "sentence":
+            pending[key] = value
+        elif fieldname == "trigger":
+            sentence = pending.pop(key, None)
+            if sentence is None:
+                continue
+            st = stats[name]
+            if st.pairs >= per_event:
+                continue
+            st.pairs += 1
+            try:
+                st.samples.append(GeneratedSample(event_name=name, sentence=sentence, trigger=value))
+            except InvalidSampleError:
+                st.dropped += 1
+    return stats
+
+
+def reference_parse_paraphrases(text, event):
+    key = _name_key(event)
+    return [value for k, fieldname, value in reference_records(text)
+            if k == key and fieldname == "paraphrase" and value]
+
+
+def reference_parses(text, names, per_event):
+    """Each stage's closure over the reference parsers: (definitions,
+    samples, paraphrases), each a dict of one _Parse per name."""
+    found = reference_parse_definitions(text, names)
+    missing = _Parse(0, reason="no definition line in response (after retry)")
+    definitions = {name: _Parse(1, found[name]) if name in found else missing for name in names}
+    samples = {
+        name: _Parse(len(st.samples), st.samples,
+                     f"response contained {st.pairs} of {per_event} sample records" if st.pairs < per_event else None,
+                     st.dropped)
+        for name, st in reference_parse_samples(text, names, per_event).items()
+    }
+    paraphrases = {}
+    for name in names:
+        values = reference_parse_paraphrases(text, name)
+        paraphrases[name] = _Parse(len(values), values)
+    return definitions, samples, paraphrases
+
+
+REPLY_EVENTS = ["attack", "ATTACK", " attack ", "protest", "Protest\t", "sea battle", "Sea Battle", "zebra", ""]
+REPLY_FIELDS = ["definition", "sentence", "trigger", "paraphrase", "Trigger"]
+REPLY_VALUES = ["", " ", "  The unit hit2 the base. ", "The unit hit2 the base.", "hit2", "ghost", "a def"]
+
+
+@st.composite
+def replies(draw):
+    """A unit's names, a reply for them and a per-event target. Record lines
+    spell the names in other case or with spaces, name unknown events, pair
+    sentences and triggers in any order (orphans, invalid pairs, more pairs
+    than the target), and sit among prose lines."""
+    names = draw(st.lists(st.sampled_from(["attack", "Protest", "sea battle"]), min_size=1, max_size=3, unique=True))
+    # each reply draws from its own few spellings and fields, so that records
+    # for one event and field (a second definition, many pairs) are common
+    event = st.sampled_from(draw(st.lists(st.sampled_from(REPLY_EVENTS), min_size=1, max_size=4, unique=True)))
+    fieldname = st.sampled_from(draw(st.lists(st.sampled_from(REPLY_FIELDS), min_size=1, max_size=3, unique=True)))
+    value = st.sampled_from(REPLY_VALUES)
+    record = st.builds("{}\t{}:{}{}".format, event, fieldname, st.sampled_from(["", " ", "  "]), value)
+    pair = st.builds(lambda e, sentence, trigger: [f"{e}\tsentence: {sentence}", f"{e}\ttrigger: {trigger}"],
+                     event, value, value)
+    prose = st.sampled_from(["Sure, here you go.", "attack definition: no tab", "", "\tdefinition: no event"])
+    chunks = draw(st.lists(st.one_of(st.one_of(record, prose).map(lambda line: [line]), pair), max_size=20))
+    lines = [line for chunk in chunks for line in chunk]
+    return names, draw(st.sampled_from(["\n", "\r\n"])).join(lines), draw(st.integers(min_value=1, max_value=4))
+
+
+@given(replies())
+@settings(max_examples=300, deadline=None)
+def test_parsers_match_the_reference_parsers_field_for_field(case):
+    names, text, per_event = case
+    definitions, samples, paraphrases = reference_parses(text, names, per_event)
+    assert parse_definitions(text, names) == definitions
+    assert parse_samples(text, names, per_event) == samples
+    assert parse_paraphrases(text, names) == paraphrases
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +632,17 @@ def test_expand_definitions_retry_keeps_best(script, calls, added, failures):
 #
 # The oracle_* functions below are the generation loops as they were when
 # each stage had its own copy (and ``curate-samples --regenerate`` a fourth
-# one in the CLI), kept here as the reference for the shared loop.
+# one in the CLI), kept here as the reference for the shared loop. They read
+# the parsers through the two helpers below.
+
+
+def found_definitions(text, names):
+    """name -> definition for each event the reply defines."""
+    return {name: parsed.value for name, parsed in parse_definitions(text, names).items() if parsed.score}
+
+
+def found_paraphrases(text, event):
+    return parse_paraphrases(text, [event])[event].value
 
 
 def oracle_curate_definitions(trees, backend, max_in_flight=4, retry_limit=3):
@@ -524,7 +656,7 @@ def oracle_curate_definitions(trees, backend, max_in_flight=4, retry_limit=3):
         if isinstance(result, GenFailure):
             report.failures.extend((name, f"backend failure: {result.error}") for name in names)
             continue
-        found.update(parse_definitions(result.text, names))
+        found.update(found_definitions(result.text, names))
         if any(name not in found for name in names):
             retry_idx.append(i)
     if retry_idx:
@@ -533,7 +665,7 @@ def oracle_curate_definitions(trees, backend, max_in_flight=4, retry_limit=3):
             names = [n.name for n in trees[i].iter_preorder()]
             if isinstance(result, GenFailure):
                 continue
-            for name, definition in parse_definitions(result.text, names).items():
+            for name, definition in found_definitions(result.text, names).items():
                 found.setdefault(name, definition)
     for tree in trees:
         for node in tree.iter_preorder():
@@ -561,11 +693,11 @@ def oracle_curate_samples(trees, backend, per_event=10, max_in_flight=4, retry_l
         if isinstance(result, GenFailure):
             report.failures.extend((name, f"backend failure: {result.error}") for name in names)
             failed_events.update(names)
-            stats.update({name: _SampleStats() for name in names})
+            stats.update({name: _Parse(0, []) for name in names})
             continue
         tree_stats = parse_samples(result.text, names, per_event)
         stats.update(tree_stats)
-        if any(len(st.samples) < per_event for st in tree_stats.values()):
+        if any(len(st.value) < per_event for st in tree_stats.values()):
             retry_idx.append(i)
     if retry_idx:
         retry_results = complete_batch([requests[i] for i in retry_idx], backend, max_in_flight, retry_limit=retry_limit)
@@ -575,17 +707,18 @@ def oracle_curate_samples(trees, backend, per_event=10, max_in_flight=4, retry_l
             names = [n.name for n in trees[i].iter_preorder()]
             retry_stats = parse_samples(result.text, names, per_event)
             for name in names:
-                if len(retry_stats[name].samples) > len(stats[name].samples):
+                if len(retry_stats[name].value) > len(stats[name].value):
                     stats[name] = retry_stats[name]
     samples = []
     for node in all_nodes:
         st = stats[node.name]
-        node.samples = list(st.samples)
-        samples.extend(st.samples)
-        report.parsed += len(st.samples)
+        pairs = st.score + st.dropped
+        node.samples = list(st.value)
+        samples.extend(st.value)
+        report.parsed += len(st.value)
         report.dropped_invalid += st.dropped
-        if per_event - st.pairs > 0 and node.name not in failed_events:
-            report.failures.append((node.name, f"response contained {st.pairs} of {per_event} sample records"))
+        if per_event - pairs > 0 and node.name not in failed_events:
+            report.failures.append((node.name, f"response contained {pairs} of {per_event} sample records"))
     return samples, report
 
 
@@ -625,7 +758,7 @@ def oracle_expand_definitions(nodes, backend, count=10, max_in_flight=4, retry_l
             texts[node.name] = None
             continue
         texts[node.name] = result.text
-        if len(parse_paraphrases(result.text, node.name)) < count:
+        if len(found_paraphrases(result.text, node.name)) < count:
             retry_idx.append(i)
     if retry_idx:
         retry_results = complete_batch([requests[i] for i in retry_idx], backend, max_in_flight, retry_limit=retry_limit)
@@ -634,7 +767,7 @@ def oracle_expand_definitions(nodes, backend, count=10, max_in_flight=4, retry_l
             if isinstance(result, GenFailure):
                 continue
             old = texts[node.name]
-            if old is None or len(parse_paraphrases(result.text, node.name)) > len(parse_paraphrases(old, node.name)):
+            if old is None or len(found_paraphrases(result.text, node.name)) > len(found_paraphrases(old, node.name)):
                 texts[node.name] = result.text
     added = {}
     for node in nodes:
@@ -642,7 +775,7 @@ def oracle_expand_definitions(nodes, backend, count=10, max_in_flight=4, retry_l
         new: list[str] = []
         if text is not None:
             existing = {d.strip() for d in node.definitions}
-            for para in parse_paraphrases(text, node.name)[:count]:
+            for para in found_paraphrases(text, node.name)[:count]:
                 if para.strip() not in existing:
                     existing.add(para.strip())
                     new.append(para)

@@ -93,19 +93,19 @@ def test_mock_sample_output_parses_to_exact_counts():
     events = ["attack", "protest", "bombing"]
     req = _sample_request(events="\n".join(events))
     text = mock_generate(9, req)
-    stats = parse_samples(text, events, per_event=10)
+    parses = parse_samples(text, events, per_event=10)
     for event in events:
-        assert len(stats[event].samples) == 10
-        assert stats[event].dropped == 0
-        for sample in stats[event].samples:
+        assert parses[event].score == len(parses[event].value) == 10
+        assert parses[event].dropped == 0
+        for sample in parses[event].value:
             assert sample.trigger in sample.sentence
 
 
 def test_mock_triggers_disjoint_across_events_in_one_request():
     events = ["attack", "protest", "bombing", "ambush"]
     req = _sample_request(events="\n".join(events))
-    stats = parse_samples(mock_generate(5, req), events, per_event=10)
-    seen: dict[str, set[str]] = {e: {s.trigger for s in stats[e].samples} for e in events}
+    parses = parse_samples(mock_generate(5, req), events, per_event=10)
+    seen: dict[str, set[str]] = {e: {s.trigger for s in parses[e].value} for e in events}
     for a in events:
         for b in events:
             if a != b:
