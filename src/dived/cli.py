@@ -21,15 +21,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import assembly, curation, evaluation, jsonl, pruning
-from .errors import DivedError
+from .errors import DivedError, EventInputError
 from .llm_client import (
     MAX_IN_FLIGHT,
     MAX_RETRY_LIMIT,
     BackendConfigError,
     HttpBackend,
     MockBackend,
-    PermanentBackendError,
-    TransientBackendError,
 )
 from .ontology import filter_heldout, load_ontology, save_ontology
 
@@ -238,11 +236,7 @@ def cmd_prune(resolved: dict):
         raise UsageError(f"--out {resolved['out']} and --audit {resolved['audit']} name the same file")
     dataset = curation.read_dataset(resolved["dataset"])
     events_in = len(dataset)
-    try:
-        pruned, audits = pruning.prune_dataset(dataset, threshold=resolved["threshold"])
-    except pruning.PruneInputError as exc:  # name the row of the event without samples
-        line = next(n for n, row in jsonl.read_rows(resolved["dataset"]) if row["event"].strip() == exc.event)
-        raise jsonl.JsonlError(resolved["dataset"], line, str(exc)) from None
+    pruned, audits = pruning.prune_dataset(dataset, threshold=resolved["threshold"])
     events_out = curation.write_dataset(pruned, resolved["out"])
     pruning.write_audit(audits, resolved["audit"])
     print(f"prune: {events_in} events -> {events_out} (removed {len(audits)})")
@@ -419,14 +413,18 @@ def main(argv: list[str] | None = None) -> int:
         for name in args.required:
             if resolved[name] in (None, []):
                 raise UsageError(f"missing required option --{name.replace('_', '-')}")
-        inputs, outputs, counts, code = args.func(resolved)
+        try:
+            inputs, outputs, counts, code = args.func(resolved)
+        except EventInputError as exc:  # an event lacks what the command needs: name its dataset row
+            line = next(n for n, row in jsonl.read_rows(resolved["dataset"]) if row["event"].strip() == exc.event)
+            raise jsonl.JsonlError(resolved["dataset"], line, str(exc)) from None
         if outputs:
             write_manifests(args.command, resolved, inputs, outputs, counts)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BackendConfigError, TransientBackendError, PermanentBackendError) as exc:
+    except BackendConfigError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 2
     except (DivedError, ValueError, OSError) as exc:

@@ -8,7 +8,9 @@ round (only sample curation has them) requests the units with an event still
 short of its target. Within a round, a unit whose reply left an event short
 is retried once; a unit whose request failed is not, as complete_batch has
 spent its retries on it. Per event, a parse replaces the kept one only if it
-scores strictly higher. Each step fills the nodes in place and returns a CurationReport.
+scores strictly higher. Each step fills the nodes in place and returns a
+CurationReport; sample curation and expansion first raise EventInputError for
+an event without a definition.
 
 Responses are line-oriented: one record per line of the form
 ``EVENT<TAB>FIELD: value``. Anything that does not match is treated as
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import jsonl, ontology
-from .errors import DivedError
+from .errors import EventInputError
 from .llm_client import (
     DEFAULT_EXAMPLES,
     Backend,
@@ -42,39 +44,29 @@ logger = logging.getLogger(__name__)
 _RECORD_RE = re.compile(r"^(?P<event>[^\t]+)\t(?P<field>definition|sentence|trigger|paraphrase):\s?(?P<value>.*)$")
 
 
-class InvalidSampleError(DivedError):
-    """A generated sample violates its invariants (trigger not in sentence, etc.)."""
-
-
 @dataclass(slots=True)
 class GeneratedSample:
-    """One generated sample: ``event_name``, a single-line ``sentence`` and
-    the ``trigger``, which occurs verbatim in the sentence.
+    """One generated sample: a single-line ``sentence`` and the ``trigger``,
+    which occurs verbatim in the sentence; the node that holds it names its event.
 
-    Constructing an instance validates these invariants. They hold at
+    Construction checks these invariants and raises ValueError. They hold at
     construction only; the class is slotted, not frozen, because a frozen
-    ``__init__`` pays one ``object.__setattr__`` per field. The pipeline
-    never reassigns a field, so every GeneratedSample in circulation stays
-    known-good.
+    ``__init__`` pays one ``object.__setattr__`` per field. The pipeline never
+    reassigns a field, so every GeneratedSample in circulation stays known-good.
     """
 
-    event_name: str
     sentence: str
     trigger: str
 
     def __post_init__(self) -> None:
-        if not self.event_name.strip():
-            raise InvalidSampleError("empty event name")
         if not self.sentence.strip():
-            raise InvalidSampleError(f"{self.event_name}: empty sentence")
+            raise ValueError("empty sentence")
         if self.sentence.splitlines() != [self.sentence]:  # one line of text, as a definition is
-            raise InvalidSampleError(f"{self.event_name}: sentence {self.sentence!r} holds a line break")
+            raise ValueError(f"sentence {self.sentence!r} holds a line break")
         if not self.trigger.strip():
-            raise InvalidSampleError(f"{self.event_name}: empty trigger")
+            raise ValueError("empty trigger")
         if self.trigger not in self.sentence:
-            raise InvalidSampleError(
-                f"{self.event_name}: trigger {self.trigger!r} is not a substring of the sentence"
-            )
+            raise ValueError(f"trigger {self.trigger!r} is not a substring of the sentence")
 
 
 @dataclass
@@ -206,10 +198,10 @@ def parse_samples(text: str, expected_events: Sequence[str], per_event: int) -> 
             if parsed.score + parsed.dropped >= per_event:
                 continue
             try:
-                parsed.value.append(GeneratedSample(event_name=name, sentence=sentence, trigger=value))
+                parsed.value.append(GeneratedSample(sentence, value))
                 parsed.score += 1
-            except InvalidSampleError as exc:
-                logger.debug("invalid sample dropped: %s", exc)
+            except ValueError as exc:
+                logger.debug("invalid sample for %s dropped: %s", name, exc)
                 parsed.dropped += 1
     for parsed in parses.values():
         pairs = parsed.score + parsed.dropped
@@ -338,7 +330,7 @@ def curate_samples_for_trees(
     nodes = [node for tree in trees for node in tree.iter_preorder()]
     for node in nodes:
         if not node.definitions:
-            raise ValueError(f"node {node.name!r} has no definition; run definition curation first")
+            raise EventInputError(node.name, f"event {node.name!r} has no definition; run definition curation first")
     units = [(sample_request(tree, per_event), *(node.name for node in tree.iter_preorder())) for tree in trees]
     parse = functools.partial(parse_samples, per_event=per_event)
     best, report = _generate(units, parse, per_event, backend, max_in_flight, retry_limit, rounds=1 + regenerate)
@@ -370,7 +362,7 @@ def expand_definitions_for_nodes(
         raise ValueError("count must be a positive integer")
     for node in nodes:
         if not node.definitions:
-            raise ValueError(f"node {node.name!r} has no definition; run definition curation first")
+            raise EventInputError(node.name, f"event {node.name!r} has no definition; run definition curation first")
     units = [(expansion_request(node, count), node.name) for node in nodes]
     best, report = _generate(units, parse_paraphrases, count, backend, max_in_flight, retry_limit)
     report.parsed = 0
@@ -442,10 +434,10 @@ def read_dataset(path: str | Path) -> Ontology:
                 raise jsonl.JsonlError(
                     path, lineno, "field 'samples' must be a list of objects with string 'sentence' and 'trigger'"
                 )
-            samples = [GeneratedSample(event.strip(), s["sentence"], s["trigger"]) for s in samples]
+            samples = [GeneratedSample(s["sentence"], s["trigger"]) for s in samples]
         except KeyError as exc:
             raise jsonl.JsonlError(path, lineno, f"missing required field {exc.args[0]!r}") from exc
-        except InvalidSampleError as exc:
+        except ValueError as exc:
             raise jsonl.JsonlError(path, lineno, str(exc)) from exc
         rows.append((lineno, event, obj.get("parent"), {"definitions": definitions, "samples": samples}))
     return ontology._build_ontology(rows, str(path))

@@ -25,13 +25,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
-class OntologyFormatError(DivedError):
+class OntologyFormatError(jsonl.JsonlError):
     """Malformed ontology row (missing/invalid fields, unknown parent reference)."""
-
-    def __init__(self, origin: str, line: int, message: str):
-        super().__init__(f"{origin}:{line}: {message}")
-        self.origin = origin
-        self.line = line
 
 
 class DuplicateEventNameError(OntologyFormatError):

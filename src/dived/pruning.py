@@ -20,18 +20,10 @@ from pathlib import Path
 from typing import Collection, Iterable
 
 from . import jsonl
-from .errors import DivedError
+from .errors import EventInputError
 from .ontology import EventTypeNode, Ontology
 
 logger = logging.getLogger(__name__)
-
-
-class PruneInputError(DivedError):
-    """prune_tree precondition violation: ``event`` has no samples."""
-
-    def __init__(self, event: str):
-        super().__init__(f"event {event!r} has no samples; cannot compute trigger overlap")
-        self.event = event
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ def prune_tree(root: EventTypeNode, threshold: float = 0.5) -> list[OverlapRecor
     tree = list(root.iter_preorder())
     for node in tree:
         if not node.samples:
-            raise PruneInputError(node.name)
+            raise EventInputError(node.name, f"event {node.name!r} has no samples; cannot compute trigger overlap")
 
     stripped = [{s.trigger.strip() for s in node.samples} for node in tree]
     holders: dict[str, list[int]] = {}

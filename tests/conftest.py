@@ -74,11 +74,7 @@ def thread_starts(monkeypatch) -> list[threading.Thread]:
 
 def make_sample(event: str, idx: int) -> GeneratedSample:
     trigger = f"{event}trig{idx}"
-    return GeneratedSample(
-        event_name=event,
-        sentence=f"The {event} unit {trigger} during incident number {idx}.",
-        trigger=trigger,
-    )
+    return GeneratedSample(sentence=f"The {event} unit {trigger} during incident number {idx}.", trigger=trigger)
 
 
 def make_dataset(rows: list[tuple[str, str | None, list[str], list[GeneratedSample]]]) -> Ontology:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dived
-from dived import assembly, curation, evaluation, llm_client
+from dived import assembly, curation, evaluation, jsonl, llm_client, ontology, pruning
 
 from conftest import FIXTURES, REPO_ROOT
 
@@ -48,8 +48,9 @@ def test_removed_request_and_result_fields_are_gone():
 
 def test_removed_knobs_are_gone():
     """One instance prompt, one back-off base, one set of trigger delimiters,
-    only the packaged prompt templates, one per-kind instance count and one
-    parse result type, which each parser returns per expected event."""
+    only the packaged prompt templates, one per-kind instance count, one
+    parse result type, which each parser returns per expected event, and one
+    error type per kind of bad input."""
     assert list(inspect.signature(assembly.render_instance).parameters) == ["instance"]
     assert not hasattr(assembly, "DEFAULT_INSTANCE_TEMPLATE")
     assert list(inspect.signature(llm_client.complete_batch).parameters) == [
@@ -59,6 +60,9 @@ def test_removed_knobs_are_gone():
     assert "templates_dir" not in {f.name for f in dataclasses.fields(llm_client.HttpBackend)}
     assert not hasattr(llm_client, "TemplateNotFoundError")
     assert not hasattr(assembly, "count_kinds")
+    assert not hasattr(pruning, "PruneInputError") and not hasattr(curation, "InvalidSampleError")
+    assert ontology.OntologyFormatError.__mro__[1] is jsonl.JsonlError
+    assert "__init__" not in vars(ontology.OntologyFormatError)
     assert not hasattr(curation, "_SampleStats")
     for parser, params in [(curation.parse_definitions, ["text", "expected_events"]),
                            (curation.parse_samples, ["text", "expected_events", "per_event"]),
@@ -72,7 +76,7 @@ PER_ROW_RECORDS = [
     (assembly.TrainingInstance,
      ["instance_id", "event_name", "definition", "ontology_context", "sentence", "target", "kind"],
      ("i", "E", "d", None, "a hit", "hit", "positive")),
-    (curation.GeneratedSample, ["event_name", "sentence", "trigger"], ("E", "a hit", "hit")),
+    (curation.GeneratedSample, ["sentence", "trigger"], ("a hit", "hit")),
 ]
 
 
@@ -96,12 +100,12 @@ def test_prediction_record_is_a_gold_record_with_its_own_constructor():
     lambda: assembly.TrainingInstance("i", "E", "d", None, "a hit", "hit", "negative"),
     lambda: dataclasses.replace(assembly.TrainingInstance("i", "E", "d", None, "a hit", "hit", "positive"),
                                 kind="other"),
-    lambda: curation.GeneratedSample("E", "a hit", "miss"),
-    lambda: dataclasses.replace(curation.GeneratedSample("E", "a hit", "hit"), sentence="two\nlines hit"),
+    lambda: curation.GeneratedSample("a hit", "miss"),
+    lambda: dataclasses.replace(curation.GeneratedSample("a hit", "hit"), sentence="two\nlines hit"),
 ], ids=["positive_target_not_in_sentence", "negative_with_target", "replace_to_bad_kind",
         "trigger_not_in_sentence", "replace_to_two_lines"])
 def test_slotted_records_still_check_their_invariants(make):
-    with pytest.raises((ValueError, curation.InvalidSampleError)):
+    with pytest.raises(ValueError):
         make()
 
 

@@ -126,8 +126,8 @@ def test_sibling_fallback_fills_with_plain_negatives():
 def test_negative_candidates_exclude_events_containing_sentence():
     shared = "Something common happened here today."
     dataset = make_dataset([
-        ("A", None, ["dA"], [GeneratedSample("A", shared, "common")]),
-        ("B", None, ["dB"], [GeneratedSample("B", shared, "happened")]),
+        ("A", None, ["dA"], [GeneratedSample(shared, "common")]),
+        ("B", None, ["dB"], [GeneratedSample(shared, "happened")]),
         ("C", None, ["dC"], [make_sample("C", 0)]),
     ])
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=1, n_negatives=1, seed=2)
@@ -145,9 +145,9 @@ def test_sentence_listed_twice_and_shared_by_two_events(tmp_path):
     shared = "Something common happened here today."
     dataset = make_dataset([
         ("R", None, ["dR"], [make_sample("R", i) for i in range(3)]),
-        ("A", "R", ["dA0", "dA1"], [GeneratedSample("A", shared, "common"), make_sample("A", 1),
-                                   GeneratedSample("A", shared, "happened")]),
-        ("B", "R", ["dB0", "dB1"], [make_sample("B", 0), GeneratedSample("B", shared, "Something"),
+        ("A", "R", ["dA0", "dA1"], [GeneratedSample(shared, "common"), make_sample("A", 1),
+                                   GeneratedSample(shared, "happened")]),
+        ("B", "R", ["dB0", "dB1"], [make_sample("B", 0), GeneratedSample(shared, "Something"),
                                    make_sample("B", 2)]),
         ("C", "R", ["dC"], [make_sample("C", i) for i in range(3)]),
         ("D", "R", ["dD"], [make_sample("D", i) for i in range(3)]),
@@ -611,7 +611,7 @@ def slice_cases(draw):
         kind = draw(st.sampled_from(["full"] * 8 + ["no_samples", "no_definitions"]))
         definitions = [] if kind == "no_definitions" else [f"e{i} def {d}" for d in range(2)]
         sentences = [] if kind == "no_samples" else draw(st.lists(st.sampled_from(SHARED_SENTENCES), min_size=2, max_size=3))
-        rows.append((f"e{i}", parent, definitions, [GeneratedSample(f"e{i}", s, "marched") for s in sentences]))
+        rows.append((f"e{i}", parent, definitions, [GeneratedSample(s, "marched") for s in sentences]))
     n_negatives = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
     spec = SliceSpec(
         n_events=draw(st.integers(min_value=1, max_value=min(size, 4))),

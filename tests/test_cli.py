@@ -110,7 +110,7 @@ def test_mock_generation_keeps_a_comma_in_an_event_name(tmp_path):
                 "--out", str(d2)]) == 0
     node = read_dataset(d2).get("arrest, detain")
     assert len(node.definitions) == 1
-    assert [s.event_name for s in node.samples] == ["arrest, detain"] * 2
+    assert node.name == "arrest, detain" and len(node.samples) == 2
 
 
 def test_assemble_example_counts(tmp_path):
@@ -236,6 +236,21 @@ def test_prune_rejects_malformed_sample_entry_naming_the_line(tmp_path, capsys, 
     out, audit = tmp_path / "pruned.jsonl", tmp_path / "audit.jsonl"
     assert run(["prune", "--dataset", str(dataset), "--out", str(out), "--audit", str(audit)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curate-samples", "expand-defs"])
+def test_a_step_needing_definitions_exits_1_naming_the_line_of_an_event_without_one(tmp_path, capsys, command):
+    rows = [
+        {"event": "a", "parent": None, "children": ["b"], "definitions": ["a def"], "samples": []},
+        {"event": "b", "parent": "a", "children": [], "definitions": [], "samples": []},
+    ]
+    dataset = tmp_path / "ds.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run([command, "--dataset", str(dataset), "--backend", "mock", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset}:2: ") and "event 'b' has no definition" in err
     assert not out.exists()
 
 
@@ -601,7 +616,7 @@ def test_running_out_of_negatives_partway_leaves_no_output(tmp_path, capsys):
     shared = "The fire spread to the hall."
     dataset = make_dataset([
         ("A", None, ["A def"], [make_sample("A", 0)]),
-        *((event, None, [f"{event} def"], [GeneratedSample(event, shared, "fire")]) for event in "BCD"),
+        *((event, None, [f"{event} def"], [GeneratedSample(shared, "fire")]) for event in "BCD"),
     ])
     path = tmp_path / "dataset.jsonl"
     write_dataset(dataset, path)

@@ -17,7 +17,6 @@ from dived import cli
 from dived.curation import (
     CurationReport,
     GeneratedSample,
-    InvalidSampleError,
     _Parse,
     curate_definitions_for_trees,
     curate_samples_for_trees,
@@ -32,6 +31,7 @@ from dived.curation import (
     tree_block,
     write_dataset,
 )
+from dived.errors import EventInputError
 from dived.jsonl import JsonlError
 from dived.llm_client import (
     Backend,
@@ -82,15 +82,15 @@ def expand_one(node, backend, count):
 
 
 def test_sample_invariants_enforced_at_construction():
-    GeneratedSample(event_name="attack", sentence="Rebels bombed the base.", trigger="bombed")
-    with pytest.raises(InvalidSampleError):
-        GeneratedSample(event_name="attack", sentence="Rebels bombed the base.", trigger="invaded")
-    with pytest.raises(InvalidSampleError):
-        GeneratedSample(event_name="attack", sentence="Line one.\nLine two.", trigger="Line")
-    with pytest.raises(InvalidSampleError):
-        GeneratedSample(event_name="attack", sentence="", trigger="x")
+    GeneratedSample(sentence="Rebels bombed the base.", trigger="bombed")
+    with pytest.raises(ValueError):
+        GeneratedSample(sentence="Rebels bombed the base.", trigger="invaded")
+    with pytest.raises(ValueError):
+        GeneratedSample(sentence="Line one.\nLine two.", trigger="Line")
+    with pytest.raises(ValueError):
+        GeneratedSample(sentence="", trigger="x")
     with pytest.raises(TypeError):  # a sample has no origin field
-        GeneratedSample(event_name="attack", sentence="ok trigger here", trigger="trigger", origin="generated")
+        GeneratedSample(sentence="ok trigger here", trigger="trigger", origin="generated")
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +147,26 @@ def test_curate_samples_with_mock():
     samples = samples_of(tree)
     assert len(samples) == 30
     assert report.requested == 30 and report.parsed == 30 and report.dropped_invalid == 0
-    # grouped by event in node (pre-order) order
-    assert [s.event_name for s in samples] == ["conflict"] * 10 + ["attack"] * 10 + ["protest"] * 10
+    assert [(node.name, len(node.samples)) for node in tree.iter_preorder()] == [
+        ("conflict", 10), ("attack", 10), ("protest", 10)]
     assert all(s.trigger in s.sentence for s in samples)
 
 
 def test_curate_samples_requires_definitions():
     with pytest.raises(ValueError):
         curate_samples_for_trees([small_tree()], MockBackend(seed=0))
+
+
+@pytest.mark.parametrize("step", [
+    lambda dataset: curate_samples_for_trees(dataset.trees, MockBackend(seed=0)),
+    lambda dataset: expand_definitions_for_nodes(list(dataset.iter_nodes()), MockBackend(seed=0)),
+    prune_dataset,
+], ids=["curate_samples", "expand_definitions", "prune"])
+def test_an_event_without_what_a_step_needs_raises_event_input_error(step):
+    dataset = make_dataset([("A", None, ["A def"], [make_sample("A", 0)]), ("B", "A", [], [])])
+    with pytest.raises(EventInputError) as err:
+        step(dataset)
+    assert isinstance(err.value, ValueError) and err.value.event == "B"
 
 
 def test_curate_samples_rejects_nonpositive_per_event():
@@ -349,8 +361,8 @@ def reference_parse_samples(text, expected_events, per_event):
                 continue
             st.pairs += 1
             try:
-                st.samples.append(GeneratedSample(event_name=name, sentence=sentence, trigger=value))
-            except InvalidSampleError:
+                st.samples.append(GeneratedSample(sentence=sentence, trigger=value))
+            except ValueError:
                 st.dropped += 1
     return stats
 
@@ -462,7 +474,7 @@ def test_read_dataset_strips_the_event_name_of_its_samples_too(tmp_path):
     path.write_text('{"event": " e2", "parent": null, "children": [], "definitions": [" e2 def"],'
                     ' "samples": [{"sentence": "The  e2 crew run at dawn.", "trigger": "run"}]}\n', encoding="utf-8")
     node = read_dataset(path).get("e2")
-    assert node.name == "e2" and [s.event_name for s in node.samples] == ["e2"]
+    assert node.name == "e2" and len(node.samples) == 1
 
 
 def test_read_dataset_rejects_bad_sample_with_line_number(tmp_path):

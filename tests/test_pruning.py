@@ -16,16 +16,14 @@ from dived import pruning
 from dived.cli import main
 from dived.curation import GeneratedSample, read_dataset
 from dived.jsonl import read_rows
-from dived.pruning import OverlapRecord, PruneInputError, overlap_ratio, prune_dataset, prune_tree, write_audit
+from dived.errors import EventInputError
+from dived.pruning import OverlapRecord, overlap_ratio, prune_dataset, prune_tree, write_audit
 
 from conftest import make_dataset
 
 
 def record(event, parent, triggers):
-    samples = [
-        GeneratedSample(event_name=event, sentence=f"The {event} crew {t} at dawn.", trigger=t)
-        for t in triggers
-    ]
+    samples = [GeneratedSample(sentence=f"The {event} crew {t} at dawn.", trigger=t) for t in triggers]
     return (event, parent, [f"{event} def"], samples)
 
 
@@ -114,7 +112,7 @@ def test_single_event_tree_unchanged():
 def test_precondition_event_without_samples():
     rec = record("A", None, ["t"])
     empty = ("B", "A", [], [])
-    with pytest.raises(PruneInputError):
+    with pytest.raises(EventInputError):
         prune_dataset(make_dataset([rec, empty]))
 
 
