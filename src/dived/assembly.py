@@ -12,11 +12,13 @@ leave out the events holding its sentence (a sentence index keeps, for
 each selected sentence, the distinct events that hold it): hard negatives
 from the event's free siblings, a cousin fill for their shortfall, plain
 negatives by rejection from the candidate list, and a top-up from the free
-siblings left over when the plain ones run out. Negative rows are written
-from pieces encoded once per event and kept; a positive row's piece is
-encoded when the row is written (see ``write_jsonl``). ``iter_instances``
-yields the instances one at a time, so ``write_jsonl(iter_instances(...))``
-writes a slice without holding it.
+siblings left over when the plain ones run out. One draw loop makes every
+draw of a slice. ``iter_instances`` builds ``TrainingInstance``s from it,
+one at a time; ``write_slice``, which ``dived assemble`` runs, turns the
+same draws straight into the JSONL lines of
+``write_jsonl(iter_instances(...))``. Both writers format a line in one
+place (``_row``) and encode a negative event's name, definition and
+context part once per slice. Neither holds the slice.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import jsonl
-from .errors import DivedError
+from .errors import DivedError, EventInputError
 from .ontology import EventTypeNode, Ontology
 
 logger = logging.getLogger(__name__)
@@ -153,23 +155,31 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
     samples per chosen event, negative candidates) run when this is called,
     before the first instance is asked for. Running out of negative
     candidates for one sentence is found only when its turn comes, and
-    raised from the iteration.
+    raised from the iteration; so is a chosen sample whose trigger is
+    "None", the negative target (an EventInputError).
 
     Cost: the sentence index is built once. A positive draws from four
     pools, in this order: hard negatives from its free siblings (the
     event's candidate siblings that do not hold the sentence, listed once
     per positive); the cousin fill from the cousins that do not hold it;
     plain negatives, each a uniform pick from the whole candidate list drawn
-    again while it falls in the skip set (the event, its siblings, the
-    sentence's holders, the cousin fill and the plain negatives already
-    drawn), or all candidates outside that set in pre-order when no more lie
-    outside it than are needed; and the top-up from the free siblings not
-    drawn as hard negatives. So a positive costs about its siblings, its
-    skip set and its draws, not a pass over the candidates. An event's
-    cousin pool is built the first time one of its positives is short of
-    siblings. Memory follows the dataset and the slice's picks, not the
+    again while it falls in the skip set (the event and its siblings, a set
+    built once per event, then the sentence's holders, the cousin fill and
+    the plain negatives already drawn), or all candidates outside that set
+    in pre-order when no more lie outside it than are needed; and the top-up
+    from the free siblings not drawn as hard negatives. So a positive costs
+    about its siblings, its skip set and its draws, not a pass over the
+    candidates. An event's cousin pool is built the first time one of its
+    positives is short of siblings. Memory follows the dataset and the slice's picks, not the
     instance count: nothing keeps an instance once it is yielded.
     """
+    return _instances(spec, _draws(dataset, spec))
+
+
+def _draws(dataset: Ontology, spec: SliceSpec) -> Iterator[tuple]:
+    """Run the slice checks, then return its draw loop. Per positive, in output
+    order, the loop yields (node, si, sample, definition), then draws and
+    yields (negatives, n_hard), the events of its negatives, hard ones first."""
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
         raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
@@ -190,11 +200,11 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
         _rng(spec.seed, node.name, "defs").shuffle(definitions)
         _rng(spec.seed, node.name, "samples").shuffle(sample_ids)
         picks.append((node, definitions[: spec.n_definitions], sample_ids[: spec.n_samples]))
-    return _instances(spec, events, picks)
+    return _draw_loop(spec, events, picks)
 
 
-def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Iterator[TrainingInstance]:
-    """The instances of ``iter_instances``, once its checks have passed."""
+def _draw_loop(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Iterator[tuple]:
+    """The draw loop of ``_draws``, once its checks have passed."""
     candidates = [node for node in events if node.definitions]
     is_candidate = set(candidates)
     holders: dict[str, set[EventTypeNode]] = {node.samples[i].sentence: set() for node, _, ids in picks for i in ids}
@@ -203,33 +213,21 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
             if s.sentence in holders:
                 holders[s.sentence].add(node)
 
-    @functools.cache
-    def context(node: EventTypeNode) -> OntologyContext | None:
-        if not spec.with_ontology:
-            return None
-        return OntologyContext(
-            parent=node.parent.name if node.parent is not None else None,
-            children=tuple(c.name for c in node.children),
-        )
-
     fallback_count = 0
     for node, sel_defs, sample_ids in picks:
         event = node.name
         siblings = [c for c in (node.parent.children if node.parent else ()) if c is not node and c in is_candidate]
+        own = {node, *siblings}
         cousins: list[EventTypeNode] | None = None  # built on the first shortfall of siblings
 
         for si, sample_index in enumerate(sample_ids):
             sample = node.samples[sample_index]
-            yield TrainingInstance(
-                instance_id=f"{event}|s{si}|p",
-                event_name=event,
-                definition=sel_defs[si % spec.n_definitions] if spec.with_definition else "",
-                ontology_context=context(node),
-                sentence=sample.sentence,
-                target=sample.trigger,
-                kind="positive",
-            )
+            if sample.trigger == NONE_TARGET:
+                raise EventInputError(event, f"event {event!r}: sample {sample.sentence!r} has trigger "
+                                             f"{NONE_TARGET!r}, which is the target of a negative instance")
+            yield node, si, sample, sel_defs[si % spec.n_definitions] if spec.with_definition else ""
             if spec.n_negatives == 0:
+                yield (), 0
                 continue
 
             negatives_rng = _rng(spec.seed, event, "negatives", str(sample_index))
@@ -246,7 +244,7 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
                 fill = negatives_rng.sample(free_cousins, min(shortfall, len(free_cousins)))
 
             plain_needed = spec.n_negatives - len(hard) - len(fill)
-            skip = {node, *siblings}.union(held_by, fill)  # every set here holds candidates only
+            skip = own.union(held_by, fill)  # every set here holds candidates only
             if len(candidates) - len(skip) <= plain_needed:
                 plain = [c for c in candidates if c not in skip]
             else:
@@ -266,20 +264,32 @@ def _instances(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
                     f"event {event!r}, sample {si}: need {plain_needed - len(plain)} more "
                     f"negative candidates than the dataset offers"
                 )
-
-            for ni, neg in enumerate(hard + fill + plain):
-                yield TrainingInstance(
-                    instance_id=f"{event}|s{si}|n{ni}",
-                    event_name=neg.name,
-                    definition=neg.definitions[0] if spec.with_definition else "",
-                    ontology_context=context(neg),
-                    sentence=sample.sentence,
-                    target=NONE_TARGET,
-                    kind="hard_negative" if ni < len(hard) else "negative",
-                )
+            yield hard + fill + plain, len(hard)
 
     if fallback_count:
         logger.info("hard-negative fallback used for %d slots (not enough siblings)", fallback_count)
+
+
+def _context(node: EventTypeNode) -> OntologyContext:
+    """A node's parent and children, by name."""
+    return OntologyContext(
+        parent=node.parent.name if node.parent is not None else None,
+        children=tuple(c.name for c in node.children),
+    )
+
+
+def _instances(spec: SliceSpec, draws: Iterator[tuple]) -> Iterator[TrainingInstance]:
+    """The instances of ``iter_instances``, built from the draw loop."""
+    context = functools.cache(_context) if spec.with_ontology else lambda node: None
+    for node, si, sample, definition in draws:
+        event = node.name
+        yield TrainingInstance(f"{event}|s{si}|p", event, definition, context(node), sample.sentence,
+                               sample.trigger, "positive")
+        negatives, n_hard = next(draws)
+        for ni, neg in enumerate(negatives):
+            yield TrainingInstance(f"{event}|s{si}|n{ni}", neg.name, neg.definitions[0] if spec.with_definition else "",
+                                   context(neg), sample.sentence, NONE_TARGET,
+                                   "hard_negative" if ni < n_hard else "negative")
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +319,68 @@ def render_instance(instance: TrainingInstance) -> tuple[str, str]:
 _STRING_FIELDS = ("instance_id", "event_name", "definition", "sentence", "target", "kind")
 
 
+def _part(event_name: str, definition: str, ctx: OntologyContext | None) -> str:
+    """The event name / definition / ontology context members of an instance line."""
+    return jsonl.encode_row({
+        "event_name": event_name,
+        "definition": definition,
+        "ontology_context": None if ctx is None else {"parent": ctx.parent, "children": list(ctx.children)},
+    })[1:-1]
+
+
+def _row(instance_id: str, part: str, sentence: str, target: str, kind: str) -> str:
+    """One instance line, without its newline, from JSON string literals and a
+    ``_part``: the bytes of ``json.dumps(row, ensure_ascii=False)``."""
+    return f'{{"instance_id": {instance_id}, {part}, "sentence": {sentence}, "target": {target}, "kind": {kind}}}'
+
+
 def write_jsonl(instances: Iterable[TrainingInstance], path: str | Path) -> int:
-    """Write instances as JSONL with a stable field order.
-
-    Each line has the bytes of ``json.dumps(row, ensure_ascii=False)``: the
-    event name / definition / ontology context part and the other strings
-    are encoded one by one, then joined. Only negative rows' parts are kept,
-    once per distinct triple, since a negative event recurs across positives;
-    a positive row's part is encoded when the row is written."""
-    fragments: dict[tuple[str, str, OntologyContext | None], str] = {}
-
-    def encode_part(inst: TrainingInstance) -> str:
-        ctx = inst.ontology_context
-        return jsonl.encode_row({
-            "event_name": inst.event_name,
-            "definition": inst.definition,
-            "ontology_context": None if ctx is None else {"parent": ctx.parent, "children": list(ctx.children)},
-        })[1:-1]
+    """Write instances as JSONL with a stable field order (``_row``); return the
+    row count. A negative row's event name / definition / context part is
+    kept once per distinct triple, since a negative event recurs across
+    positives; a positive row's part is encoded when the row is written."""
+    neg_parts: dict[tuple[str, str, OntologyContext | None], str] = {}
 
     def line(inst: TrainingInstance) -> str:
+        key = (inst.event_name, inst.definition, inst.ontology_context)
         if inst.kind == "positive":
-            part = encode_part(inst)
-        else:
-            key = (inst.event_name, inst.definition, inst.ontology_context)
-            part = fragments.get(key)
-            if part is None:
-                part = fragments[key] = encode_part(inst)
-        return (
-            f'{{"instance_id": {_encode(inst.instance_id)}, {part}, "sentence": {_encode(inst.sentence)}, '
-            f'"target": {_encode(inst.target)}, "kind": {_encode(inst.kind)}}}'
-        )
+            part = _part(*key)
+        elif (part := neg_parts.get(key)) is None:
+            part = neg_parts[key] = _part(*key)
+        return _row(_encode(inst.instance_id), part, _encode(inst.sentence), _encode(inst.target), _encode(inst.kind))
 
     return jsonl.write_rows(path, instances, encode=line)
+
+
+def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[str, int]:
+    """Write the bytes of ``write_jsonl(iter_instances(dataset, spec), path)``
+    straight from the draws, and return the row count per kind. The slice
+    checks run before the output opens. Per positive, the sentence and the
+    event name are encoded once, and its rows go out in one write."""
+    draws = _draws(dataset, spec)
+    counts = dict.fromkeys(KINDS, 0)
+    kinds = {kind: _encode(kind) for kind in KINDS}
+    none = _encode(NONE_TARGET)
+    neg_parts: dict[EventTypeNode, str] = {}  # a negative event's part is the same after every positive
+
+    def part(node: EventTypeNode, definition: str) -> str:
+        return _part(node.name, definition, _context(node) if spec.with_ontology else None)
+
+    with jsonl.open_atomic(path) as fh:
+        for node, si, sample, definition in draws:
+            sentence, ids = _encode(sample.sentence), f"{_encode(node.name)[:-1]}|s{si}|"
+            lines = [_row(f'{ids}p"', part(node, definition), sentence, _encode(sample.trigger), kinds["positive"])]
+            negatives, n_hard = next(draws)
+            for ni, neg in enumerate(negatives):
+                if (neg_part := neg_parts.get(neg)) is None:
+                    neg_part = neg_parts[neg] = part(neg, neg.definitions[0] if spec.with_definition else "")
+                lines.append(_row(f'{ids}n{ni}"', neg_part, sentence, none,
+                                  kinds["hard_negative" if ni < n_hard else "negative"]))
+            fh.write("\n".join(lines) + "\n")
+            counts["positive"] += 1
+            counts["hard_negative"] += n_hard
+            counts["negative"] += len(negatives) - n_hard
+    return counts
 
 
 def read_jsonl(path: str | Path) -> list[TrainingInstance]:

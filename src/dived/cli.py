@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import logging
 import sys
@@ -251,18 +252,9 @@ def cmd_assemble(resolved: dict):
         n_negatives=resolved["negatives"], n_hard_negatives=resolved["hard_negatives"],
         with_ontology=resolved["with_ontology"], with_definition=resolved["with_definition"], seed=resolved["seed"],
     )
-    instances = assembly.iter_instances(dataset, spec)  # the slice checks run here, before the output opens
-    kind_counts = dict.fromkeys(assembly.KINDS, 0)
-
-    def counted(instances):
-        for inst in instances:
-            kind_counts[inst.kind] += 1
-            yield inst
-
-    written = assembly.write_jsonl(counted(instances), resolved["out"])
-    counts = {"instances": written, "positives": kind_counts["positive"],
-              "negatives": kind_counts["negative"] + kind_counts["hard_negative"],
-              "hard_negatives": kind_counts["hard_negative"]}
+    kinds = assembly.write_slice(dataset, spec, resolved["out"])  # the slice checks run before the output opens
+    counts = {"instances": sum(kinds.values()), "positives": kinds["positive"],
+              "negatives": kinds["negative"] + kinds["hard_negative"], "hard_negatives": kinds["hard_negative"]}
     print("assemble: {instances} instances ({positives} positive, {negatives} negative, "
           "of which {hard_negatives} hard)".format(**counts))
     return [resolved["dataset"]], [resolved["out"]], counts, 0
@@ -418,6 +410,12 @@ def main(argv: list[str] | None = None) -> int:
         except EventInputError as exc:  # an event lacks what the command needs: name its dataset row
             line = next(n for n, row in jsonl.read_rows(resolved["dataset"]) if row["event"].strip() == exc.event)
             raise jsonl.JsonlError(resolved["dataset"], line, str(exc)) from None
+        except evaluation.RecordError as exc:  # name the row: an unknown id's first, a duplicate key's second
+            path = resolved["gold" if exc.side == "gold" else "pred"]
+            rows = (n for n, row in jsonl.read_rows(path)
+                    if row["sentence_id"] == exc.sentence_id and exc.event_type in (None, row["event_type"]))
+            line = [*itertools.islice(rows, 1 if exc.event_type is None else 2)][-1]
+            raise jsonl.JsonlError(path, line, str(exc)) from None
         if outputs:
             write_manifests(args.command, resolved, inputs, outputs, counts)
         return code

@@ -33,6 +33,18 @@ class EvaluationInputError(DivedError):
     score report file that is not one."""
 
 
+class RecordError(EvaluationInputError):
+    """A record ``match_and_score`` cannot score: the second gold or
+    prediction record for one (sentence, event type), or the first
+    prediction for a sentence without gold (``event_type`` None). ``side``
+    ("gold" or "prediction"), ``sentence_id`` and ``event_type`` name it; the
+    CLI names its line."""
+
+    def __init__(self, side: str, sentence_id: str, event_type: str | None, message: str):
+        super().__init__(message)
+        self.side, self.sentence_id, self.event_type = side, sentence_id, event_type
+
+
 def normalize_trigger(text: str) -> str:
     """Trim and collapse each whitespace run to one space (``str.split``'s
     whitespace is the same set as the regex class ``\\s``)."""
@@ -190,12 +202,12 @@ def match_and_score(gold: Sequence[GoldRecord], pred: Sequence[PredictionRecord]
             if side == 0:
                 group = by_sentence.setdefault(rec.sentence_id, ({}, {}))
             elif (group := by_sentence.get(rec.sentence_id)) is None:
-                raise EvaluationInputError(f"prediction for unknown sentence id {rec.sentence_id!r}")
+                raise RecordError(label, rec.sentence_id, None,
+                                  f"prediction for unknown sentence id {rec.sentence_id!r}")
             by_type = group[side]
             if rec.event_type in by_type:
-                raise EvaluationInputError(
-                    f"duplicate {label} record for sentence {rec.sentence_id!r}, type {rec.event_type!r}"
-                )
+                raise RecordError(label, rec.sentence_id, rec.event_type,
+                                  f"duplicate {label} record for sentence {rec.sentence_id!r}, type {rec.event_type!r}")
             by_type[rec.event_type] = rec
             type_counts.setdefault(rec.event_type, [0, 0, 0])
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dived import cli
 from dived.assembly import (
     AssemblyError,
     InsufficientDataError,
@@ -24,9 +25,10 @@ from dived.assembly import (
     read_jsonl,
     render_instance,
     write_jsonl,
+    write_slice,
 )
 from dived.assembly import _cousin_pool, _rng
-from dived.curation import GeneratedSample
+from dived.curation import GeneratedSample, read_dataset, write_dataset
 from dived.jsonl import JsonlError
 from dived.ontology import build_ontology, siblings
 
@@ -109,11 +111,16 @@ def test_hard_negatives_are_siblings_exact_count():
         assert len(names) == len(set(names))
 
 
-def test_sibling_fallback_fills_with_plain_negatives():
+def test_sibling_fallback_fills_with_plain_negatives(tmp_path, caplog):
     dataset = small_dataset()
     # B has exactly one sibling (C); asking for 2 hard negatives forces fallback
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=1, n_negatives=2, n_hard_negatives=2, seed=5)
-    instances = assemble(dataset, spec)
+    with caplog.at_level("INFO", logger="dived.assembly"):
+        instances = assemble(dataset, spec)
+        write_slice(dataset, spec, tmp_path / "instances.jsonl")
+    # one line per slice, from either writer: A has no sibling, B and C one each
+    message = "hard-negative fallback used for 4 slots (not enough siblings)"
+    assert [r.getMessage() for r in caplog.records] == [message, message]
     for prefix, group in group_by_positive(instances).items():
         assert len(group) == 3  # positive + 2 negatives
         hard = [i for i in group if i.kind == "hard_negative"]
@@ -612,8 +619,13 @@ def slice_cases(draw):
         definitions = [] if kind == "no_definitions" else [f"e{i} def {d}" for d in range(2)]
         sentences = [] if kind == "no_samples" else draw(st.lists(st.sampled_from(SHARED_SENTENCES), min_size=2, max_size=3))
         rows.append((f"e{i}", parent, definitions, [GeneratedSample(s, "marched") for s in sentences]))
+    return make_dataset(rows), draw_slice_spec(draw, size)
+
+
+def draw_slice_spec(draw, size: int) -> SliceSpec:
+    """A slice spec over a dataset of ``size`` events, for ``slice_cases``."""
     n_negatives = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
-    spec = SliceSpec(
+    return SliceSpec(
         n_events=draw(st.integers(min_value=1, max_value=min(size, 4))),
         n_definitions=draw(st.integers(min_value=1, max_value=2)),
         n_samples=draw(st.integers(min_value=1, max_value=2)),
@@ -623,7 +635,59 @@ def slice_cases(draw):
         with_definition=draw(st.booleans()),
         seed=draw(st.integers(min_value=0, max_value=3)),
     )
-    return make_dataset(rows), spec
+
+
+@st.composite
+def deep_slice_cases(draw):
+    """1-3 trees 2-4 levels deep, each node with 1-2 children, whose samples
+    share sentences across trees: hard negatives past a node's few siblings
+    come from its cousins."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        level = [None]
+        for _ in range(draw(st.integers(min_value=2, max_value=4))):
+            below = []
+            for parent in level:
+                for _ in range(1 if parent is None else draw(st.integers(min_value=1, max_value=2))):
+                    event = f"e{len(rows)}"
+                    sentences = draw(st.lists(st.sampled_from(SHARED_SENTENCES), min_size=2, max_size=3))
+                    rows.append((event, parent, [f"{event} def {d}" for d in range(2)],
+                                 [GeneratedSample(s, "marched") for s in sentences]))
+                    below.append(event)
+            level = below
+    return make_dataset(rows), draw_slice_spec(draw, len(rows))
+
+
+@given(st.one_of(slice_cases(), deep_slice_cases()))
+@settings(max_examples=200, deadline=None)
+def test_dived_assemble_writes_the_bytes_of_the_assembled_list(case):
+    """The command writes its rows straight from the draws; they are the
+    bytes of write_jsonl(assemble(...)), and its manifest counts their kinds.
+    A slice the dataset cannot fill fails the command the same way."""
+    dataset, spec = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out, listed = Path(tmp) / "dataset.jsonl", Path(tmp) / "out.jsonl", Path(tmp) / "listed.jsonl"
+        write_dataset(dataset, path)
+        code = cli.main([
+            "assemble", "--dataset", str(path), "--events", str(spec.n_events),
+            "--definitions", str(spec.n_definitions), "--samples", str(spec.n_samples),
+            "--negatives", str(spec.n_negatives), "--hard-negatives", str(spec.n_hard_negatives),
+            "--ontology" if spec.with_ontology else "--no-ontology",
+            "--definition" if spec.with_definition else "--no-definition", "--seed", str(spec.seed), "--out", str(out),
+        ])
+        try:
+            instances = assemble(read_dataset(path), spec)
+        except AssemblyError:
+            assert code == 1 and not out.exists()
+            return
+        assert code == 0
+        write_jsonl(instances, listed)
+        assert out.read_bytes() == listed.read_bytes()
+        kinds = Counter(inst.kind for inst in instances)
+        assert json.loads(cli.manifest_path(out).read_text())["counts"] == {
+            "instances": len(instances), "positives": kinds["positive"],
+            "negatives": kinds["negative"] + kinds["hard_negative"], "hard_negatives": kinds["hard_negative"],
+        }
 
 
 def _outcome(assemble_fn, dataset, spec):

@@ -381,6 +381,27 @@ def test_score_rejects_non_string_id_naming_the_line(tmp_path, capsys, side, fie
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side, extra, line, message", [
+    ("gold", [("s2", "T"), ("s1", "U"), ("s1", "T")], 4, "duplicate gold record for sentence 's1', type 'T'"),
+    ("pred", [("s2", "T"), ("s1", "U"), ("s1", "T")], 4, "duplicate prediction record for sentence 's1', type 'T'"),
+    ("pred", [("s1", "U"), ("s9", "U"), ("s9", "T")], 3, "prediction for unknown sentence id 's9'"),
+], ids=["duplicate_gold", "duplicate_pred", "unknown_id"])
+def test_score_names_the_line_of_a_record_it_cannot_score(tmp_path, capsys, side, extra, line, message):
+    """The duplicate is the second record of its key; the unknown id, the
+    first prediction that names it. Each file also holds the other's keys,
+    so only one side is at fault."""
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    keys = [("s1", "T"), ("s2", "T"), ("s1", "U")]
+    for path in (gold, pred):
+        rows = [("s1", "T"), *extra] if path.name.startswith(side) else keys
+        path.write_text("".join(json.dumps({"sentence_id": sid, "event_type": t, "triggers": ["hit"]}) + "\n"
+                                for sid, t in rows), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert run(["score", "--gold", str(gold), "--pred", str(pred), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / side}.jsonl:{line}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("side", ["gold", "pred"])
 @pytest.mark.parametrize(
     "spans",
@@ -632,6 +653,29 @@ def test_running_out_of_negatives_partway_leaves_no_output(tmp_path, capsys):
                 "--negatives", "2", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert list(out.parent.iterdir()) == []
+
+
+def test_a_sample_whose_trigger_is_the_negative_target_exits_1_naming_its_line(tmp_path, capsys):
+    """A positive row with target "None" would read as a negative, so the
+    slice is refused and the message names the dataset line of the event."""
+    dataset = make_dataset([
+        ("A", None, ["A def"], [make_sample("A", 0)]),
+        ("B", None, ["B def"], [GeneratedSample("None of them came.", "None")]),
+        ("C", None, ["C def"], [make_sample("C", 0)]),
+    ])
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(dataset, path)
+    with pytest.raises(ValueError, match="'B'"):
+        list(assembly.iter_instances(read_dataset(path), assembly.SliceSpec(3, 1, 1, n_negatives=1)))
+
+    out = tmp_path / "out" / "instances.jsonl"
+    out.parent.mkdir()
+    code = run(["assemble", "--dataset", str(path), "--events", "3", "--definitions", "1", "--samples", "1",
+                "--negatives", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: event 'B'") and "'None'" in err
     assert list(out.parent.iterdir()) == []
 
 
