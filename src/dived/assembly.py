@@ -13,12 +13,13 @@ each selected sentence, the distinct events that hold it): hard negatives
 from the event's free siblings, a cousin fill for their shortfall, plain
 negatives by rejection from the candidate list, and a top-up from the free
 siblings left over when the plain ones run out. One draw loop makes every
-draw of a slice. ``iter_instances`` builds ``TrainingInstance``s from it,
-one at a time; ``write_slice``, which ``dived assemble`` runs, turns the
-same draws straight into the JSONL lines of
-``write_jsonl(iter_instances(...))``. Both writers format a line in one
-place (``_row``) and encode a negative event's name, definition and
-context part once per slice. Neither holds the slice.
+draw of a slice and every choice of a row: its id, event, definition,
+target and kind (``_context`` gives its ontology context). ``iter_instances`` builds
+``TrainingInstance``s from those rows, one at a time; ``write_slice``, which
+``dived assemble`` runs, turns the same rows straight into the JSONL lines
+of ``write_jsonl(iter_instances(...))``. Both writers format a line in one
+place (``_row``) and encode an event's name, definition and context part
+once per slice. Neither holds the slice.
 """
 
 from __future__ import annotations
@@ -170,16 +171,21 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
     from the free siblings not drawn as hard negatives. So a positive costs
     about its siblings, its skip set and its draws, not a pass over the
     candidates. An event's cousin pool is built the first time one of its
-    positives is short of siblings. Memory follows the dataset and the slice's picks, not the
+    positives is short of siblings. Each row's id, definition, target and
+    kind are chosen in the draw loop, which this wraps in a
+    ``TrainingInstance`` per row (``write_slice`` writes the same rows
+    without one). Memory follows the dataset and the slice's picks, not the
     instance count: nothing keeps an instance once it is yielded.
     """
     return _instances(spec, _draws(dataset, spec))
 
 
 def _draws(dataset: Ontology, spec: SliceSpec) -> Iterator[tuple]:
-    """Run the slice checks, then return its draw loop. Per positive, in output
-    order, the loop yields (node, si, sample, definition), then draws and
-    yields (negatives, n_hard), the events of its negatives, hard ones first."""
+    """Run the slice checks, then return its draw loop. Per positive, in
+    output order, the loop yields (stem, sentence, rows) for the positive,
+    then draws its negatives and yields them the same way, hard ones first.
+    Each row is (suffix, node, definition, target, kind), its instance id
+    is stem + suffix and its ontology context ``_context(spec, node)``."""
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
         raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
@@ -212,6 +218,7 @@ def _draw_loop(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
         for s in node.samples:
             if s.sentence in holders:
                 holders[s.sentence].add(node)
+    suffixes = [f"n{ni}" for ni in range(spec.n_negatives)]
 
     fallback_count = 0
     for node, sel_defs, sample_ids in picks:
@@ -225,9 +232,10 @@ def _draw_loop(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
             if sample.trigger == NONE_TARGET:
                 raise EventInputError(event, f"event {event!r}: sample {sample.sentence!r} has trigger "
                                              f"{NONE_TARGET!r}, which is the target of a negative instance")
-            yield node, si, sample, sel_defs[si % spec.n_definitions] if spec.with_definition else ""
+            stem = f"{event}|s{si}|"
+            definition = sel_defs[si % spec.n_definitions] if spec.with_definition else ""
+            yield stem, sample.sentence, [("p", node, definition, sample.trigger, "positive")]
             if spec.n_negatives == 0:
-                yield (), 0
                 continue
 
             negatives_rng = _rng(spec.seed, event, "negatives", str(sample_index))
@@ -264,14 +272,20 @@ def _draw_loop(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
                     f"event {event!r}, sample {si}: need {plain_needed - len(plain)} more "
                     f"negative candidates than the dataset offers"
                 )
-            yield hard + fill + plain, len(hard)
+            yield stem, sample.sentence, [
+                (suffixes[ni], neg, neg.definitions[0] if spec.with_definition else "", NONE_TARGET,
+                 "hard_negative" if ni < len(hard) else "negative")
+                for ni, neg in enumerate(hard + fill + plain)
+            ]
 
     if fallback_count:
         logger.info("hard-negative fallback used for %d slots (not enough siblings)", fallback_count)
 
 
-def _context(node: EventTypeNode) -> OntologyContext:
-    """A node's parent and children, by name."""
+def _context(spec: SliceSpec, node: EventTypeNode) -> OntologyContext | None:
+    """The ontology context of a row of the slice that names the node."""
+    if not spec.with_ontology:
+        return None
     return OntologyContext(
         parent=node.parent.name if node.parent is not None else None,
         children=tuple(c.name for c in node.children),
@@ -279,17 +293,11 @@ def _context(node: EventTypeNode) -> OntologyContext:
 
 
 def _instances(spec: SliceSpec, draws: Iterator[tuple]) -> Iterator[TrainingInstance]:
-    """The instances of ``iter_instances``, built from the draw loop."""
-    context = functools.cache(_context) if spec.with_ontology else lambda node: None
-    for node, si, sample, definition in draws:
-        event = node.name
-        yield TrainingInstance(f"{event}|s{si}|p", event, definition, context(node), sample.sentence,
-                               sample.trigger, "positive")
-        negatives, n_hard = next(draws)
-        for ni, neg in enumerate(negatives):
-            yield TrainingInstance(f"{event}|s{si}|n{ni}", neg.name, neg.definitions[0] if spec.with_definition else "",
-                                   context(neg), sample.sentence, NONE_TARGET,
-                                   "hard_negative" if ni < n_hard else "negative")
+    """The instances of ``iter_instances``, built from the draw loop's rows."""
+    context = functools.cache(functools.partial(_context, spec))
+    for stem, sentence, rows in draws:
+        for suffix, node, definition, target, kind in rows:
+            yield TrainingInstance(stem + suffix, node.name, definition, context(node), sentence, target, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +362,28 @@ def write_jsonl(instances: Iterable[TrainingInstance], path: str | Path) -> int:
 
 def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[str, int]:
     """Write the bytes of ``write_jsonl(iter_instances(dataset, spec), path)``
-    straight from the draws, and return the row count per kind. The slice
-    checks run before the output opens. Per positive, the sentence and the
-    event name are encoded once, and its rows go out in one write."""
-    draws = _draws(dataset, spec)
+    straight from the draw loop's rows, and return the row count per kind.
+    The slice checks run before the output opens. Each group of rows the loop
+    yields (a positive, or its negatives) has its stem and sentence encoded
+    once and goes out in one write. As in ``write_jsonl``, only the
+    negatives' parts are kept."""
     counts = dict.fromkeys(KINDS, 0)
-    kinds = {kind: _encode(kind) for kind in KINDS}
-    none = _encode(NONE_TARGET)
-    neg_parts: dict[EventTypeNode, str] = {}  # a negative event's part is the same after every positive
-
-    def part(node: EventTypeNode, definition: str) -> str:
-        return _part(node.name, definition, _context(node) if spec.with_ontology else None)
-
+    literals = {text: _encode(text) for text in (*KINDS, NONE_TARGET)}
+    neg_parts: dict[tuple[EventTypeNode, str], str] = {}
+    draws = _draws(dataset, spec)
     with jsonl.open_atomic(path) as fh:
-        for node, si, sample, definition in draws:
-            sentence, ids = _encode(sample.sentence), f"{_encode(node.name)[:-1]}|s{si}|"
-            lines = [_row(f'{ids}p"', part(node, definition), sentence, _encode(sample.trigger), kinds["positive"])]
-            negatives, n_hard = next(draws)
-            for ni, neg in enumerate(negatives):
-                if (neg_part := neg_parts.get(neg)) is None:
-                    neg_part = neg_parts[neg] = part(neg, neg.definitions[0] if spec.with_definition else "")
-                lines.append(_row(f'{ids}n{ni}"', neg_part, sentence, none,
-                                  kinds["hard_negative" if ni < n_hard else "negative"]))
+        for stem, sentence, rows in draws:
+            ids, sentence = _encode(stem)[:-1], _encode(sentence)
+            lines = []
+            for suffix, node, definition, target, kind in rows:
+                if kind == "positive":
+                    part = _part(node.name, definition, _context(spec, node))
+                elif (part := neg_parts.get((node, definition))) is None:
+                    part = neg_parts[node, definition] = _part(node.name, definition, _context(spec, node))
+                lines.append(_row(f'{ids}{suffix}"', part, sentence, literals.get(target) or _encode(target),
+                                  literals[kind]))
+                counts[kind] += 1
             fh.write("\n".join(lines) + "\n")
-            counts["positive"] += 1
-            counts["hard_negative"] += n_hard
-            counts["negative"] += len(negatives) - n_hard
     return counts
 
 

@@ -7,8 +7,8 @@ every downstream parser, so the whole pipeline is testable offline.
 
 The HTTP backend uses only the standard library (``urllib.request``), so
 importing this module loads no third-party HTTP stack. Each request opens
-its own connection; HTTPS verifies against the system CA store, through
-one TLS context per backend built on its first HTTPS request; proxies come from ``HTTP(S)_PROXY`` and
+its own connection; HTTPS verifies against the system CA store through
+``ssl.create_default_context``; proxies come from ``HTTP(S)_PROXY`` and
 ``NO_PROXY``. The credential is never sent on to a redirect's target.
 """
 
@@ -21,8 +21,6 @@ import logging
 import os
 import random
 import re
-import ssl
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -318,29 +316,6 @@ def _parse_retry_after(value: str | None) -> float | None:
     return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
-class _HTTPSHandler(urllib.request.HTTPSHandler):
-    """urllib's HTTPS handler with one TLS context, built on the first HTTPS
-    open and shared by every thread. urllib's own builds a context per
-    connection (3.11 and older) or when the opener is built (3.12 and newer),
-    and each one loads the CA store."""
-
-    def __init__(self) -> None:
-        urllib.request.AbstractHTTPHandler.__init__(self)  # not HTTPSHandler's: from 3.12 it builds the context
-        self._context: ssl.SSLContext | None = None
-        self._check_hostname = None
-        self._lock = threading.Lock()
-
-    def https_open(self, req):  # noqa: D102 - urllib hook
-        with self._lock:
-            if self._context is None:  # as http.client builds one when it is given none
-                context = ssl._create_default_https_context()
-                context.set_alpn_protocols(["http/1.1"])
-                if context.post_handshake_auth is not None:
-                    context.post_handshake_auth = True
-                self._context = context
-        return super().https_open(req)
-
-
 @dataclass
 class HttpBackend(Backend):
     """Chat-completion style JSON-over-HTTP backend.
@@ -365,7 +340,7 @@ class HttpBackend(Backend):
             valid = False
         if not valid:
             raise BackendConfigError(f"endpoint {self.endpoint!r} is not an absolute http:// or https:// URL with a host")
-        self._opener = urllib.request.build_opener(_HTTPSHandler())
+        self._opener = urllib.request.build_opener()
 
     def generate(self, request: GenRequest) -> str:
         api_key = os.environ.get(self.api_key_env)

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import json
 import socket
-import ssl
-import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -572,47 +570,6 @@ def test_refused_connection_is_a_transient_network_error(monkeypatch, sleeps):
     assert isinstance(results[0], GenFailure) and results[0].attempts == 3
     assert results[0].error.startswith("network error")
     assert sleeps == [0.5, 1.0]
-
-
-def _tls_contexts(monkeypatch) -> list[ssl.SSLContext]:
-    """The TLS contexts built from here on, through the hook that urllib and
-    http.client call for a default one."""
-    built: list[ssl.SSLContext] = []
-    create = ssl._create_default_https_context
-
-    def counted(*args, **kwargs):
-        built.append(create(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(ssl, "_create_default_https_context", counted)
-    return built
-
-
-def test_an_http_backend_builds_no_tls_context(stub_server, monkeypatch):
-    monkeypatch.setenv("DIVED_API_KEY", "secret")
-    built = _tls_contexts(monkeypatch)
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    _StubHandler.script = [(200, _ok_body("generated text"))]
-    assert backend.generate(_sample_request()) == "generated text"
-    assert built == []
-
-
-def test_https_attempts_on_every_thread_share_one_tls_context(monkeypatch, sleeps):
-    monkeypatch.setenv("DIVED_API_KEY", "secret")
-    for name in ("http_proxy", "https_proxy", "all_proxy", "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    built = _tls_contexts(monkeypatch)
-    backend = HttpBackend(endpoint=f"https://127.0.0.1:{_closed_port()}/v1/chat/completions", model="test-model")
-    assert built == []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch often, so two first opens would race if the handler let them
-    try:
-        results = complete_batch([_sample_request()] * 8, backend, max_in_flight=8, retry_limit=2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [(type(r), r.attempts) for r in results] == [(GenFailure, 3)] * 8
-    assert all(r.error.startswith("network error") for r in results)
-    assert len(built) == 1
 
 
 class _CutShortHandler(BaseHTTPRequestHandler):
