@@ -18,8 +18,8 @@ target and kind (``_context`` gives its ontology context). ``iter_instances`` bu
 ``TrainingInstance``s from those rows, one at a time; ``write_slice``, which
 ``dived assemble`` runs, turns the same rows straight into the JSONL lines
 of ``write_jsonl(iter_instances(...))``. Both writers format a line in one
-place (``_row``) and encode an event's name, definition and context part
-once per slice. Neither holds the slice.
+place (``_row``); ``write_slice`` also encodes a negative event's name,
+definition and context part once per slice. Neither holds the slice.
 """
 
 from __future__ import annotations
@@ -344,17 +344,10 @@ def _row(instance_id: str, part: str, sentence: str, target: str, kind: str) -> 
 
 def write_jsonl(instances: Iterable[TrainingInstance], path: str | Path) -> int:
     """Write instances as JSONL with a stable field order (``_row``); return the
-    row count. A negative row's event name / definition / context part is
-    kept once per distinct triple, since a negative event recurs across
-    positives; a positive row's part is encoded when the row is written."""
-    neg_parts: dict[tuple[str, str, OntologyContext | None], str] = {}
+    row count."""
 
     def line(inst: TrainingInstance) -> str:
-        key = (inst.event_name, inst.definition, inst.ontology_context)
-        if inst.kind == "positive":
-            part = _part(*key)
-        elif (part := neg_parts.get(key)) is None:
-            part = neg_parts[key] = _part(*key)
+        part = _part(inst.event_name, inst.definition, inst.ontology_context)
         return _row(_encode(inst.instance_id), part, _encode(inst.sentence), _encode(inst.target), _encode(inst.kind))
 
     return jsonl.write_rows(path, instances, encode=line)
@@ -365,8 +358,8 @@ def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[st
     straight from the draw loop's rows, and return the row count per kind.
     The slice checks run before the output opens. Each group of rows the loop
     yields (a positive, or its negatives) has its stem and sentence encoded
-    once and goes out in one write. As in ``write_jsonl``, only the
-    negatives' parts are kept."""
+    once and goes out in one write. A negative event recurs across positives,
+    so a negative row's part is kept once per event and definition."""
     counts = dict.fromkeys(KINDS, 0)
     literals = {text: _encode(text) for text in (*KINDS, NONE_TARGET)}
     neg_parts: dict[tuple[EventTypeNode, str], str] = {}

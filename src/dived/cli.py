@@ -30,7 +30,7 @@ from .llm_client import (
     HttpBackend,
     MockBackend,
 )
-from .ontology import filter_heldout, load_ontology, save_ontology
+from .ontology import filter_heldout, load_ontology, normalize_name, save_ontology
 
 logger = logging.getLogger(__name__)
 
@@ -197,7 +197,7 @@ def _generated(resolved: dict, source: str, dataset, report: curation.CurationRe
 
 
 def cmd_ingest(resolved: dict):
-    heldout = [part.strip() for chunk in resolved["heldout"] for part in chunk.split(",") if part.strip()]
+    heldout = [part for chunk in resolved["heldout"] for part in chunk.split(",")]
     ontology = load_ontology(resolved["ontology"])
     filtered = filter_heldout(ontology, heldout)
     save_ontology(filtered, resolved["out"])
@@ -408,7 +408,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             inputs, outputs, counts, code = args.func(resolved)
         except EventInputError as exc:  # an event lacks what the command needs: name its dataset row
-            line = next(n for n, row in jsonl.read_rows(resolved["dataset"]) if row["event"].strip() == exc.event)
+            key = normalize_name(exc.event)
+            line = next(n for n, row in jsonl.read_rows(resolved["dataset"]) if normalize_name(row["event"]) == key)
             raise jsonl.JsonlError(resolved["dataset"], line, str(exc)) from None
         except evaluation.RecordError as exc:  # name the row: an unknown id's first, a duplicate key's second
             path = resolved["gold" if exc.side == "gold" else "pred"]

@@ -37,7 +37,7 @@ from .llm_client import (
     TemplateId,
     complete_batch,
 )
-from .ontology import EventTypeNode, Ontology, _name_key
+from .ontology import EventTypeNode, Ontology, normalize_name
 
 logger = logging.getLogger(__name__)
 
@@ -152,21 +152,23 @@ class _Parse:
     dropped: int = 0
 
 
-def _records(text: str) -> Iterable[tuple[str, str, str]]:
+def _records(text: str, expected_events: Sequence[str]) -> Iterable[tuple[str, str, str]]:
+    """(event, field, value) per record line that names an expected event,
+    the event as spelled in ``expected_events``."""
+    wanted = {normalize_name(name): name for name in expected_events}
     for line in text.splitlines():
         m = _RECORD_RE.match(line)
-        if m:
-            yield _name_key(m.group("event")), m.group("field"), m.group("value").strip()
+        if m and (name := wanted.get(normalize_name(m.group("event")))) is not None:
+            yield name, m.group("field"), m.group("value").strip()
 
 
 def parse_definitions(text: str, expected_events: Sequence[str]) -> dict[str, _Parse]:
     """One definition per expected event (the first non-empty record wins);
     an event without one scores 0."""
-    wanted = {_name_key(name): name for name in expected_events}
     found: dict[str, str] = {}
-    for key, fieldname, value in _records(text):
-        if fieldname == "definition" and key in wanted and value:
-            found.setdefault(wanted[key], value)
+    for name, fieldname, value in _records(text, expected_events):
+        if fieldname == "definition" and value:
+            found.setdefault(name, value)
     missing = _Parse(0, reason="no definition line in response (after retry)")
     return {name: _Parse(1, found[name]) if name in found else missing for name in expected_events}
 
@@ -178,19 +180,15 @@ def parse_samples(text: str, expected_events: Sequence[str], per_event: int) -> 
     (and the score), the invalid ones are counted in ``dropped``. Unpaired
     sentence or trigger lines are ignored.
     """
-    wanted = {_name_key(name): name for name in expected_events}
     parses = {name: _Parse(0, []) for name in expected_events}
     pending: dict[str, str] = {}
-    for key, fieldname, value in _records(text):
-        if key not in wanted:
-            continue
-        name = wanted[key]
+    for name, fieldname, value in _records(text, expected_events):
         if fieldname == "sentence":
-            if key in pending:
+            if name in pending:
                 logger.debug("orphan sentence line for %s discarded", name)
-            pending[key] = value
+            pending[name] = value
         elif fieldname == "trigger":
-            sentence = pending.pop(key, None)
+            sentence = pending.pop(name, None)
             if sentence is None:
                 logger.debug("orphan trigger line for %s discarded", name)
                 continue
@@ -212,11 +210,10 @@ def parse_samples(text: str, expected_events: Sequence[str], per_event: int) -> 
 
 def parse_paraphrases(text: str, expected_events: Sequence[str]) -> dict[str, _Parse]:
     """All non-empty paraphrase record values per expected event, in order."""
-    wanted = {_name_key(name): name for name in expected_events}
     found: dict[str, list[str]] = {name: [] for name in expected_events}
-    for key, fieldname, value in _records(text):
-        if fieldname == "paraphrase" and key in wanted and value:
-            found[wanted[key]].append(value)
+    for name, fieldname, value in _records(text, expected_events):
+        if fieldname == "paraphrase" and value:
+            found[name].append(value)
     return {name: _Parse(len(paraphrases), paraphrases) for name, paraphrases in found.items()}
 
 
@@ -406,10 +403,10 @@ def write_dataset(dataset: Ontology, path: str | Path) -> int:
 def read_dataset(path: str | Path) -> Ontology:
     """Load a dataset as an Ontology with definitions and samples on its nodes.
 
-    The rows must form a valid ontology (names unique up to case, parents
-    known, no cycles); ``children`` is only type-checked. A definition, like
-    a sample's sentence, must be one non-blank line. Every error names
-    ``path:line``.
+    The rows must form a valid ontology (names unique under
+    ``normalize_name``, parents known, no cycles); ``children`` is only
+    type-checked. A definition, like a sample's sentence, must be one
+    non-blank line. Every error names ``path:line``.
     """
     rows: list[tuple[int, str, str | None, dict]] = []
     for lineno, obj in jsonl.read_rows(path):

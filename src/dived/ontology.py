@@ -5,12 +5,15 @@ An ontology is a forest of event-type trees. Its structure (names, parent
 links, child order) is fixed once built; the pipeline stages fill each node's
 ``definitions`` and ``samples`` in place. Filtering and pruning return new
 ontologies and leave the input unchanged.
+
+Two event names are the same event when their ``normalize_name`` keys are
+equal. That one key decides uniqueness, parent references, lookups, held-out
+matching and which reply line belongs to which event.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,14 +45,11 @@ class UnknownEventError(DivedError):
 
 
 def normalize_name(name: str) -> str:
-    """Canonical form used for held-out matching: lowercase, trimmed, internal
-    whitespace collapsed, hyphens and underscores treated as spaces."""
-    return re.sub(r"\s+", " ", name.replace("-", " ").replace("_", " ")).strip().casefold()
-
-
-def _name_key(name: str) -> str:
-    # Uniqueness/lookup key: case-insensitive after trimming.
-    return name.strip().casefold()
+    """The key under which two event names are the same event: hyphens and
+    underscores read as spaces, whitespace runs collapsed to one space,
+    trimmed and casefolded. ``Attack-Target``, ``attack_target`` and
+    ``attack  target`` share one key."""
+    return " ".join(name.replace("-", " ").replace("_", " ").split()).casefold()
 
 
 @dataclass(eq=False)
@@ -100,7 +100,7 @@ class Ontology:
     def __post_init__(self) -> None:
         self._index: dict[str, EventTypeNode] = {}
         for node in self.iter_nodes():
-            self._index[_name_key(node.name)] = node
+            self._index[normalize_name(node.name)] = node
 
     def iter_nodes(self) -> Iterator[EventTypeNode]:
         for tree in self.trees:
@@ -110,11 +110,11 @@ class Ontology:
         return sum(1 for _ in self.iter_nodes())
 
     def __contains__(self, name: str) -> bool:
-        return _name_key(name) in self._index
+        return normalize_name(name) in self._index
 
     def get(self, name: str) -> EventTypeNode:
         try:
-            return self._index[_name_key(name)]
+            return self._index[normalize_name(name)]
         except KeyError:
             raise UnknownEventError(f"unknown event type: {name!r}") from None
 
@@ -167,13 +167,14 @@ def _build_ontology(rows: list[tuple[int, str, str | None, dict]], origin: str) 
             raise OntologyFormatError(origin, lineno, "field 'external_id' must be a string or null")
         if "\t" in name.strip() or len(name.strip().splitlines()) > 1:
             raise OntologyFormatError(origin, lineno, f"event name {name!r} holds a tab or line break")
-        key = _name_key(name)
+        key = normalize_name(name)
         if key in first_seen:
             prev_line, prev_name = first_seen[key]
             raise DuplicateEventNameError(
                 origin,
                 lineno,
-                f"duplicate event name {name!r}, already defined as {prev_name!r} at {origin}:{prev_line}",
+                f"duplicate event name {name!r}, already defined as {prev_name!r} at {origin}:{prev_line}"
+                " (names that differ only in case, spacing, '-' or '_' are one event)",
             )
         first_seen[key] = (lineno, name)
         node = EventTypeNode(name=name.strip(), **fields)
@@ -183,7 +184,7 @@ def _build_ontology(rows: list[tuple[int, str, str | None, dict]], origin: str) 
     for lineno, node, parent_name in ordered:
         if parent_name is None:
             continue
-        parent = nodes.get(_name_key(parent_name))
+        parent = nodes.get(normalize_name(parent_name))
         if parent is None:
             raise OntologyFormatError(origin, lineno, f"unknown parent {parent_name!r} for node {node.name!r}")
         node._parent = weakref.ref(parent)
@@ -251,17 +252,18 @@ def siblings(ontology: Ontology, name: str) -> list[EventTypeNode]:
 
 
 def filter_heldout(ontology: Ontology, heldout_names: list[str]) -> Ontology:
-    """Remove every tree containing a node whose normalized name matches a
-    held-out name. Returns a new Ontology; the input is unchanged."""
-    targets = {normalize_name(n) for n in heldout_names if n.strip()}
-    present = {normalize_name(node.name) for node in ontology.iter_nodes()}
-    for missing in sorted(t for t in targets if t not in present):
+    """Remove every tree containing a node named by a held-out name. Blank
+    names are skipped; a name that matches no event type is warned about as
+    given. Returns a new Ontology; the input is unchanged."""
+    names = [n for n in heldout_names if n.strip()]
+    for missing in sorted({n.strip() for n in names if n not in ontology}):
         logger.warning("held-out name %r matches no event type; ignored", missing)
+    held = {ontology.get(n) for n in names if n in ontology}
 
     keep: set[EventTypeNode] = set()
     for tree in ontology.trees:
         tree_nodes = list(tree.iter_preorder())
-        if any(normalize_name(n.name) in targets for n in tree_nodes):
+        if held.intersection(tree_nodes):
             logger.info("removing tree rooted at %r (%d nodes): held-out match", tree.name, len(tree_nodes))
         else:
             keep.update(tree_nodes)

@@ -3,6 +3,7 @@ its per-row records."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -11,6 +12,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -137,3 +139,46 @@ def test_readme_library_use_block_runs(tmp_path, monkeypatch):
     namespace: dict = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert isinstance(namespace["prompt"], str) and namespace["prompt"]
+
+
+MODULES = sorted(Path(dived.__file__).parent.glob("*.py"))
+
+
+def _imports(tree: ast.Module) -> Iterator[tuple[ast.stmt, str, str]]:
+    """(statement, bound name, imported name) per name a module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.asname or alias.name.partition(".")[0], alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node, alias.asname or alias.name, alias.name
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names a module reads, counting those in string annotations and, for
+    a package, those it re-exports in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_modules_import_only_public_names_they_use(path):
+    """A deletion leaves no dead import behind, and no module reaches into
+    another's private names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    assert [bound for _, bound, _ in _imports(tree) if bound not in used] == []
+    private = [name for stmt, _, name in _imports(tree)
+               if isinstance(stmt, ast.ImportFrom) and (stmt.level or (stmt.module or "").startswith("dived"))
+               and name.startswith("_")]
+    assert private == []

@@ -60,6 +60,25 @@ def test_ingest_comma_and_repeat_heldout(tmp_path):
     assert len(load_ontology(out)) == 0
 
 
+def test_ingest_rejects_two_spellings_of_one_event(tmp_path, capsys):
+    onto, out = tmp_path / "onto.jsonl", tmp_path / "filtered.jsonl"
+    onto.write_text("".join(json.dumps({"name": name, "parent": parent, "external_id": None}) + "\n" for name, parent in [
+        ("attack-target", None), ("x1", "attack-target"), ("Attack Target", None), ("y1", "Attack Target"),
+        ("other", None)]), encoding="utf-8")
+    assert run(["ingest", "--ontology", str(onto), "--heldout", "attack_target", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {onto}:3: duplicate event name 'Attack Target', already defined as 'attack-target' at {onto}:1")
+    assert not out.exists()
+
+
+def test_ingest_warns_about_an_unmatched_heldout_name_as_given(tmp_path, caplog):
+    out = tmp_path / "filtered.jsonl"
+    with caplog.at_level("WARNING"):
+        assert run(["ingest", "--ontology", str(TOY_ONTOLOGY), "--heldout", "_, ,attack", "--out", str(out)]) == 0
+    assert [rec.getMessage() for rec in caplog.records] == ["held-out name '_' matches no event type; ignored"]
+    assert len(load_ontology(out)) == 7
+
+
 # ---------------------------------------------------------------------------
 # pipeline chain + manifest chaining
 # ---------------------------------------------------------------------------

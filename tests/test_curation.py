@@ -41,7 +41,7 @@ from dived.llm_client import (
     TemplateId,
     complete_batch,
 )
-from dived.ontology import _name_key, build_ontology, load_ontology, save_ontology
+from dived.ontology import build_ontology, load_ontology, normalize_name, save_ontology
 from dived.pruning import prune_dataset
 
 from conftest import ScriptedBackend, make_dataset, make_sample
@@ -276,6 +276,17 @@ def test_parse_definitions_ignores_prose_and_unknown_events():
         "attack": _Parse(1, "a def"), "protest": _Parse(0, reason="no definition line in response (after retry)")}
 
 
+def test_parsers_match_a_record_to_its_event_under_the_name_key():
+    """A reply may spell an event with other case, spacing, '-' or '_'; the
+    record still fills the event as the ontology names it."""
+    text = "attack target\tdefinition: hi\nAttack-Target\tdefinition: ho"
+    assert parse_definitions(text, ["Attack-Target"]) == {"Attack-Target": _Parse(1, "hi")}
+    text = "attack_target\tsentence: Rebels hit the base.\nATTACK  TARGET\ttrigger: hit\nattack target\tparaphrase: p"
+    assert parse_samples(text, ["Attack-Target"], per_event=1)["Attack-Target"].value == [
+        GeneratedSample("Rebels hit the base.", "hit")]
+    assert parse_paraphrases(text, ["Attack-Target"]) == {"Attack-Target": _Parse(1, ["p"])}
+
+
 def test_parsed_plus_dropped_never_exceed_sample_record_lines():
     text = "\n".join(
         [
@@ -321,11 +332,11 @@ def reference_records(text):
     for line in text.splitlines():
         m = REFERENCE_RECORD_RE.match(line)
         if m:
-            yield _name_key(m.group("event")), m.group("field"), m.group("value").strip()
+            yield normalize_name(m.group("event")), m.group("field"), m.group("value").strip()
 
 
 def reference_parse_definitions(text, expected_events):
-    wanted = {_name_key(name): name for name in expected_events}
+    wanted = {normalize_name(name): name for name in expected_events}
     found = {}
     for key, fieldname, value in reference_records(text):
         if fieldname != "definition" or key not in wanted:
@@ -343,7 +354,7 @@ class ReferenceSampleStats:
 
 
 def reference_parse_samples(text, expected_events, per_event):
-    wanted = {_name_key(name): name for name in expected_events}
+    wanted = {normalize_name(name): name for name in expected_events}
     stats = {name: ReferenceSampleStats() for name in expected_events}
     pending = {}
     for key, fieldname, value in reference_records(text):
@@ -368,7 +379,7 @@ def reference_parse_samples(text, expected_events, per_event):
 
 
 def reference_parse_paraphrases(text, event):
-    key = _name_key(event)
+    key = normalize_name(event)
     return [value for k, fieldname, value in reference_records(text)
             if k == key and fieldname == "paraphrase" and value]
 
@@ -475,6 +486,19 @@ def test_read_dataset_strips_the_event_name_of_its_samples_too(tmp_path):
                     ' "samples": [{"sentence": "The  e2 crew run at dawn.", "trigger": "run"}]}\n', encoding="utf-8")
     node = read_dataset(path).get("e2")
     assert node.name == "e2" and len(node.samples) == 1
+
+
+def test_read_dataset_rejects_two_spellings_of_one_event_with_line_number(tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(
+        '{"event": "attack-target", "parent": null, "children": [], "definitions": [], "samples": []}\n'
+        '{"event": "other", "parent": null, "children": [], "definitions": [], "samples": []}\n'
+        '{"event": "Attack Target", "parent": null, "children": [], "definitions": [], "samples": []}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(JsonlError) as err:
+        read_dataset(path)
+    assert err.value.line == 3 and f"already defined as 'attack-target' at {path}:1" in str(err.value)
 
 
 def test_read_dataset_rejects_bad_sample_with_line_number(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -66,6 +67,19 @@ def test_duplicate_name_error_names_both_occurrences(tmp_path):
     message = str(err.value)
     assert ":1" in message and ":3" in message
     assert "attack" in message and "Attack" in message
+
+
+def test_names_that_differ_only_in_spacing_hyphens_or_underscores_are_duplicates(tmp_path):
+    path = tmp_path / "onto.jsonl"
+    write_jsonl_file(path, [
+        {"name": "attack-target", "parent": None, "external_id": None},
+        {"name": "x1", "parent": "attack target", "external_id": None},
+        {"name": "Attack Target", "parent": None, "external_id": None},
+    ])
+    with pytest.raises(DuplicateEventNameError) as err:
+        load_ontology(path)
+    assert str(err.value).startswith(
+        f"{path}:3: duplicate event name 'Attack Target', already defined as 'attack-target' at {path}:1")
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -158,6 +172,13 @@ def test_filter_heldout_unknown_names_ignored(toy_ontology, caplog):
     )
 
 
+def test_filter_heldout_skips_blank_names_and_warns_with_the_name_as_given(toy_ontology, caplog):
+    with caplog.at_level("WARNING"):
+        filtered = filter_heldout(toy_ontology, ["", "  ", " _ ", "Does-Not_Exist"])
+    assert filtered.names() == toy_ontology.names()
+    assert [rec.args for rec in caplog.records] == [("Does-Not_Exist",), ("_",)]
+
+
 @given(st.lists(st.sampled_from(TOY_NAMES + ["bogus", "ATTACK "]), max_size=5))
 def test_filter_heldout_idempotent(heldout):
     ont = load_ontology(FIXTURES / "ontology_toy.jsonl")
@@ -183,3 +204,15 @@ def test_normalize_name():
     assert normalize_name("  Fire_Drill ") == "fire drill"
     assert normalize_name("fire-drill") == "fire drill"
     assert normalize_name("fire   drill") == "fire drill"
+
+
+def reference_normalize_name(name):
+    """The key as a regex once computed it."""
+    return re.sub(r"\s+", " ", name.replace("-", " ").replace("_", " ")).strip().casefold()
+
+
+@given(st.text(st.sampled_from("aZß-_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000İ")) | st.text())
+def test_normalize_name_matches_the_regex_key_and_is_idempotent(name):
+    key = normalize_name(name)
+    assert key == reference_normalize_name(name)
+    assert normalize_name(key) == key
