@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -41,7 +40,7 @@ from .ontology import EventTypeNode, Ontology, normalize_name
 
 logger = logging.getLogger(__name__)
 
-_RECORD_RE = re.compile(r"^(?P<event>[^\t]+)\t(?P<field>definition|sentence|trigger|paraphrase):\s?(?P<value>.*)$")
+_RECORD_FIELDS = frozenset({"definition", "sentence", "trigger", "paraphrase"})
 
 
 @dataclass(slots=True)
@@ -157,9 +156,10 @@ def _records(text: str, expected_events: Sequence[str]) -> Iterable[tuple[str, s
     the event as spelled in ``expected_events``."""
     wanted = {normalize_name(name): name for name in expected_events}
     for line in text.splitlines():
-        m = _RECORD_RE.match(line)
-        if m and (name := wanted.get(normalize_name(m.group("event")))) is not None:
-            yield name, m.group("field"), m.group("value").strip()
+        event, _, rest = line.partition("\t")
+        fieldname, colon, value = rest.partition(":")
+        if colon and fieldname in _RECORD_FIELDS and (name := wanted.get(normalize_name(event))) is not None:
+            yield name, fieldname, value.strip()
 
 
 def parse_definitions(text: str, expected_events: Sequence[str]) -> dict[str, _Parse]:
@@ -412,8 +412,7 @@ def read_dataset(path: str | Path) -> Ontology:
     for lineno, obj in jsonl.read_rows(path):
         try:
             event = obj["event"]
-            if not isinstance(event, str) or not event.strip():
-                raise jsonl.JsonlError(path, lineno, "field 'event' must be a non-empty string")
+            ontology.event_key(event, str(path), lineno)
             children = obj.get("children", [])
             definitions = obj.get("definitions", [])
             if not isinstance(children, list) or not all(isinstance(c, str) for c in children):

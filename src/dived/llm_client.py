@@ -407,12 +407,12 @@ def complete_batch(
     MAX_RETRY_AFTER ends the request at that attempt, without a wait. A
     request that still fails yields a GenFailure in its slot instead of
     aborting the batch.
-    Configuration errors are raised immediately.
+    A max_in_flight outside 1..MAX_IN_FLIGHT or a retry_limit outside
+    0..MAX_RETRY_LIMIT raises ValueError before any request starts.
     """
-    if max_in_flight < 1:
-        raise ValueError("max_in_flight must be a positive integer")
-    if retry_limit < 0:
-        raise ValueError("retry_limit must not be negative")
+    if not (1 <= max_in_flight <= MAX_IN_FLIGHT and 0 <= retry_limit <= MAX_RETRY_LIMIT):
+        raise ValueError(f"max_in_flight must be 1 to {MAX_IN_FLIGHT} and retry_limit 0 to {MAX_RETRY_LIMIT},"
+                         f" not {max_in_flight} and {retry_limit}")
     if not requests_:
         return []
 

@@ -8,7 +8,9 @@ ontologies and leave the input unchanged.
 
 Two event names are the same event when their ``normalize_name`` keys are
 equal. That one key decides uniqueness, parent references, lookups, held-out
-matching and which reply line belongs to which event.
+matching and which reply line belongs to which event; a name with an empty
+key is blank. Parent cycles are found by the walk from the roots that indexes
+the ontology, which leaves out every node on or below a cycle.
 """
 
 from __future__ import annotations
@@ -150,65 +152,57 @@ def build_ontology(rows: Iterable[tuple[str, str | None, str | None]], origin: s
     return _build_ontology(numbered, origin)
 
 
+def event_key(name: object, origin: str, lineno: int) -> str:
+    """The key of an event name read at ``origin:line``; OntologyFormatError if
+    the name is not a string, is blank (an empty key) or holds a tab or line break."""
+    if not isinstance(name, str):
+        raise OntologyFormatError(origin, lineno, f"event name {name!r} is not a string")
+    if not (key := normalize_name(name)):
+        raise OntologyFormatError(origin, lineno, f"event name {name!r} is blank: it is all whitespace, '-' and '_'")
+    if "\t" in name.strip() or len(name.strip().splitlines()) > 1:
+        raise OntologyFormatError(origin, lineno, f"event name {name!r} holds a tab or line break")
+    return key
+
+
 def _build_ontology(rows: list[tuple[int, str, str | None, dict]], origin: str) -> Ontology:
     """Build from (line number, name, parent name, node fields) rows, the
     fields being ``external_id`` or ``definitions`` and ``samples``; every
-    error names ``origin:line``."""
-    nodes: dict[str, EventTypeNode] = {}
-    first_seen: dict[str, tuple[int, str]] = {}
-    ordered: list[tuple[int, EventTypeNode, str | None]] = []
-
+    error names ``origin:line``. A node that the index walk from the roots
+    misses is on or below a parent cycle; the walk up from the first such
+    row names the first node that repeats, at its line."""
+    seen: dict[str, tuple[int, str, EventTypeNode, str | None]] = {}  # key -> (line, name as given, node, parent)
     for lineno, name, parent_name, fields in rows:
-        if not isinstance(name, str) or not name.strip():
-            raise OntologyFormatError(origin, lineno, "field 'name' must be a non-empty string")
+        key = event_key(name, origin, lineno)
         if parent_name is not None and not isinstance(parent_name, str):
             raise OntologyFormatError(origin, lineno, "field 'parent' must be a string or null")
         if fields.get("external_id") is not None and not isinstance(fields["external_id"], str):
             raise OntologyFormatError(origin, lineno, "field 'external_id' must be a string or null")
-        if "\t" in name.strip() or len(name.strip().splitlines()) > 1:
-            raise OntologyFormatError(origin, lineno, f"event name {name!r} holds a tab or line break")
-        key = normalize_name(name)
-        if key in first_seen:
-            prev_line, prev_name = first_seen[key]
-            raise DuplicateEventNameError(
-                origin,
-                lineno,
-                f"duplicate event name {name!r}, already defined as {prev_name!r} at {origin}:{prev_line}"
-                " (names that differ only in case, spacing, '-' or '_' are one event)",
-            )
-        first_seen[key] = (lineno, name)
-        node = EventTypeNode(name=name.strip(), **fields)
-        nodes[key] = node
-        ordered.append((lineno, node, parent_name))
+        if key in seen:
+            prev_line, prev_name, _, _ = seen[key]
+            raise DuplicateEventNameError(origin, lineno, f"duplicate event name {name!r}, already defined as "
+                                          f"{prev_name!r} at {origin}:{prev_line} (names that differ only in case,"
+                                          " spacing, '-' or '_' are one event)")
+        seen[key] = (lineno, name, EventTypeNode(name=name.strip(), **fields), parent_name)
 
-    for lineno, node, parent_name in ordered:
+    for lineno, _, node, parent_name in seen.values():
         if parent_name is None:
             continue
-        parent = nodes.get(normalize_name(parent_name))
-        if parent is None:
+        found = seen.get(normalize_name(parent_name))
+        if found is None:
             raise OntologyFormatError(origin, lineno, f"unknown parent {parent_name!r} for node {node.name!r}")
-        node._parent = weakref.ref(parent)
-        parent.children.append(node)
+        node._parent = weakref.ref(found[2])
+        found[2].children.append(node)
 
-    _check_acyclic(ordered, origin)
-    trees = [node for _, node, parent_name in ordered if parent_name is None]
-    return Ontology(trees=trees)
-
-
-def _check_acyclic(ordered: list[tuple[int, EventTypeNode, str | None]], origin: str) -> None:
-    safe: set[EventTypeNode] = set()
-    for _, start, _ in ordered:
-        chain: dict[EventTypeNode, None] = {}  # insertion-ordered set
-        node: EventTypeNode | None = start
-        while node is not None and node not in safe:
-            if node in chain:
-                lineno = next(line for line, n, _ in ordered if n is node)
-                raise OntologyCycleError(
-                    origin, lineno, f"cycle detected at node {node.name!r}: it is its own ancestor"
-                )
-            chain[node] = None
+    result = Ontology(trees=[node for _, _, node, parent_name in seen.values() if parent_name is None])
+    if len(result._index) < len(seen):
+        node = seen[next(key for key in seen if key not in result._index)][2]
+        chain: set[EventTypeNode] = set()
+        while node not in chain:
+            chain.add(node)
             node = node.parent
-        safe.update(chain)
+        raise OntologyCycleError(origin, seen[normalize_name(node.name)][0],
+                                 f"cycle detected at node {node.name!r}: it is its own ancestor")
+    return result
 
 
 def load_ontology(path: str | Path) -> Ontology:

@@ -17,7 +17,7 @@ from typing import Iterator
 import pytest
 
 import dived
-from dived import assembly, curation, evaluation, jsonl, llm_client, ontology, pruning
+from dived import assembly, cli, curation, evaluation, jsonl, llm_client, ontology, pruning
 
 from conftest import FIXTURES, REPO_ROOT
 
@@ -182,3 +182,35 @@ def test_modules_import_only_public_names_they_use(path):
                if isinstance(stmt, ast.ImportFrom) and (stmt.level or (stmt.module or "").startswith("dived"))
                and name.startswith("_")]
     assert private == []
+
+
+# The converters that ROADMAP item 1 drops from the tracer; every other hook
+# must name a function the program still has, or its layer reads 0.
+TRACER_HOOKS_GONE = {"ontology_from_dataset", "records_from_ontology", "dataset_to_trees"}
+
+
+def _tracer_hooks() -> list[tuple[str, str]]:
+    """(module, attribute) per ``patch(module, attribute, ...)`` call in the
+    bench tracer, read without importing it. An attribute given as a loop
+    variable stands for each string of the tuple that the loop runs over."""
+    tree = ast.parse((REPO_ROOT / "pipebench" / "tracing.py").read_text(encoding="utf-8"))
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)]
+    hooks = []
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "patch":
+            module, attr = call.args[:2]
+            if isinstance(attr, ast.Constant):
+                hooks.append((module.id, attr.value))
+            else:
+                loop = next(loop for loop in loops if loop.target.id == attr.id and call in ast.walk(loop))
+                hooks += [(module.id, value) for value in ast.literal_eval(loop.iter)]
+    return hooks
+
+
+def test_every_tracer_hook_names_a_function_the_program_has():
+    hooks = _tracer_hooks()
+    assert ("ontology", "_build_ontology") in hooks and ("curation", "complete_batch") in hooks
+    modules = {"assembly": assembly, "cli": cli, "curation": curation, "evaluation": evaluation, "jsonl": jsonl,
+               "ontology": ontology, "pruning": pruning}
+    assert [f"{module}.{attr}" for module, attr in hooks
+            if not hasattr(modules[module], attr) and attr not in TRACER_HOOKS_GONE] == []

@@ -71,6 +71,14 @@ def test_ingest_rejects_two_spellings_of_one_event(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_rejects_a_name_made_only_of_dashes_and_underscores(tmp_path, capsys):
+    onto, out = tmp_path / "onto.jsonl", tmp_path / "filtered.jsonl"
+    onto.write_text('{"name": "-"}\n{"name": "a", "parent": "_"}\n', encoding="utf-8")
+    assert run(["ingest", "--ontology", str(onto), "--heldout", " _", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {onto}:1: event name '-' is blank: it is all whitespace, '-' and '_'\n"
+    assert not out.exists()
+
+
 def test_ingest_warns_about_an_unmatched_heldout_name_as_given(tmp_path, caplog):
     out = tmp_path / "filtered.jsonl"
     with caplog.at_level("WARNING"):

@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dived import cli
+from dived import cli, curation
 from dived.curation import (
     CurationReport,
     GeneratedSample,
@@ -439,6 +439,30 @@ def test_parsers_match_the_reference_parsers_field_for_field(case):
     assert parse_paraphrases(text, names) == paraphrases
 
 
+RECORD_PIECES = ["attack", "Attack-Target", " attack ", "x", "\t", ":", ": ", ":\t", " ", "definition", "sentence",
+                 "trigger", "paraphrase", "Definition", "definitions", "sentence ", "\r", "\x85", "\u2028", "\n"]
+# a line of event, separator, field, colon and value; "" is drawn twice for the colon, so that a line without
+# one is common
+RECORD_LINE = st.builds("".join, st.tuples(*(st.sampled_from(choices) for choices in (
+    ["attack", " x", ""], ["\t", " "], ["definition", "paraphrase", "Sentence", ""], [":", "", ": ", ":\t", ""],
+    ["", " v ", "v:w", "v\tw"]))))
+
+
+@given(st.lists(RECORD_LINE | RECORD_LINE | st.lists(st.sampled_from(RECORD_PIECES), max_size=12).map("".join)
+                | st.text(), max_size=6).map("\n".join),
+       st.lists(st.sampled_from(["attack", "Attack Target", "x", "definition"]), min_size=1, max_size=3))
+@example("attack\tdefinition\n\tdefinition: v\nattack\t\tparaphrase: v\nattack\tdefinition:: v\nx\tSentence: v"
+         "\nattack definition: v\nx\ttrigger:v\tw\nattack\tsentence:\t v:w ", ["attack", "x"])
+@settings(max_examples=300, deadline=None)
+def test_records_split_lines_as_the_record_regex_does(text, expected_events):
+    """``_records`` splits at the first tab and the first colon after it; the
+    regex it replaced is the oracle. Every expected event has a non-empty
+    key, as every event of an ontology does."""
+    wanted = {normalize_name(name): name for name in expected_events}
+    reference = [(wanted[key], fieldname, value) for key, fieldname, value in reference_records(text) if key in wanted]
+    assert list(curation._records(text, expected_events)) == reference
+
+
 # ---------------------------------------------------------------------------
 # dataset round-trip
 # ---------------------------------------------------------------------------
@@ -499,6 +523,20 @@ def test_read_dataset_rejects_two_spellings_of_one_event_with_line_number(tmp_pa
     with pytest.raises(JsonlError) as err:
         read_dataset(path)
     assert err.value.line == 3 and f"already defined as 'attack-target' at {path}:1" in str(err.value)
+
+
+@pytest.mark.parametrize("event", ["_", " - ", ""])
+def test_read_dataset_rejects_a_blank_event_at_its_own_line_before_a_later_defect(tmp_path, event):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(
+        '{"event": "a", "parent": null, "children": [], "definitions": [], "samples": []}\n'
+        + json.dumps({"event": event, "parent": None, "children": [], "definitions": [], "samples": []}) + "\n"
+        + '{"event": broken\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(JsonlError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}:2: event name {event!r} is blank: it is all whitespace, '-' and '_'"
 
 
 def test_read_dataset_rejects_bad_sample_with_line_number(tmp_path):

@@ -183,6 +183,24 @@ class _ThreadRecordingBackend(llm_client.Backend):
         return "ok"
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_in_flight": llm_client.MAX_IN_FLIGHT + 1}, {"max_in_flight": 10**9},
+    {"retry_limit": llm_client.MAX_RETRY_LIMIT + 1}, {"retry_limit": 10**9},
+], ids=["max_in_flight_65", "max_in_flight_huge", "retry_limit_11", "retry_limit_huge"])
+def test_complete_batch_rejects_values_above_the_caps_before_any_call(kwargs, thread_starts):
+    backend = _ThreadRecordingBackend(waits_on_io=True)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        complete_batch([_sample_request()] * 2, backend, **kwargs)
+    assert backend.threads == [] and thread_starts == []
+
+
+def test_complete_batch_accepts_the_caps():
+    backend = _ThreadRecordingBackend(waits_on_io=True)
+    results = complete_batch([_sample_request()] * 2, backend, max_in_flight=llm_client.MAX_IN_FLIGHT,
+                             retry_limit=llm_client.MAX_RETRY_LIMIT)
+    assert [r.text for r in results] == ["ok", "ok"] and len(backend.threads) == 2
+
+
 def test_a_backend_that_does_not_wait_runs_every_call_on_the_calling_thread(thread_starts):
     backend = _ThreadRecordingBackend(waits_on_io=False)
     results = complete_batch([_sample_request()] * 6, backend, max_in_flight=8)

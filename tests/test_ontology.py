@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dived import ontology
 from dived.jsonl import JsonlError
 from dived.ontology import (
     DuplicateEventNameError,
+    EventTypeNode,
+    Ontology,
     OntologyCycleError,
     OntologyFormatError,
     UnknownEventError,
@@ -98,18 +102,37 @@ def test_unknown_parent_error(tmp_path):
     assert "ghost" in str(err.value)
 
 
-def test_cycle_error_names_offending_node():
-    rows = [("a", "b", None), ("b", "a", None)]
+@pytest.mark.parametrize("rows, line, name", [
+    ([("a", "b", None), ("b", "a", None)], 1, "a"),
+    ([("root", None, None), ("x", "b", None), ("a", "b", None), ("b", "c", None), ("c", "b", None)], 4, "b"),
+], ids=["two_node_cycle", "first_repeat_above_the_first_row_no_root_reaches"])
+def test_cycle_error_names_offending_node(rows, line, name):
     with pytest.raises(OntologyCycleError) as err:
-        build_ontology(rows)
-    assert "'a'" in str(err.value) or "'b'" in str(err.value)
+        build_ontology(rows, "onto.jsonl")
+    assert str(err.value) == f"onto.jsonl:{line}: cycle detected at node {name!r}: it is its own ancestor"
 
 
-def test_empty_name_rejected(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    write_jsonl_file(path, [{"name": "  ", "parent": None, "external_id": None}])
-    with pytest.raises(OntologyFormatError):
+@pytest.mark.parametrize("name", ["  ", "", "-", "_ _", " -\t_ "])
+def test_empty_name_rejected(tmp_path, name):
+    """A name whose key is empty is blank, and fails at its line."""
+    path = tmp_path / "blank.jsonl"
+    write_jsonl_file(path, [{"name": "a", "parent": None}, {"name": name, "parent": None}])
+    with pytest.raises(OntologyFormatError) as err:
         load_ontology(path)
+    assert str(err.value) == f"{path}:2: event name {name!r} is blank: it is all whitespace, '-' and '_'"
+
+
+def test_a_blank_name_and_a_child_that_names_it_fail_at_the_first_line(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    write_jsonl_file(path, [{"name": "-"}, {"name": "a", "parent": "_"}])
+    with pytest.raises(OntologyFormatError) as err:
+        load_ontology(path)
+    assert err.value.line == 1 and "'-' is blank" in str(err.value)
+
+
+def test_a_parent_whose_key_is_empty_is_unknown():
+    with pytest.raises(OntologyFormatError, match="unknown parent '_' for node 'a'"):
+        build_ontology([("a", "_", None)])
 
 
 def test_siblings_of_only_child(toy_ontology):
@@ -216,3 +239,103 @@ def test_normalize_name_matches_the_regex_key_and_is_idempotent(name):
     key = normalize_name(name)
     assert key == reference_normalize_name(name)
     assert normalize_name(key) == key
+
+
+# The builder as it stood before it found cycles through the index walk: a
+# second walk up from every node, with a per-node chain and a set of nodes
+# known to reach a root. It is the oracle for the outcome of every build.
+
+
+def reference_build_ontology(rows, origin):
+    nodes = {}
+    first_seen = {}
+    ordered = []
+
+    for lineno, name, parent_name, fields in rows:
+        if not isinstance(name, str) or not name.strip():
+            raise OntologyFormatError(origin, lineno, "field 'name' must be a non-empty string")
+        if parent_name is not None and not isinstance(parent_name, str):
+            raise OntologyFormatError(origin, lineno, "field 'parent' must be a string or null")
+        if fields.get("external_id") is not None and not isinstance(fields["external_id"], str):
+            raise OntologyFormatError(origin, lineno, "field 'external_id' must be a string or null")
+        if "\t" in name.strip() or len(name.strip().splitlines()) > 1:
+            raise OntologyFormatError(origin, lineno, f"event name {name!r} holds a tab or line break")
+        key = normalize_name(name)
+        if key in first_seen:
+            prev_line, prev_name = first_seen[key]
+            raise DuplicateEventNameError(
+                origin,
+                lineno,
+                f"duplicate event name {name!r}, already defined as {prev_name!r} at {origin}:{prev_line}"
+                " (names that differ only in case, spacing, '-' or '_' are one event)",
+            )
+        first_seen[key] = (lineno, name)
+        node = EventTypeNode(name=name.strip(), **fields)
+        nodes[key] = node
+        ordered.append((lineno, node, parent_name))
+
+    for lineno, node, parent_name in ordered:
+        if parent_name is None:
+            continue
+        parent = nodes.get(normalize_name(parent_name))
+        if parent is None:
+            raise OntologyFormatError(origin, lineno, f"unknown parent {parent_name!r} for node {node.name!r}")
+        node._parent = weakref.ref(parent)
+        parent.children.append(node)
+
+    reference_check_acyclic(ordered, origin)
+    trees = [node for _, node, parent_name in ordered if parent_name is None]
+    return Ontology(trees=trees)
+
+
+def reference_check_acyclic(ordered, origin):
+    safe = set()
+    for _, start, _ in ordered:
+        chain = {}  # insertion-ordered set
+        node = start
+        while node is not None and node not in safe:
+            if node in chain:
+                lineno = next(line for line, n, _ in ordered if n is node)
+                raise OntologyCycleError(
+                    origin, lineno, f"cycle detected at node {node.name!r}: it is its own ancestor"
+                )
+            chain[node] = None
+            node = node.parent
+        safe.update(chain)
+
+
+BASE_NAMES = ["attack", "fire drill", "b", "c", "d", "e", "f", "g", "h", "i"]
+SPELLINGS = st.sampled_from(BASE_NAMES).flatmap(lambda base: st.sampled_from([
+    base, base.upper(), f" {base} ", base.replace(" ", "-"), base.replace(" ", "_"), base.replace(" ", " \t ")]))
+BROKEN = st.sampled_from(["a\tb", "a\nb", "\tc", "e\n", "d\r\ne", "f\u2028g"])  # a tab or line break inside
+
+
+def build_outcome(build, rows):
+    """The error class, line and message of a build, or else every node with
+    its parent and external id in pre-order, and the tree roots."""
+    try:
+        built = build([(line, name, parent, dict(fields)) for line, name, parent, fields in rows], "onto.jsonl")
+    except OntologyFormatError as exc:
+        return type(exc), exc.line, str(exc)
+    nodes = [(n.name, n.parent.name if n.parent else None, n.external_id) for n in built.iter_nodes()]
+    return nodes, [tree.name for tree in built.trees], len(built)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_the_builder_gives_the_outcome_of_the_reference_builder(data):
+    """Names are spellings of a few events, some holding a tab or line break;
+    a parent is none, an earlier or later name, the row itself, ``ghost`` or
+    any spelling. Half the examples keep to well-formed names and parents
+    among them, so that builds which succeed or meet a cycle are common."""
+    wild = data.draw(st.booleans())
+    names = data.draw(st.lists(SPELLINGS | BROKEN if wild else SPELLINGS, min_size=1, max_size=9,
+                               unique_by=None if data.draw(st.booleans()) else normalize_name))
+    rows = []
+    for line, name in enumerate(names, start=1):
+        earlier = st.sampled_from(names[:line - 1]) if line > 1 else st.nothing()
+        later = st.sampled_from(names[line:]) if line < len(names) else st.nothing()
+        parent = data.draw(st.one_of(st.none(), earlier, later, st.just(name),
+                                     *([st.just("ghost"), SPELLINGS] if wild else [])))
+        rows.append((line, name, parent, {"external_id": f"id{line}"}))
+    assert build_outcome(ontology._build_ontology, rows) == build_outcome(reference_build_ontology, rows)
