@@ -168,14 +168,14 @@ def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInsta
     built once per event, then the sentence's holders, the cousin fill and
     the plain negatives already drawn), or all candidates outside that set
     in pre-order when no more lie outside it than are needed; and the top-up
-    from the free siblings not drawn as hard negatives. So a positive costs
-    about its siblings, its skip set and its draws, not a pass over the
-    candidates. An event's cousin pool is built the first time one of its
-    positives is short of siblings. Each row's id, definition, target and
-    kind are chosen in the draw loop, which this wraps in a
-    ``TrainingInstance`` per row (``write_slice`` writes the same rows
-    without one). Memory follows the dataset and the slice's picks, not the
-    instance count: nothing keeps an instance once it is yielded.
+    from the free siblings not drawn as hard negatives. A positive costs
+    about its siblings, skip set and draws; in one wide tree, where siblings
+    are most candidates, the draws are mostly rejected or scan them all. An
+    event's cousin pool is built the first time one of its positives is
+    short of siblings. Each row's id, definition, target and kind are chosen
+    in the draw loop, which this wraps in a ``TrainingInstance`` per row
+    (``write_slice`` writes the same rows without one). No instance is kept
+    once yielded: memory follows the dataset and the slice's picks.
     """
     return _instances(spec, _draws(dataset, spec))
 

@@ -12,7 +12,6 @@ mock backend and a fixed seed, a rerun reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import itertools
 import json
@@ -50,13 +49,13 @@ def manifest_path(output_path: str | Path) -> Path:
 
 def _manifest_digest(path: Path) -> str:
     """sha256 of a manifest as written without its ``volatile`` block, so that a
-    rerun digests the same; of its raw bytes if it is not a JSON object."""
-    data = path.read_bytes()
-    with contextlib.suppress(ValueError, RecursionError):  # not JSON, or not UTF-8 on the way back
-        if isinstance(manifest := json.loads(data), dict):
-            manifest.pop("volatile", None)
-            data = (json.dumps(manifest, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+    rerun digests the same; of its raw bytes if it does not decode to a JSON object."""
+    try:
+        manifest = jsonl.read_object(path)
+    except jsonl.JsonlError:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest.pop("volatile", None)
+    return hashlib.sha256(json.dumps(manifest, ensure_ascii=False, indent=2).encode("utf-8") + b"\n").hexdigest()
 
 
 def write_manifests(command: str, resolved: dict, inputs: list[str], outputs: list[str], counts: dict[str, int]) -> None:
@@ -86,19 +85,11 @@ def write_manifests(command: str, resolved: dict, inputs: list[str], outputs: li
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+        return jsonl.read_object(path)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: invalid JSON: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"config file {path}: invalid UTF-8: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer past the digit limit; nesting too deep
-        raise UsageError(f"config file {path}: invalid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise UsageError(f"config file {path}: top level must be a JSON object")
-    return config
+    except jsonl.JsonlError as exc:
+        raise UsageError(f"config file {exc}") from exc
 
 
 def _config_value(path: str, key: str, action: argparse.Action, value):

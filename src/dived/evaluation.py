@@ -15,7 +15,6 @@ same as matching every event type on its own.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -354,17 +353,10 @@ def _check_scores(obj: object, path: str | Path, where: str) -> None:
 
 
 def read_report(path: str | Path) -> ScoreReport:
-    """Load a report written by ``write_report``. A file that is not one
-    raises an EvaluationInputError that names it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise EvaluationInputError(f"{path}: invalid UTF-8: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError; an integer past the digit limit; nesting too deep
-        raise EvaluationInputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise EvaluationInputError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    """Load a report written by ``write_report``. A JsonlError names the
+    line of a file that does not decode to a JSON object; an
+    EvaluationInputError names a file whose scores are not a report's."""
+    obj = jsonl.read_object(path)
     per_type = obj.get("per_event_type", {})
     if not isinstance(per_type, dict):
         raise EvaluationInputError(f"{path}: 'per_event_type' must be an object")

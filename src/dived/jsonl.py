@@ -11,7 +11,7 @@ scanner does not take whole goes through ``json.loads`` for its error
 message, so the accepted lines and the error texts are those of
 ``json.loads`` on every line. Every failure names ``path:line``: also an
 integer past the digit limit, nesting too deep, and bytes that are not
-UTF-8.
+UTF-8. ``read_object`` decodes a whole file with the same errors.
 """
 
 from __future__ import annotations
@@ -60,12 +60,28 @@ def read_rows(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             raise  # every line decodes on its own: the file changed under the reader
 
 
-def _loads(path: str | Path, lineno: int, raw: str) -> Any:
-    """``json.loads(raw)``, its failures raised as a JsonlError for the line."""
+def read_object(path: str | Path) -> dict[str, Any]:
+    """The JSON object in a file, as ``write_object`` writes it. A JsonlError in
+    ``read_rows``'s words names the line of a decode error; line 1 for one
+    with no position or a value that is not an object; the first non-UTF-8 line."""
     try:
-        return json.loads(raw)
+        obj = _loads(path, 1, Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        _raise_undecodable(path)
+        raise  # every line decodes on its own: the file changed under the reader
+    if obj.__class__ is not dict:
+        raise JsonlError(path, 1, f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _loads(path: str | Path, lineno: int, raw: str) -> Any:
+    """``json.loads(raw)`` for text that starts at line ``lineno``; a failure
+    is a JsonlError at its line. Trailing JSON whitespace is cut first, so
+    an error at the end of the text is on its last line, not after it."""
+    try:
+        return json.loads(raw.rstrip(" \t\r\n"))
     except json.JSONDecodeError as exc:
-        raise JsonlError(path, lineno, f"invalid JSON: {exc.msg}") from exc
+        raise JsonlError(path, lineno + exc.lineno - 1, f"invalid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an integer past the digit limit; nesting too deep
         raise JsonlError(path, lineno, f"invalid JSON: {exc}") from exc
 

@@ -413,8 +413,6 @@ def complete_batch(
     if not (1 <= max_in_flight <= MAX_IN_FLIGHT and 0 <= retry_limit <= MAX_RETRY_LIMIT):
         raise ValueError(f"max_in_flight must be 1 to {MAX_IN_FLIGHT} and retry_limit 0 to {MAX_RETRY_LIMIT},"
                          f" not {max_in_flight} and {retry_limit}")
-    if not requests_:
-        return []
 
     def run_one(request: GenRequest) -> BatchResult:
         attempts = 0
@@ -441,7 +439,7 @@ def complete_batch(
                 return GenFailure(error=str(exc), attempts=attempts)
 
     workers = min(max_in_flight, len(requests_)) if backend.waits_on_io else 1
-    if workers == 1:
+    if workers <= 1:  # also an empty batch, which gets []
         return [run_one(r) for r in requests_]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, requests_))

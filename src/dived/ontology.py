@@ -209,11 +209,13 @@ def load_ontology(path: str | Path) -> Ontology:
     """Load an ontology from a JSONL file of {"name", "parent", "external_id"} rows.
 
     File order defines tree order and the order of children under a parent.
+    A name is checked as its row is read, before a later line is decoded.
     """
     rows: list[tuple[int, str, str | None, dict]] = []
     for lineno, obj in jsonl.read_rows(path):
         if "name" not in obj:
             raise OntologyFormatError(str(path), lineno, "missing required field 'name'")
+        event_key(obj["name"], str(path), lineno)
         rows.append((lineno, obj["name"], obj.get("parent"), {"external_id": obj.get("external_id")}))
     return _build_ontology(rows, str(path))
 

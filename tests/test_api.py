@@ -184,6 +184,20 @@ def test_modules_import_only_public_names_they_use(path):
     assert private == []
 
 
+def test_only_jsonl_opens_and_decodes_json_files():
+    """``jsonl`` is the one module that opens a file or decodes JSON, so every
+    input fails with its ``path:line`` errors. The one other decode is of an
+    HTTP reply's body, not of a file."""
+    calls = []
+    for path in MODULES:
+        if path.name == "jsonl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("open", "json.load", "json.loads"):
+                calls.append((path.name, ast.unparse(node)))
+    assert calls == [("llm_client.py", "json.loads(body)")]
+
+
 # The converters that ROADMAP item 1 drops from the tracer; every other hook
 # must name a function the program still has, or its layer reads 0.
 TRACER_HOOKS_GONE = {"ontology_from_dataset", "records_from_ontology", "dataset_to_trees"}

@@ -199,6 +199,8 @@ def test_slice_spec_validation():
         SliceSpec(n_events=0, n_definitions=1, n_samples=1)
     with pytest.raises(ValueError):
         SliceSpec(n_events=1, n_definitions=1, n_samples=1, n_negatives=2, n_hard_negatives=3)
+    with pytest.raises(ValueError, match="^n_negatives must be non-negative$"):
+        SliceSpec(n_events=1, n_definitions=1, n_samples=1, n_negatives=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +458,17 @@ def test_read_rejects_kind_target_mismatch_with_line_number(tmp_path):
     with pytest.raises(JsonlError) as err:
         read_jsonl(path)
     assert err.value.line == 2
+
+
+def test_read_rejects_missing_fields_naming_each_with_line_number(tmp_path):
+    good = {"instance_id": "A|s0|p", "event_name": "A", "definition": "d", "ontology_context": None,
+            "sentence": "trigger here", "target": "trigger", "kind": "positive"}
+    bad = {key: value for key, value in good.items() if key not in ("definition", "kind")}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(JsonlError) as err:
+        read_jsonl(path)
+    assert str(err.value) == f"{path}:2: missing required fields: definition, kind"
 
 
 @pytest.mark.parametrize(

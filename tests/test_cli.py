@@ -491,17 +491,37 @@ def test_config_file_supplies_options_and_flags_override(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b"[" * 100_000 + b"]" * 100_000, b'{"seed": "\xff"}', b'{"score": [1]}', b"[]", b'{"seed": 1'],
-    ids=["too_deep", "invalid_utf8", "section_not_an_object", "not_an_object", "invalid_json"],
+    "content, where",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, ":1: invalid JSON: "),
+        (b'{"seed": "\xff"}', ":1: invalid UTF-8: "),
+        (b'{"score": [1]}', ": section 'score' must be a JSON object"),
+        (b"[]", ":1: expected a JSON object, got list"),
+        (b'{"seed": 1', ":1: invalid JSON: Expecting ',' delimiter"),
+        (b'{\n  "seed": 1\n  "score": {}\n}\n', ":3: invalid JSON: Expecting ',' delimiter"),
+        (b'{\n  "seed": 1,\n  "score": {}\n\n', ":3: invalid JSON: Expecting ',' delimiter"),
+        (b'{\n  "seed": 1,\n  "score": {"out": "\xff"}\n}\n', ":3: invalid UTF-8: "),
+    ],
+    ids=["too_deep", "invalid_utf8", "section_not_an_object", "not_an_object", "invalid_json",
+         "missing_comma_on_line_3", "unclosed_at_the_end", "invalid_utf8_on_line_3"],
 )
-def test_bad_config_file_exits_1_naming_the_file(tmp_path, capsys, content):
+def test_bad_config_file_exits_1_naming_the_file(tmp_path, capsys, content, where):
+    """A config file that does not decode fails as a JSONL input does, at its
+    line; one that decodes but breaks the config rules names only the file."""
     config = tmp_path / "config.json"
     config.write_bytes(content)
     gold = tmp_path / "gold.jsonl"
     gold.write_text("", encoding="utf-8")
     assert run(["score", "--gold", str(gold), "--pred", str(gold), "--config", str(config)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: config file {config}: ")
+    assert capsys.readouterr().err.startswith(f"error: config file {config}{where}")
+
+
+def test_a_missing_config_file_exits_1_naming_it(tmp_path, capsys):
+    config = tmp_path / "absent.json"
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("", encoding="utf-8")
+    assert run(["score", "--gold", str(gold), "--pred", str(gold), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: config file not found: {config}\n"
 
 
 def test_a_section_of_another_command_is_not_checked(tmp_path):
@@ -848,6 +868,17 @@ def test_backend_config_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "backend error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--model", "m"], ["--endpoint", "http://127.0.0.1:9/v1"]],
+                         ids=["no_endpoint", "no_model"])
+def test_http_backend_without_endpoint_or_model_exits_2(tmp_path, monkeypatch, capsys, sleeps, flags):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    out = tmp_path / "d.jsonl"
+    assert run(["curate-defs", "--ontology", str(TOY_ONTOLOGY), "--backend", "http", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "backend error: http backend needs --endpoint and --model\n"
+    assert sleeps == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("endpoint", ["localhost:9/v1", "127.0.0.1:9", "http:///v1", "ftp://127.0.0.1:9/v1", "/v1",
                                       "http://127.0.0.1:port/v1", "http://127.0.0.1:99999/v1", "http://[::1/v1"])
 def test_malformed_endpoint_exits_2_before_any_request(tmp_path, monkeypatch, capsys, sleeps, endpoint):
@@ -926,6 +957,17 @@ def test_ablate_report_rejects_a_malformed_report_naming_the_file(tmp_path, caps
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["baseline", "ablated"])
+def test_ablate_report_names_the_line_of_a_report_that_does_not_decode(tmp_path, capsys, side):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(fake_report(0.5)), encoding="utf-8")
+    text = json.dumps(fake_report(0.5), indent=2)  # line 5 is '    "fn": 1,'
+    bad.write_text(text.replace('"fn": 1,', '"fn": 1', 1), encoding="utf-8")
+    paths = {"baseline": good, "ablated": good, side: bad}
+    assert run(["ablate-report", "--baseline", str(paths["baseline"]), "--ablated", str(paths["ablated"])]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:6: invalid JSON: Expecting ',' delimiter\n"
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],

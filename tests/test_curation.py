@@ -174,6 +174,11 @@ def test_curate_samples_rejects_nonpositive_per_event():
         curate_samples_for_trees([tree_with_defs()], MockBackend(seed=0), per_event=0)
 
 
+def test_curate_samples_rejects_negative_regenerate():
+    with pytest.raises(ValueError, match="^regenerate must be a non-negative integer$"):
+        curate_samples_for_trees([tree_with_defs()], MockBackend(seed=0), regenerate=-1)
+
+
 def test_curate_samples_drops_invalid_trigger():
     response = "\n".join(
         [
@@ -263,6 +268,11 @@ def test_expand_definitions_count_bound():
 def test_expand_definitions_requires_seed_definition():
     with pytest.raises(ValueError):
         expand_definitions_for_nodes([small_tree()], MockBackend(seed=0), count=2)
+
+
+def test_expand_definitions_rejects_a_count_of_zero():
+    with pytest.raises(ValueError, match="^count must be a positive integer$"):
+        expand_definitions_for_nodes(list(tree_with_defs().iter_preorder()), MockBackend(seed=0), count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +560,19 @@ def test_read_dataset_rejects_bad_sample_with_line_number(tmp_path):
     with pytest.raises(JsonlError) as err:
         read_dataset(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"event": "b", "children": "a"}, "field 'children' must be a list of strings"),
+    ({"event": "b", "children": ["a", 1]}, "field 'children' must be a list of strings"),
+    ({"parent": None, "children": []}, "missing required field 'event'"),
+], ids=["children_string", "children_number", "no_event"])
+def test_read_dataset_rejects_a_bad_row_at_its_line(tmp_path, row, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"event": "a", "parent": null}\n' + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(JsonlError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}:2: {message}"
 
 
 def test_deep_chain_loads_renders_round_trips_and_prunes(tmp_path):

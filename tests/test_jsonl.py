@@ -235,3 +235,38 @@ def test_read_rows_matches_the_per_line_json_loads_reader(lines, ending, last):
         path = Path(tmp) / "rows.jsonl"
         path.write_bytes(text.encode("utf-8"))
         assert _read_outcome(jsonl.read_rows, path) == _read_outcome(read_rows_per_line, path)
+
+
+# ---------------------------------------------------------------------------
+# read_object: a whole JSON file, with read_rows's errors and line numbers
+# ---------------------------------------------------------------------------
+
+
+def test_read_object_reads_what_write_object_wrote(tmp_path):
+    path = tmp_path / "obj.json"
+    obj = {"a": [1, 2.5, None], "b": {"c": "é "}, "d": True}
+    jsonl.write_object(path, obj)
+    assert jsonl.read_object(path) == obj
+
+
+@pytest.mark.parametrize("content, line, message", [
+    (b'{\n  "a": 1\n  "b": 2\n}\n', 3, "invalid JSON: Expecting ',' delimiter"),
+    (b'{\n  "a": 1,\n  "b": 2\n\n \t\r\n', 3, "invalid JSON: Expecting ',' delimiter"),
+    (b'{"a": 1}\n{"b": 2}\n', 2, "invalid JSON: Extra data"),
+    (b'{"a": 1}\x1c\n', 1, "invalid JSON: Extra data"),
+    (b"", 1, "invalid JSON: Expecting value"),
+    (b"[1,\n 2]\n", 1, "expected a JSON object, got list"),
+    (b'{"a": ' + b"[" * 100_000 + b"\n" + b"]" * 100_000 + b"}", 1, "invalid JSON: maximum recursion depth"),
+    (b'{\n  "a": "x",\n  "b": "\xff"\n}\n', 3, "invalid UTF-8: 'utf-8' codec can't decode byte 0xff"),
+], ids=["missing_comma", "unclosed_before_trailing_space", "two_objects", "other_space_after", "empty",
+        "not_an_object", "too_deep", "invalid_utf8"])
+def test_read_object_names_the_line_of_the_error(tmp_path, content, line, message):
+    """A decode error at its line, also one at the end of the text; an error
+    with no position, or a value that is not an object, at line 1; bytes that
+    are not UTF-8 at their line. Only JSON whitespace may follow the value."""
+    path = tmp_path / "obj.json"
+    path.write_bytes(content)
+    with pytest.raises(jsonl.JsonlError) as err:
+        jsonl.read_object(path)
+    assert err.value.line == line and str(err.value).startswith(f"{path}:{line}: {message}")
+

@@ -12,7 +12,7 @@ import pytest
 
 from dived import llm_client
 from dived.cli import main, manifest_path
-from dived.curation import parse_samples
+from dived.curation import parse_paraphrases, parse_samples
 from dived.llm_client import (
     DEFAULT_DECODING,
     BackendConfigError,
@@ -112,6 +112,19 @@ def test_mock_triggers_disjoint_across_events_in_one_request():
                 assert not (seen[a] & seen[b])
 
 
+def test_mock_samples_for_more_events_than_verbs_and_more_samples_than_prefixes_all_parse():
+    """Past 24 events the mock numbers its verbs, past 10 samples its
+    prefixes: every record still parses, and no trigger repeats."""
+    events = [f"event{i}" for i in range(len(llm_client._MOCK_VERBS) + 6)]
+    per_event = len(llm_client._MOCK_PREFIXES) + 2
+    text = mock_generate(7, _sample_request(events="\n".join(events), count=str(per_event)))
+    assert len(text.splitlines()) == 1 + 2 * per_event * len(events)
+    parses = parse_samples(text, events, per_event=per_event)
+    triggers = [sample.trigger for event in events for sample in parses[event].value]
+    assert all(parses[event].score == per_event and parses[event].dropped == 0 for event in events)
+    assert len(set(triggers)) == len(triggers) == per_event * len(events)
+
+
 def test_mock_definition_output_covers_all_events():
     events = ["attack", "protest"]
     req = GenRequest(TemplateId.DEFINITION_CURATION, {"events": "attack\nprotest", "example": ""})
@@ -128,6 +141,19 @@ def test_mock_expansion_emits_distinct_paraphrases():
     lines = [ln for ln in mock_generate(2, req).splitlines() if "\tparaphrase: " in ln]
     assert len(lines) == 10
     assert len(set(lines)) == 10
+
+
+def test_mock_expansion_past_the_paraphrase_forms_numbers_each_one_and_all_parse():
+    count = len(llm_client._MOCK_PARAPHRASE_FORMS) + 3
+    req = GenRequest(
+        TemplateId.DEFINITION_EXPANSION,
+        {"event": "attack", "definition": "seed", "ontology": "", "count": str(count), "example": ""},
+    )
+    text = mock_generate(2, req)
+    assert len(text.splitlines()) == 1 + count
+    paraphrases = parse_paraphrases(text, ["attack"])["attack"].value
+    assert len(set(paraphrases)) == len(paraphrases) == count
+    assert [p.endswith(f". (variant {i + 1})") for i, p in enumerate(paraphrases)] == [False] * (count - 3) + [True] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +232,13 @@ def test_a_backend_that_does_not_wait_runs_every_call_on_the_calling_thread(thre
     results = complete_batch([_sample_request()] * 6, backend, max_in_flight=8)
     assert [r.text for r in results] == ["ok"] * 6
     assert backend.threads == [threading.get_ident()] * 6
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("backend", [_ThreadRecordingBackend(waits_on_io=True), MockBackend(seed=0)],
+                         ids=["waits_on_io", "mock"])
+def test_an_empty_batch_returns_nothing_and_starts_no_thread(thread_starts, backend):
+    assert complete_batch([], backend, max_in_flight=8) == []
     assert thread_starts == []
 
 
@@ -408,6 +441,15 @@ def test_retry_after_http_date_in_the_past_waits_zero(stub_server, monkeypatch, 
     past = format_datetime(datetime.now(timezone.utc) - timedelta(hours=1), usegmt=True)
     _retry_once(stub_server, monkeypatch, (429, {}, {"Retry-After": past}))
     assert sleeps in ([], [0])
+
+
+def test_an_http_date_in_minus_0000_is_read_as_utc():
+    """RFC 5322 "-0000" gives a date with no time zone; it is UTC, not local time."""
+    now = datetime.now(timezone.utc).replace(tzinfo=None)
+    past, future = (format_datetime(now + timedelta(seconds=s)) for s in (-3600, 30))
+    assert past.endswith(" -0000") and future.endswith(" -0000")
+    assert llm_client._parse_retry_after(past) == 0.0
+    assert 25 <= llm_client._parse_retry_after(future) <= 30
 
 
 def test_retry_after_http_date_in_the_future_waits_until_then(stub_server, monkeypatch, sleeps):

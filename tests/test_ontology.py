@@ -135,6 +135,29 @@ def test_a_parent_whose_key_is_empty_is_unknown():
         build_ontology([("a", "_", None)])
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"name": 7}, "event name 7 is not a string"),
+    ({"name": ["b"]}, "event name ['b'] is not a string"),
+    ({"name": "b", "parent": 1}, "field 'parent' must be a string or null"),
+    ({"name": "b", "parent": None, "external_id": 3}, "field 'external_id' must be a string or null"),
+], ids=["number_name", "list_name", "number_parent", "number_external_id"])
+def test_a_field_of_the_wrong_type_fails_at_its_line(tmp_path, row, message):
+    path = tmp_path / "typed.jsonl"
+    write_jsonl_file(path, [{"name": "a"}, row])
+    with pytest.raises(OntologyFormatError) as err:
+        load_ontology(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
+def test_a_blank_name_fails_before_a_later_line_that_does_not_decode(tmp_path):
+    """The name is checked as its row is read, as ``read_dataset`` does."""
+    path = tmp_path / "blank.jsonl"
+    path.write_text('{"name": "-"}\n{not json\n', encoding="utf-8")
+    with pytest.raises(OntologyFormatError) as err:
+        load_ontology(path)
+    assert str(err.value) == f"{path}:1: event name '-' is blank: it is all whitespace, '-' and '_'"
+
+
 def test_siblings_of_only_child(toy_ontology):
     # root nodes have no parent, hence no siblings
     assert siblings(toy_ontology, "conflict") == []
