@@ -34,7 +34,6 @@ from .ontology import (
     filter_heldout,
     load_ontology,
     save_ontology,
-    siblings,
 )
 from .pruning import OverlapRecord, overlap_ratio, prune_dataset, prune_tree
 
@@ -73,6 +72,5 @@ __all__ = [
     "render",
     "render_instance",
     "save_ontology",
-    "siblings",
     "write_dataset",
 ]

@@ -16,10 +16,10 @@ siblings left over when the plain ones run out. One draw loop makes every
 draw of a slice and every choice of a row: its id, event, definition,
 target and kind (``_context`` gives its ontology context). ``iter_instances`` builds
 ``TrainingInstance``s from those rows, one at a time; ``write_slice``, which
-``dived assemble`` runs, turns the same rows straight into the JSONL lines
-of ``write_jsonl(iter_instances(...))``. Both writers format a line in one
-place (``_row``); ``write_slice`` also encodes a negative event's name,
-definition and context part once per slice. Neither holds the slice.
+``dived assemble`` runs, turns the same rows straight into JSONL lines, the
+bytes of ``json.dumps`` of each instance, and encodes a negative event's
+name, definition and context part (``_part``) once per slice. Neither holds
+the slice.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import jsonl
 from .errors import DivedError, EventInputError
@@ -336,26 +336,10 @@ def _part(event_name: str, definition: str, ctx: OntologyContext | None) -> str:
     })[1:-1]
 
 
-def _row(instance_id: str, part: str, sentence: str, target: str, kind: str) -> str:
-    """One instance line, without its newline, from JSON string literals and a
-    ``_part``: the bytes of ``json.dumps(row, ensure_ascii=False)``."""
-    return f'{{"instance_id": {instance_id}, {part}, "sentence": {sentence}, "target": {target}, "kind": {kind}}}'
-
-
-def write_jsonl(instances: Iterable[TrainingInstance], path: str | Path) -> int:
-    """Write instances as JSONL with a stable field order (``_row``); return the
-    row count."""
-
-    def line(inst: TrainingInstance) -> str:
-        part = _part(inst.event_name, inst.definition, inst.ontology_context)
-        return _row(_encode(inst.instance_id), part, _encode(inst.sentence), _encode(inst.target), _encode(inst.kind))
-
-    return jsonl.write_rows(path, instances, encode=line)
-
-
 def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[str, int]:
-    """Write the bytes of ``write_jsonl(iter_instances(dataset, spec), path)``
-    straight from the draw loop's rows, and return the row count per kind.
+    """Write the instances of ``iter_instances(dataset, spec)`` as JSONL, each
+    line the bytes of ``json.dumps(row, ensure_ascii=False)``, straight from
+    the draw loop's rows, and return the row count per kind.
     The slice checks run before the output opens. Each group of rows the loop
     yields (a positive, or its negatives) has its stem and sentence encoded
     once and goes out in one write. A negative event recurs across positives,
@@ -373,8 +357,8 @@ def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[st
                     part = _part(node.name, definition, _context(spec, node))
                 elif (part := neg_parts.get((node, definition))) is None:
                     part = neg_parts[node, definition] = _part(node.name, definition, _context(spec, node))
-                lines.append(_row(f'{ids}{suffix}"', part, sentence, literals.get(target) or _encode(target),
-                                  literals[kind]))
+                lines.append(f'{{"instance_id": {ids}{suffix}", {part}, "sentence": {sentence}, '
+                             f'"target": {literals.get(target) or _encode(target)}, "kind": {literals[kind]}}}')
                 counts[kind] += 1
             fh.write("\n".join(lines) + "\n")
     return counts

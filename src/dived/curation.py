@@ -404,36 +404,29 @@ def read_dataset(path: str | Path) -> Ontology:
     """Load a dataset as an Ontology with definitions and samples on its nodes.
 
     The rows must form a valid ontology (names unique under
-    ``normalize_name``, parents known, no cycles); ``children`` is only
-    type-checked. A definition, like a sample's sentence, must be one
-    non-blank line. Every error names ``path:line``.
+    ``normalize_name``, parents known, no cycles) whose parent links give each
+    row's ``children``, if it has them, in file order. A definition, like a
+    sample's sentence, must be one non-blank line. Each row is checked as it
+    is read (``ontology.read_nodes``); every error names ``path:line``.
     """
-    rows: list[tuple[int, str, str | None, dict]] = []
-    for lineno, obj in jsonl.read_rows(path):
-        try:
-            event = obj["event"]
-            ontology.event_key(event, str(path), lineno)
-            children = obj.get("children", [])
-            definitions = obj.get("definitions", [])
-            if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
-                raise jsonl.JsonlError(path, lineno, "field 'children' must be a list of strings")
-            if not isinstance(definitions, list) or not all(isinstance(d, str) for d in definitions):
-                raise jsonl.JsonlError(path, lineno, "field 'definitions' must be a list of strings")
-            for definition in definitions:  # one line of text, as an event name is
-                if not definition.strip() or definition.splitlines() != [definition]:
-                    raise jsonl.JsonlError(path, lineno, f"definition {definition!r} is blank or holds a line break")
-            samples = obj.get("samples", [])
-            if not isinstance(samples, list) or not all(
-                isinstance(s, dict) and isinstance(s.get("sentence"), str) and isinstance(s.get("trigger"), str)
-                for s in samples
-            ):
-                raise jsonl.JsonlError(
-                    path, lineno, "field 'samples' must be a list of objects with string 'sentence' and 'trigger'"
-                )
-            samples = [GeneratedSample(s["sentence"], s["trigger"]) for s in samples]
-        except KeyError as exc:
-            raise jsonl.JsonlError(path, lineno, f"missing required field {exc.args[0]!r}") from exc
-        except ValueError as exc:
-            raise jsonl.JsonlError(path, lineno, str(exc)) from exc
-        rows.append((lineno, event, obj.get("parent"), {"definitions": definitions, "samples": samples}))
-    return ontology._build_ontology(rows, str(path))
+    return ontology.read_nodes(path, "event", _dataset_fields)
+
+
+def _dataset_fields(row: dict) -> dict:
+    """A dataset row's definitions and samples, and its ``children`` if it
+    has them; ValueError names a field of the wrong shape."""
+    fields = {name: row[name] for name in ("children", "definitions") if name in row}
+    for name, value in fields.items():
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"field {name!r} must be a list of strings")
+    for definition in fields.setdefault("definitions", []):  # one line of text, as an event name is
+        if not definition.strip() or definition.splitlines() != [definition]:
+            raise ValueError(f"definition {definition!r} is blank or holds a line break")
+    samples = row.get("samples", [])
+    if not isinstance(samples, list) or not all(
+        isinstance(s, dict) and isinstance(s.get("sentence"), str) and isinstance(s.get("trigger"), str)
+        for s in samples
+    ):
+        raise ValueError("field 'samples' must be a list of objects with string 'sentence' and 'trigger'")
+    fields["samples"] = [GeneratedSample(s["sentence"], s["trigger"]) for s in samples]
+    return fields

@@ -11,6 +11,11 @@ equal. That one key decides uniqueness, parent references, lookups, held-out
 matching and which reply line belongs to which event; a name with an empty
 key is blank. Parent cycles are found by the walk from the roots that indexes
 the ontology, which leaves out every node on or below a cycle.
+
+Every ontology is built row by row by ``build_ontology``, from files through
+``read_nodes``, the one reader of ontology and dataset files. A row gets each
+check of its own before a later line is decoded; only unknown parents, cycles
+and a dataset row's ``children`` wait for the last row.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import logging
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from . import jsonl
 from .errors import DivedError
@@ -100,16 +105,14 @@ class Ontology:
     trees: list[EventTypeNode]
 
     def __post_init__(self) -> None:
-        self._index: dict[str, EventTypeNode] = {}
-        for node in self.iter_nodes():
-            self._index[normalize_name(node.name)] = node
+        self._index = {normalize_name(node.name): node for node in self.iter_nodes()}
 
     def iter_nodes(self) -> Iterator[EventTypeNode]:
         for tree in self.trees:
             yield from tree.iter_preorder()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        return len(self._index)
 
     def __contains__(self, name: str) -> bool:
         return normalize_name(name) in self._index
@@ -119,9 +122,6 @@ class Ontology:
             return self._index[normalize_name(name)]
         except KeyError:
             raise UnknownEventError(f"unknown event type: {name!r}") from None
-
-    def names(self) -> list[str]:
-        return [node.name for node in self.iter_nodes()]
 
     def subset(self, keep: set[EventTypeNode]) -> "Ontology":
         """A new ontology of the kept nodes in the same pre-order, each
@@ -137,19 +137,7 @@ class Ontology:
                 rows.append((len(rows) + 1, node.name, up, fields))
                 up = node.name
             target[node] = up
-        return _build_ontology(rows, "<memory>")
-
-
-def build_ontology(rows: Iterable[tuple[str, str | None, str | None]], origin: str = "<memory>") -> Ontology:
-    """Build an Ontology from (name, parent_name, external_id) tuples.
-
-    Rows are in file order; a row may reference a parent declared later.
-    Raises OntologyFormatError, DuplicateEventNameError, or OntologyCycleError
-    on invariant violations.
-    """
-    numbered = [(lineno, name, parent, {"external_id": external_id})
-                for lineno, (name, parent, external_id) in enumerate(rows, start=1)]
-    return _build_ontology(numbered, origin)
+        return build_ontology(rows)
 
 
 def event_key(name: object, origin: str, lineno: int) -> str:
@@ -164,13 +152,14 @@ def event_key(name: object, origin: str, lineno: int) -> str:
     return key
 
 
-def _build_ontology(rows: list[tuple[int, str, str | None, dict]], origin: str) -> Ontology:
-    """Build from (line number, name, parent name, node fields) rows, the
-    fields being ``external_id`` or ``definitions`` and ``samples``; every
-    error names ``origin:line``. A node that the index walk from the roots
-    misses is on or below a parent cycle; the walk up from the first such
-    row names the first node that repeats, at its line."""
-    seen: dict[str, tuple[int, str, EventTypeNode, str | None]] = {}  # key -> (line, name as given, node, parent)
+def build_ontology(rows: Iterable[tuple[int, object, object, dict[str, Any]]], origin: str = "<memory>") -> Ontology:
+    """Build an Ontology from (line number, name, parent name, node fields)
+    rows in file order; a row may name a parent given later. The fields are
+    ``EventTypeNode``'s and an optional ``children`` list of names, popped
+    from them. Each row is checked before the next is drawn: its name
+    (``event_key``), a second name for its event, the types of ``parent``
+    and ``external_id``. Every error names ``origin:line``."""
+    seen: dict[str, tuple] = {}  # key -> (line, name as given, node, parent name, ``children`` or None)
     for lineno, name, parent_name, fields in rows:
         key = event_key(name, origin, lineno)
         if parent_name is not None and not isinstance(parent_name, str):
@@ -178,13 +167,22 @@ def _build_ontology(rows: list[tuple[int, str, str | None, dict]], origin: str) 
         if fields.get("external_id") is not None and not isinstance(fields["external_id"], str):
             raise OntologyFormatError(origin, lineno, "field 'external_id' must be a string or null")
         if key in seen:
-            prev_line, prev_name, _, _ = seen[key]
+            prev_line, prev_name, *_ = seen[key]
             raise DuplicateEventNameError(origin, lineno, f"duplicate event name {name!r}, already defined as "
                                           f"{prev_name!r} at {origin}:{prev_line} (names that differ only in case,"
                                           " spacing, '-' or '_' are one event)")
-        seen[key] = (lineno, name, EventTypeNode(name=name.strip(), **fields), parent_name)
+        children = fields.pop("children", None)
+        seen[key] = (lineno, name, EventTypeNode(name=name.strip(), **fields), parent_name, children)
+    return _build_ontology(seen, origin)
 
-    for lineno, _, node, parent_name in seen.values():
+
+def _build_ontology(seen: dict[str, tuple], origin: str) -> Ontology:
+    """Link the rows ``build_ontology`` keyed, one per node, to their parents.
+    A node that the index walk from the roots misses is on or below a parent
+    cycle; the walk up from the first such row names the first node that
+    repeats, at its line. A row's ``children``, if given, must name the
+    events whose parent it is, in file order, by key."""
+    for lineno, _, node, parent_name, _ in seen.values():
         if parent_name is None:
             continue
         found = seen.get(normalize_name(parent_name))
@@ -193,7 +191,7 @@ def _build_ontology(rows: list[tuple[int, str, str | None, dict]], origin: str) 
         node._parent = weakref.ref(found[2])
         found[2].children.append(node)
 
-    result = Ontology(trees=[node for _, _, node, parent_name in seen.values() if parent_name is None])
+    result = Ontology(trees=[node for _, _, node, parent_name, _ in seen.values() if parent_name is None])
     if len(result._index) < len(seen):
         node = seen[next(key for key in seen if key not in result._index)][2]
         chain: set[EventTypeNode] = set()
@@ -202,22 +200,41 @@ def _build_ontology(rows: list[tuple[int, str, str | None, dict]], origin: str) 
             node = node.parent
         raise OntologyCycleError(origin, seen[normalize_name(node.name)][0],
                                  f"cycle detected at node {node.name!r}: it is its own ancestor")
+
+    for lineno, _, node, _, children in seen.values():
+        if children is not None and children != (derived := [child.name for child in node.children]) and (
+                [*map(normalize_name, children)] != [*map(normalize_name, derived)]):
+            raise OntologyFormatError(origin, lineno, f"field 'children' is {children!r}, but the events whose "
+                                      f"parent is {node.name!r} are {derived!r}")
     return result
+
+
+def read_nodes(path: str | Path, name_field: str, node_fields: Callable[[dict[str, Any]], dict[str, Any]]) -> Ontology:
+    """Build an Ontology from a JSONL file of node rows, each naming its event
+    in ``name_field`` and its parent's in ``parent``. ``node_fields`` gives a
+    row's fields for ``build_ontology`` or raises ValueError naming what is
+    wrong. A row gets every check of its own as it is read, so the first bad
+    row fails before a later line is decoded."""
+    def rows() -> Iterator[tuple[int, object, object, dict[str, Any]]]:
+        for lineno, obj in jsonl.read_rows(path):
+            if name_field not in obj:
+                raise OntologyFormatError(path, lineno, f"missing required field {name_field!r}")
+            try:
+                fields = node_fields(obj)
+            except ValueError as exc:
+                raise OntologyFormatError(path, lineno, str(exc)) from exc
+            yield lineno, obj[name_field], obj.get("parent"), fields
+
+    return build_ontology(rows(), str(path))
 
 
 def load_ontology(path: str | Path) -> Ontology:
     """Load an ontology from a JSONL file of {"name", "parent", "external_id"} rows.
 
     File order defines tree order and the order of children under a parent.
-    A name is checked as its row is read, before a later line is decoded.
+    Each row is checked as it is read (``read_nodes``).
     """
-    rows: list[tuple[int, str, str | None, dict]] = []
-    for lineno, obj in jsonl.read_rows(path):
-        if "name" not in obj:
-            raise OntologyFormatError(str(path), lineno, "missing required field 'name'")
-        event_key(obj["name"], str(path), lineno)
-        rows.append((lineno, obj["name"], obj.get("parent"), {"external_id": obj.get("external_id")}))
-    return _build_ontology(rows, str(path))
+    return read_nodes(path, "name", lambda row: {"external_id": row.get("external_id")})
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> int:
@@ -233,18 +250,6 @@ def save_ontology(ontology: Ontology, path: str | Path) -> int:
             for node in ontology.iter_nodes()
         ),
     )
-
-
-def siblings(ontology: Ontology, name: str) -> list[EventTypeNode]:
-    """All nodes sharing the named node's parent, excluding the node itself.
-
-    Root nodes have no parent and therefore no siblings (an empty list), unless
-    an explicit synthetic parent was built into the ontology.
-    """
-    node = ontology.get(name)
-    if node.parent is None:
-        return []
-    return [child for child in node.parent.children if child is not node]
 
 
 def filter_heldout(ontology: Ontology, heldout_names: list[str]) -> Ontology:

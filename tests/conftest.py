@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from dived import llm_client
 from dived.curation import GeneratedSample
 from dived.llm_client import Backend, MockBackend
-from dived.ontology import Ontology, build_ontology, load_ontology
+from dived.ontology import EventTypeNode, Ontology, build_ontology, load_ontology
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
@@ -72,6 +73,23 @@ def thread_starts(monkeypatch) -> list[threading.Thread]:
     return started
 
 
+def ontology_of(rows: list[tuple[str, str | None, str | None]], origin: str = "<memory>") -> Ontology:
+    """An ontology from (name, parent name, external id) rows in file order."""
+    return build_ontology(((line, name, parent, {"external_id": external_id})
+                           for line, (name, parent, external_id) in enumerate(rows, start=1)), origin)
+
+
+def names(ontology: Ontology) -> list[str]:
+    """The event names of an ontology in pre-order."""
+    return [node.name for node in ontology.iter_nodes()]
+
+
+def siblings(ontology: Ontology, name: str) -> list[EventTypeNode]:
+    """The other children of the named event's parent; none for a root."""
+    node = ontology.get(name)
+    return [child for child in node.parent.children if child is not node] if node.parent is not None else []
+
+
 def make_sample(event: str, idx: int) -> GeneratedSample:
     trigger = f"{event}trig{idx}"
     return GeneratedSample(sentence=f"The {event} unit {trigger} during incident number {idx}.", trigger=trigger)
@@ -79,7 +97,7 @@ def make_sample(event: str, idx: int) -> GeneratedSample:
 
 def make_dataset(rows: list[tuple[str, str | None, list[str], list[GeneratedSample]]]) -> Ontology:
     """A dataset from (event, parent, definitions, samples) rows in file order."""
-    dataset = build_ontology([(event, parent, None) for event, parent, _, _ in rows])
+    dataset = ontology_of([(event, parent, None) for event, parent, _, _ in rows])
     for event, _, definitions, samples in rows:
         node = dataset.get(event)
         node.definitions, node.samples = list(definitions), list(samples)
@@ -100,12 +118,32 @@ def grid_dataset(
         root = f"root{t}"
         rows.append((root, None, None))
         rows.extend((f"ev{t}_{c}", root, None) for c in range(children_per_tree))
-    dataset = build_ontology(rows)
+    dataset = ontology_of(rows)
     for node in dataset.iter_nodes():
         if node.parent is not None:
             node.definitions = [f"{node.name} definition number {d}" for d in range(n_definitions)]
             node.samples = [make_sample(node.name, s) for s in range(n_samples)]
     return dataset
+
+
+def instance_bytes(instances) -> bytes:
+    """The JSONL bytes of instances, each row made by ``json.dumps``: what
+    ``write_slice`` must write, built without its encoders."""
+    return "".join(
+        json.dumps({
+            "instance_id": inst.instance_id,
+            "event_name": inst.event_name,
+            "definition": inst.definition,
+            "ontology_context": (
+                None if inst.ontology_context is None
+                else {"parent": inst.ontology_context.parent, "children": list(inst.ontology_context.children)}
+            ),
+            "sentence": inst.sentence,
+            "target": inst.target,
+            "kind": inst.kind,
+        }, ensure_ascii=False) + "\n"
+        for inst in instances
+    ).encode("utf-8")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,15 +15,16 @@ from collections import Counter
 import pytest
 
 from dived import cli
-from dived.assembly import SliceSpec, assemble, read_jsonl, write_jsonl
+from dived.assembly import SliceSpec, assemble, read_jsonl, write_slice
 from dived.cli import main
 from dived.curation import read_dataset
 from dived.evaluation import ScoreReport, Scores, drop_rate, match_and_score
 from dived.jsonl import JsonlError
-from dived.ontology import OntologyFormatError, load_ontology, save_ontology, siblings
+from dived.ontology import OntologyFormatError, load_ontology, save_ontology
 from dived.pruning import overlap_ratio, prune_dataset
 
-from conftest import FIXTURES, TOY_ONTOLOGY, WaitingMockBackend, grid_dataset, make_dataset, make_sample
+from conftest import (FIXTURES, TOY_ONTOLOGY, WaitingMockBackend, grid_dataset, instance_bytes, make_dataset,
+                      make_sample, names, siblings)
 from test_evaluation import gold, oracle_scores, pred, random_case
 from test_pruning import brute_force_max_ratio, record
 
@@ -40,14 +41,14 @@ def test_criterion_1_pruning_boundary():
     a = record("A", None, [f"s{i}" for i in range(6)] + [f"a{i}" for i in range(4)])
     b = record("B", "A", [f"s{i}" for i in range(6)] + [f"b{i}" for i in range(4)])
     pruned, audits = prune_dataset(make_dataset([a, b]))
-    assert pruned.names() == ["A"]
+    assert names(pruned) == ["A"]
     assert audits[0].ratio == 0.6
 
     # ratio exactly 0.5 -> both kept (strict >)
     a = record("A", None, [f"s{i}" for i in range(5)] + [f"a{i}" for i in range(5)])
     b = record("B", "A", [f"s{i}" for i in range(5)] + [f"b{i}" for i in range(5)])
     pruned, audits = prune_dataset(make_dataset([a, b]))
-    assert pruned.names() == ["A", "B"]
+    assert names(pruned) == ["A", "B"]
     assert audits == []
 
     # post-prune exhaustive re-check on fixtures up to 20 events
@@ -277,11 +278,9 @@ def test_criterion_8_round_trips_and_corrupt_files(tmp_path):
     dataset = grid_dataset(n_trees=2, children_per_tree=4)
     spec = SliceSpec(n_events=4, n_definitions=2, n_samples=3, n_negatives=2,
                      n_hard_negatives=1, with_ontology=True, seed=5)
-    instances = assemble(dataset, spec)
-    i1, i2 = tmp_path / "i1.jsonl", tmp_path / "i2.jsonl"
-    write_jsonl(instances, i1)
-    write_jsonl(read_jsonl(i1), i2)
-    assert i1.read_bytes() == i2.read_bytes()
+    path = tmp_path / "instances.jsonl"
+    write_slice(dataset, spec, path)
+    assert instance_bytes(read_jsonl(path)) == path.read_bytes() == instance_bytes(assemble(dataset, spec))
 
     # three canned corrupt files, each rejected with a line number
     with pytest.raises(JsonlError) as err:

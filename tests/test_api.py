@@ -198,9 +198,10 @@ def test_only_jsonl_opens_and_decodes_json_files():
     assert calls == [("llm_client.py", "json.loads(body)")]
 
 
-# The converters that ROADMAP item 1 drops from the tracer; every other hook
-# must name a function the program still has, or its layer reads 0.
-TRACER_HOOKS_GONE = {"ontology_from_dataset", "records_from_ontology", "dataset_to_trees"}
+# The converters, and the instance writer that ``write_slice`` replaced, which
+# ROADMAP item 1 drops from the tracer; every other hook must name a function
+# the program still has, or its layer reads 0.
+TRACER_HOOKS_GONE = {"ontology_from_dataset", "records_from_ontology", "dataset_to_trees", "write_jsonl"}
 
 
 def _tracer_hooks() -> list[tuple[str, str]]:

@@ -24,15 +24,13 @@ from dived.assembly import (
     iter_instances,
     read_jsonl,
     render_instance,
-    write_jsonl,
     write_slice,
 )
 from dived.assembly import _cousin_pool, _rng
 from dived.curation import GeneratedSample, read_dataset, write_dataset
 from dived.jsonl import JsonlError
-from dived.ontology import build_ontology, siblings
 
-from conftest import grid_dataset, make_dataset, make_sample
+from conftest import grid_dataset, instance_bytes, make_dataset, make_sample, siblings
 
 
 def small_dataset():
@@ -168,7 +166,8 @@ def test_sentence_listed_twice_and_shared_by_two_events(tmp_path):
     assert sorted(group[0].event_name for group in groups) == ["A", "A", "B"]
     for group in groups:
         assert len(group) == 5 and not {neg.event_name for neg in group[1:]} & {"A", "B"}
-    write_jsonl(iter_instances(dataset, spec), tmp_path / "slice.jsonl")
+    write_slice(dataset, spec, tmp_path / "slice.jsonl")
+    assert (tmp_path / "slice.jsonl").read_bytes() == instance_bytes(iter_instances(dataset, spec))
     digest = hashlib.sha256((tmp_path / "slice.jsonl").read_bytes()).hexdigest()
     assert digest == "9984ba8de07c51625629987c14e6295b42d9be5c42781388e7b2f8af2d07d893"
 
@@ -312,9 +311,9 @@ def test_same_spec_same_bytes(tmp_path):
     dataset = grid_dataset(n_trees=2, children_per_tree=5)
     spec = SliceSpec(n_events=6, n_definitions=4, n_samples=5, n_negatives=6, n_hard_negatives=3, seed=42)
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(assemble(dataset, spec), first)
-    write_jsonl(assemble(dataset, spec), second)
-    assert first.read_bytes() == second.read_bytes()
+    write_slice(dataset, spec, first)
+    write_slice(dataset, spec, second)
+    assert first.read_bytes() == second.read_bytes() == instance_bytes(assemble(dataset, spec))
 
 
 def test_ten_thousand_instances_write_deterministically(tmp_path):
@@ -323,9 +322,9 @@ def test_ten_thousand_instances_write_deterministically(tmp_path):
     instances = assemble(dataset, spec)
     assert len(instances) == 20 * 50 * 11
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(instances, first)
-    write_jsonl(instances, second)
-    assert first.read_bytes() == second.read_bytes()
+    write_slice(dataset, spec, first)
+    write_slice(dataset, spec, second)
+    assert first.read_bytes() == second.read_bytes() == instance_bytes(instances)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +435,10 @@ def test_instance_round_trip(tmp_path):
     spec = SliceSpec(n_events=2, n_definitions=1, n_samples=2, n_negatives=1, with_ontology=True, seed=7)
     instances = assemble(dataset, spec)
     path = tmp_path / "instances.jsonl"
-    write_jsonl(instances, path)
+    write_slice(dataset, spec, path)
     loaded = read_jsonl(path)
     assert loaded == instances
-    second = tmp_path / "instances2.jsonl"
-    write_jsonl(loaded, second)
-    assert path.read_bytes() == second.read_bytes()
+    assert instance_bytes(loaded) == path.read_bytes()
 
 
 def test_read_rejects_kind_target_mismatch_with_line_number(tmp_path):
@@ -675,11 +672,11 @@ def deep_slice_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_dived_assemble_writes_the_bytes_of_the_assembled_list(case):
     """The command writes its rows straight from the draws; they are the
-    bytes of write_jsonl(assemble(...)), and its manifest counts their kinds.
+    json.dumps rows of assemble(...), and its manifest counts their kinds.
     A slice the dataset cannot fill fails the command the same way."""
     dataset, spec = case
     with tempfile.TemporaryDirectory() as tmp:
-        path, out, listed = Path(tmp) / "dataset.jsonl", Path(tmp) / "out.jsonl", Path(tmp) / "listed.jsonl"
+        path, out = Path(tmp) / "dataset.jsonl", Path(tmp) / "out.jsonl"
         write_dataset(dataset, path)
         code = cli.main([
             "assemble", "--dataset", str(path), "--events", str(spec.n_events),
@@ -694,8 +691,7 @@ def test_dived_assemble_writes_the_bytes_of_the_assembled_list(case):
             assert code == 1 and not out.exists()
             return
         assert code == 0
-        write_jsonl(instances, listed)
-        assert out.read_bytes() == listed.read_bytes()
+        assert out.read_bytes() == instance_bytes(instances)
         kinds = Counter(inst.kind for inst in instances)
         assert json.loads(cli.manifest_path(out).read_text())["counts"] == {
             "instances": len(instances), "positives": kinds["positive"],
@@ -750,10 +746,14 @@ def test_each_positives_negatives_follow_the_draw_rules(case):
 
 
 # ---------------------------------------------------------------------------
-# write_jsonl bytes against json.dumps
+# instance bytes against json.dumps
 # ---------------------------------------------------------------------------
 
 TEXT = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from('"\\\x00\x1f\n\r\t\u2028\u2029é/')))
+# one line of text: no tab, nor any character str.splitlines splits at
+LINE = st.text(st.one_of(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    st.sampled_from('"\\\x00\x1f/é')), max_size=6)
 
 
 @st.composite
@@ -780,24 +780,41 @@ def instance_batches(draw):
 
 @given(instance_batches())
 @settings(deadline=None)
-def test_write_jsonl_bytes_equal_json_dumps(instances):
-    expected = "".join(
-        json.dumps({
-            "instance_id": inst.instance_id,
-            "event_name": inst.event_name,
-            "definition": inst.definition,
-            "ontology_context": (
-                None if inst.ontology_context is None
-                else {"parent": inst.ontology_context.parent, "children": list(inst.ontology_context.children)}
-            ),
-            "sentence": inst.sentence,
-            "target": inst.target,
-            "kind": inst.kind,
-        }, ensure_ascii=False) + "\n"
-        for inst in instances
-    )
+def test_read_jsonl_reads_back_json_dumps_rows(instances):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instances.jsonl"
-        assert write_jsonl(instances, path) == len(instances)
-        assert path.read_bytes() == expected.encode("utf-8")
+        path.write_bytes(instance_bytes(instances))
+        assert read_jsonl(path) == instances
+
+
+@st.composite
+def text_slice_cases(draw):
+    """A root over three children whose names, definitions and sentences hold
+    arbitrary one-line text (quotes, backslashes, control and non-ASCII
+    characters), and a slice of them that the four events can fill."""
+    events = [f"{draw(LINE)}{i}" for i in range(4)]
+    dataset = make_dataset([
+        (event, events[0] if i else None, [f"d{k}{draw(LINE)}" for k in range(2)],
+         [GeneratedSample(f"{draw(LINE)} t{i}_{k} {draw(LINE)}", f"t{i}_{k}") for k in range(2)])
+        for i, event in enumerate(events)
+    ])
+    negatives = draw(st.integers(min_value=0, max_value=3))
+    spec = SliceSpec(n_events=draw(st.integers(1, 4)), n_definitions=draw(st.integers(1, 2)),
+                     n_samples=draw(st.integers(1, 2)), n_negatives=negatives,
+                     n_hard_negatives=draw(st.integers(0, min(negatives, 2))), with_ontology=draw(st.booleans()),
+                     with_definition=draw(st.booleans()), seed=draw(st.integers(0, 9)))
+    return dataset, spec
+
+
+@given(text_slice_cases())
+@settings(deadline=None)
+def test_write_slice_bytes_equal_json_dumps(case):
+    """``write_slice`` encodes its lines itself (``_part``); they are
+    the json.dumps rows of the same instances, for any text in them."""
+    dataset, spec = case
+    instances = list(iter_instances(dataset, spec))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "slice.jsonl"
+        assert sum(write_slice(dataset, spec, path).values()) == len(instances)
+        assert path.read_bytes() == instance_bytes(instances)
         assert read_jsonl(path) == instances

@@ -15,7 +15,7 @@ from dived.curation import GeneratedSample, read_dataset, write_dataset
 from dived.llm_client import PermanentBackendError
 from dived.ontology import load_ontology
 
-from conftest import TOY_ONTOLOGY, ScriptedBackend, grid_dataset, make_dataset, make_sample
+from conftest import TOY_ONTOLOGY, ScriptedBackend, grid_dataset, instance_bytes, make_dataset, make_sample
 
 
 def run(args: list[str]) -> int:
@@ -76,6 +76,30 @@ def test_ingest_rejects_a_name_made_only_of_dashes_and_underscores(tmp_path, cap
     onto.write_text('{"name": "-"}\n{"name": "a", "parent": "_"}\n', encoding="utf-8")
     assert run(["ingest", "--ontology", str(onto), "--heldout", " _", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {onto}:1: event name '-' is blank: it is all whitespace, '-' and '_'\n"
+    assert not out.exists()
+
+
+def dataset_line(event, parent, children):
+    return json.dumps({"event": event, "parent": parent, "children": children, "definitions": [f"{event} def"],
+                       "samples": [{"sentence": f"The {event} unit ran.", "trigger": "ran"}]}) + "\n"
+
+
+@pytest.mark.parametrize("command, text, line, message", [
+    ("ingest", '{"name": "a"}\n{"name": "A"}\n{not json\n', 2, "duplicate event name 'A', already defined as 'a'"),
+    ("ingest", '{"name": "b", "parent": 1}\n{not json\n', 1, "field 'parent' must be a string or null"),
+    ("expand-defs", dataset_line("A", None, ["ghost"]) + dataset_line("B", "A", []), 1,
+     "field 'children' is ['ghost'], but the events whose parent is 'A' are ['B']"),
+    ("prune", dataset_line("A", None, []) + dataset_line("a", None, []) + "{not json\n", 2,
+     "duplicate event name 'a', already defined as 'A'"),
+], ids=["ingest_duplicate", "ingest_parent_type", "expand_defs_children", "prune_duplicate"])
+def test_a_bad_row_exits_1_at_its_own_line_before_a_later_line_is_read(tmp_path, capsys, command, text, line, message):
+    path, out = tmp_path / "input.jsonl", tmp_path / "out.jsonl"
+    path.write_text(text, encoding="utf-8")
+    args = [command, "--ontology" if command == "ingest" else "--dataset", str(path), "--out", str(out)]
+    assert run(args + (["--audit", str(tmp_path / "audit.jsonl")] if command == "prune" else [])) == 1
+    if message.startswith("duplicate"):
+        message += f" at {path}:1 (names that differ only in case, spacing, '-' or '_' are one event)"
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
     assert not out.exists()
 
 
@@ -667,8 +691,7 @@ def test_assemble_streams_the_bytes_of_the_assembled_list(tmp_path, flags):
         with_definition=args.with_definition, seed=args.seed,
     )
     instances = assembly.assemble(read_dataset(dataset), spec)
-    assembly.write_jsonl(instances, tmp_path / "listed.jsonl")
-    assert out.read_bytes() == (tmp_path / "listed.jsonl").read_bytes()
+    assert out.read_bytes() == instance_bytes(instances)
     kinds = Counter(inst.kind for inst in instances)
     assert json.loads(manifest_path(out).read_text())["counts"] == {
         "instances": len(instances),

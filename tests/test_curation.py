@@ -41,14 +41,14 @@ from dived.llm_client import (
     TemplateId,
     complete_batch,
 )
-from dived.ontology import build_ontology, load_ontology, normalize_name, save_ontology
+from dived.ontology import load_ontology, normalize_name, save_ontology
 from dived.pruning import prune_dataset
 
-from conftest import ScriptedBackend, make_dataset, make_sample
+from conftest import ScriptedBackend, make_dataset, make_sample, names, ontology_of
 
 
 def small_tree():
-    ont = build_ontology([("conflict", None, None), ("attack", "conflict", None), ("protest", "conflict", None)])
+    ont = ontology_of([("conflict", None, None), ("attack", "conflict", None), ("protest", "conflict", None)])
     return ont.trees[0]
 
 
@@ -510,7 +510,7 @@ def test_dataset_round_trip(tmp_path):
     shuffled = tmp_path / "shuffled.jsonl"
     shuffled.write_text(lines[1] + other + lines[0], encoding="utf-8")
     reread = read_dataset(shuffled)
-    assert reread.names() == ["movement", "conflict", "attack"]
+    assert names(reread) == ["movement", "conflict", "attack"]
     assert _content(reread)[1:] == _content(_dataset())
 
 
@@ -575,21 +575,95 @@ def test_read_dataset_rejects_a_bad_row_at_its_line(tmp_path, row, message):
     assert str(err.value) == f"{path}:2: {message}"
 
 
+def dataset_row(event, parent=None, **fields):
+    return json.dumps({"event": event, "parent": parent, "definitions": [f"{event} def"],
+                       "samples": [{"sentence": f"The {event} unit ran.", "trigger": "ran"}], **fields}) + "\n"
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ([dataset_row("A", children=["ghost"]), dataset_row("B", "A", children=[])], 1,
+     "field 'children' is ['ghost'], but the events whose parent is 'A' are ['B']"),
+    ([dataset_row("A", children=["C", "B"]), dataset_row("B", "A"), dataset_row("C", "A")], 1,
+     "field 'children' is ['C', 'B'], but the events whose parent is 'A' are ['B', 'C']"),
+    ([dataset_row("A", children=[]), dataset_row("B", "A", children=[])], 1,
+     "field 'children' is [], but the events whose parent is 'A' are ['B']"),
+    ([dataset_row("A", children=["B"]), dataset_row("B", "A", children=["A"])], 2,
+     "field 'children' is ['A'], but the events whose parent is 'B' are []"),
+], ids=["unknown_child", "wrong_order", "missing_child", "leaf_with_a_child"])
+def test_read_dataset_rejects_children_that_disagree_with_the_parent_links(tmp_path, rows, line, message):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("".join(rows), encoding="utf-8")
+    with pytest.raises(JsonlError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_read_dataset_matches_children_by_key_and_takes_rows_without_them(tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(dataset_row("A", children=["b", " C_1"]) + dataset_row("B", "A") + dataset_row("c-1", "a"),
+                    encoding="utf-8")
+    assert [child.name for child in read_dataset(path).get("A").children] == ["B", "c-1"]
+
+
+def test_read_dataset_rejects_a_duplicate_before_a_later_line_that_does_not_decode(tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(dataset_row("A", children=[]) + dataset_row("a", children=[]) + "{not json\n", encoding="utf-8")
+    with pytest.raises(JsonlError) as err:
+        read_dataset(path)
+    assert str(err.value) == (f"{path}:2: duplicate event name 'a', already defined as 'A' at {path}:1 (names that"
+                              " differ only in case, spacing, '-' or '_' are one event)")
+
+
+@st.composite
+def forest_rows(draw):
+    """Rows of a well-formed forest in shuffled file order: each name is a
+    spelling of its own event, each parent one of an event drawn before it."""
+    events = draw(st.lists(st.sampled_from(["attack", "fire drill", "Sea-Battle", "b", "c", "d", "e", "f"]),
+                           min_size=1, max_size=8, unique=True))
+    rows = []
+    for i, event in enumerate(events):
+        parent = draw(st.one_of(st.none(), st.sampled_from(events[:i]))) if i else None
+        spell = st.sampled_from([lambda n: n, str.upper, lambda n: f" {n} ", lambda n: n.replace(" ", "_")])
+        rows.append((draw(spell)(event), None if parent is None else draw(spell)(parent)))
+    return draw(st.permutations(rows))
+
+
+@given(forest_rows())
+@settings(deadline=None)
+def test_an_ontology_and_a_dataset_of_one_row_set_load_alike(rows):
+    """The same rows, written once as an ontology and once as a dataset whose
+    ``children`` are derived from the parent links, load to the same names,
+    parents and order."""
+    def children(name):
+        return [child for child, parent in rows if parent is not None and normalize_name(parent) == normalize_name(name)]
+
+    def shape(built):
+        return [(n.name, n.parent.name if n.parent else None) for n in built.iter_nodes()], [t.name for t in built.trees]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        onto, data = Path(tmp) / "onto.jsonl", Path(tmp) / "data.jsonl"
+        onto.write_text("".join(json.dumps({"name": name, "parent": parent}) + "\n" for name, parent in rows),
+                        encoding="utf-8")
+        data.write_text("".join(dataset_row(name, parent, children=children(name)) for name, parent in rows),
+                        encoding="utf-8")
+        assert shape(load_ontology(onto)) == shape(read_dataset(data))
+
+
 def test_deep_chain_loads_renders_round_trips_and_prunes(tmp_path):
     depth = 1500
-    names = [f"e{i}" for i in range(depth)]
-    chain = build_ontology([(name, names[i - 1] if i else None, None) for i, name in enumerate(names)])
+    events = [f"e{i}" for i in range(depth)]
+    chain = ontology_of([(name, events[i - 1] if i else None, None) for i, name in enumerate(events)])
     ontology_path = tmp_path / "chain.jsonl"
     save_ontology(chain, ontology_path)
     loaded = load_ontology(ontology_path)
-    assert loaded.names() == names
+    assert names(loaded) == events
 
     block = tree_block(loaded.trees[0]).split("\n")
     assert len(block) == depth
-    assert block[-1] == "  " * (depth - 1) + names[-1]
+    assert block[-1] == "  " * (depth - 1) + events[-1]
 
     dataset = make_dataset([
-        (name, names[i - 1] if i else None, [f"{name} def"], [make_sample(name, 0)]) for i, name in enumerate(names)
+        (name, events[i - 1] if i else None, [f"{name} def"], [make_sample(name, 0)]) for i, name in enumerate(events)
     ])
     path = tmp_path / "chain_dataset.jsonl"
     write_dataset(dataset, path)
@@ -598,7 +672,7 @@ def test_deep_chain_loads_renders_round_trips_and_prunes(tmp_path):
 
     pruned, audits = prune_dataset(reread)
     assert audits == []
-    assert pruned.names() == names
+    assert names(pruned) == events
 
 
 # ---------------------------------------------------------------------------

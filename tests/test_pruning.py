@@ -19,7 +19,7 @@ from dived.jsonl import read_rows
 from dived.errors import EventInputError
 from dived.pruning import OverlapRecord, overlap_ratio, prune_dataset, prune_tree, write_audit
 
-from conftest import make_dataset
+from conftest import make_dataset, names
 
 
 def record(event, parent, triggers):
@@ -90,7 +90,7 @@ def three_event_tree(shared_ab):
 
 def test_prune_removes_later_event_of_overlapping_pair():
     pruned, audits = prune_dataset(three_event_tree(shared_ab=6))
-    assert pruned.names() == ["A", "C"]
+    assert names(pruned) == ["A", "C"]
     assert audits == [
         OverlapRecord(event_a="A", event_b="B", ratio=0.6, matched_triggers=tuple(sorted(f"s{i}" for i in range(6))))
     ]
@@ -98,14 +98,14 @@ def test_prune_removes_later_event_of_overlapping_pair():
 
 def test_ratio_exactly_half_keeps_both():
     pruned, audits = prune_dataset(three_event_tree(shared_ab=5))
-    assert pruned.names() == ["A", "B", "C"]
+    assert names(pruned) == ["A", "B", "C"]
     assert audits == []
 
 
 def test_single_event_tree_unchanged():
     tree = make_dataset([record("solo", None, ["hit"])])
     pruned, audits = prune_dataset(tree)
-    assert pruned.names() == ["solo"]
+    assert names(pruned) == ["solo"]
     assert audits == []
 
 
@@ -122,7 +122,7 @@ def test_children_reparented_to_surviving_ancestor():
     mid = record("mid", "root", [f"t{i}" for i in range(6)] + [f"m{i}" for i in range(4)])
     leaf = record("leaf", "mid", [f"l{i}" for i in range(10)])
     pruned, audits = prune_dataset(make_dataset([root, mid, leaf]))
-    assert pruned.names() == ["root", "leaf"]
+    assert names(pruned) == ["root", "leaf"]
     by_name = {n.name: n for n in pruned.iter_nodes()}
     assert by_name["leaf"].parent.name == "root"
     assert [c.name for c in by_name["root"].children] == ["leaf"]
@@ -135,13 +135,13 @@ def test_removed_event_takes_no_further_part():
     b = record("B", "A", [f"t{i}" for i in range(6)] + [f"b{i}" for i in range(4)])
     c = record("C", "A", [f"b{i}" for i in range(4)] + [f"c{i}" for i in range(6)])
     pruned, audits = prune_dataset(make_dataset([a, b, c]))
-    assert pruned.names() == ["A", "C"]
+    assert names(pruned) == ["A", "C"]
     assert len(audits) == 1
 
 
 def test_prune_never_removes_preorder_first_of_pair():
     pruned, audits = prune_dataset(three_event_tree(shared_ab=10))
-    assert pruned.names()[0] == "A"
+    assert names(pruned)[0] == "A"
     for audit in audits:
         assert audit.event_a == "A"
 
@@ -149,7 +149,7 @@ def test_prune_never_removes_preorder_first_of_pair():
 def test_prune_deterministic():
     one = prune_dataset(three_event_tree(shared_ab=6))
     two = prune_dataset(three_event_tree(shared_ab=6))
-    assert one[0].names() == two[0].names()
+    assert names(one[0]) == names(two[0])
     assert one[1] == two[1]
 
 
@@ -193,7 +193,7 @@ def test_prune_dataset_is_per_tree(tmp_path):
     t1 = record("x", None, ["same0", "same1"])
     t2 = record("y", None, ["same0", "same1"])
     pruned, audits = prune_dataset(make_dataset([t1, t2]))
-    assert pruned.names() == ["x", "y"]
+    assert names(pruned) == ["x", "y"]
     assert audits == []
     assert write_audit(audits, tmp_path / "audit.jsonl") == 0
 
@@ -353,10 +353,10 @@ def test_random_dataset_files_prune_or_fail_naming_the_line(lines, threshold):
 
     # every event is kept or removed once, in pre-order, with its data
     removed = [a.event_b for a in audits]
-    assert pruned.names() == [name for name in dataset.names() if name not in removed]
+    assert names(pruned) == [name for name in names(dataset) if name not in removed]
     assert len(removed) == len(set(removed))
     nodes = {node.name: node for node in dataset.iter_nodes()}
-    survivors = set(pruned.names())
+    survivors = set(names(pruned))
     for node in pruned.iter_nodes():
         old = nodes[node.name]
         nearest = next((up.name for up in old.ancestors() if up.name in survivors), None)
