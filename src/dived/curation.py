@@ -412,14 +412,15 @@ def read_dataset(path: str | Path) -> Ontology:
     return ontology.read_nodes(path, "event", _dataset_fields)
 
 
-def _dataset_fields(row: dict) -> dict:
-    """A dataset row's definitions and samples, and its ``children`` if it
-    has them; ValueError names a field of the wrong shape."""
-    fields = {name: row[name] for name in ("children", "definitions") if name in row}
-    for name, value in fields.items():
+def _dataset_fields(row: dict) -> tuple[list[str] | None, dict]:
+    """A dataset row's ``children`` (None if it has none), and its
+    definitions and samples; ValueError names a field of the wrong shape."""
+    strings = {name: row[name] for name in ("children", "definitions") if name in row}
+    for name, value in strings.items():
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ValueError(f"field {name!r} must be a list of strings")
-    for definition in fields.setdefault("definitions", []):  # one line of text, as an event name is
+    definitions = strings.get("definitions", [])
+    for definition in definitions:  # one line of text, as an event name is
         if not definition.strip() or definition.splitlines() != [definition]:
             raise ValueError(f"definition {definition!r} is blank or holds a line break")
     samples = row.get("samples", [])
@@ -428,5 +429,5 @@ def _dataset_fields(row: dict) -> dict:
         for s in samples
     ):
         raise ValueError("field 'samples' must be a list of objects with string 'sentence' and 'trigger'")
-    fields["samples"] = [GeneratedSample(s["sentence"], s["trigger"]) for s in samples]
-    return fields
+    return strings.get("children"), {
+        "definitions": definitions, "samples": [GeneratedSample(s["sentence"], s["trigger"]) for s in samples]}

@@ -126,13 +126,12 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
 encode_row: Callable[[Any], str] = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
-def write_rows(path: str | Path, rows: Iterable[Any], encode: Callable[[Any], str] = encode_row) -> int:
-    """Write rows as JSONL, atomically: ``encode`` turns each row into one
-    line of JSON. Returns the number of rows written."""
+def write_rows(path: str | Path, rows: Iterable[Any]) -> int:
+    """Write rows as JSONL (``encode_row``), atomically; return the row count."""
     count = 0
     with open_atomic(path) as fh:
         for row in rows:
-            fh.write(encode(row) + "\n")
+            fh.write(encode_row(row) + "\n")
             count += 1
     return count
 

@@ -105,7 +105,9 @@ class Ontology:
     trees: list[EventTypeNode]
 
     def __post_init__(self) -> None:
-        self._index = {normalize_name(node.name): node for node in self.iter_nodes()}
+        self._index: dict[str, EventTypeNode] = {}
+        for node in self.iter_nodes():
+            self._index[normalize_name(node.name)] = node
 
     def iter_nodes(self) -> Iterator[EventTypeNode]:
         for tree in self.trees:
@@ -127,14 +129,14 @@ class Ontology:
         """A new ontology of the kept nodes in the same pre-order, each
         re-parented to its nearest kept ancestor, with copies of their
         definitions and samples. The input is unchanged."""
-        rows: list[tuple[int, str, str | None, dict]] = []
+        rows: list[tuple[int, str, str | None, None, dict]] = []
         target: dict[EventTypeNode, str | None] = {}  # node -> nearest kept ancestor-or-self
         for node in self.iter_nodes():
             up = target[node.parent] if node.parent is not None else None
             if node in keep:
                 fields = {"external_id": node.external_id, "definitions": list(node.definitions),
                           "samples": list(node.samples)}
-                rows.append((len(rows) + 1, node.name, up, fields))
+                rows.append((len(rows) + 1, node.name, up, None, fields))
                 up = node.name
             target[node] = up
         return build_ontology(rows)
@@ -152,15 +154,16 @@ def event_key(name: object, origin: str, lineno: int) -> str:
     return key
 
 
-def build_ontology(rows: Iterable[tuple[int, object, object, dict[str, Any]]], origin: str = "<memory>") -> Ontology:
-    """Build an Ontology from (line number, name, parent name, node fields)
-    rows in file order; a row may name a parent given later. The fields are
-    ``EventTypeNode``'s and an optional ``children`` list of names, popped
-    from them. Each row is checked before the next is drawn: its name
-    (``event_key``), a second name for its event, the types of ``parent``
-    and ``external_id``. Every error names ``origin:line``."""
-    seen: dict[str, tuple] = {}  # key -> (line, name as given, node, parent name, ``children`` or None)
-    for lineno, name, parent_name, fields in rows:
+def build_ontology(rows: Iterable[tuple[int, object, object, list[str] | None, dict[str, Any]]],
+                   origin: str = "<memory>") -> Ontology:
+    """Build an Ontology from (line number, name, parent name, child names or
+    None, node fields) rows in file order; a row may name a parent given
+    later. The node fields are ``EventTypeNode`` keyword arguments. Each row
+    is checked before the next is drawn: its name (``event_key``), a second
+    name for its event, the types of ``parent`` and ``external_id``. Every
+    error names ``origin:line``."""
+    seen: dict[str, tuple] = {}  # key -> (line, name as given, node, parent name, child names or None)
+    for lineno, name, parent_name, children, fields in rows:
         key = event_key(name, origin, lineno)
         if parent_name is not None and not isinstance(parent_name, str):
             raise OntologyFormatError(origin, lineno, "field 'parent' must be a string or null")
@@ -171,7 +174,6 @@ def build_ontology(rows: Iterable[tuple[int, object, object, dict[str, Any]]], o
             raise DuplicateEventNameError(origin, lineno, f"duplicate event name {name!r}, already defined as "
                                           f"{prev_name!r} at {origin}:{prev_line} (names that differ only in case,"
                                           " spacing, '-' or '_' are one event)")
-        children = fields.pop("children", None)
         seen[key] = (lineno, name, EventTypeNode(name=name.strip(), **fields), parent_name, children)
     return _build_ontology(seen, origin)
 
@@ -202,28 +204,28 @@ def _build_ontology(seen: dict[str, tuple], origin: str) -> Ontology:
                                  f"cycle detected at node {node.name!r}: it is its own ancestor")
 
     for lineno, _, node, _, children in seen.values():
-        if children is not None and children != (derived := [child.name for child in node.children]) and (
-                [*map(normalize_name, children)] != [*map(normalize_name, derived)]):
+        if children is not None and [*map(normalize_name, children)] != [normalize_name(c.name) for c in node.children]:
             raise OntologyFormatError(origin, lineno, f"field 'children' is {children!r}, but the events whose "
-                                      f"parent is {node.name!r} are {derived!r}")
+                                      f"parent is {node.name!r} are {[c.name for c in node.children]!r}")
     return result
 
 
-def read_nodes(path: str | Path, name_field: str, node_fields: Callable[[dict[str, Any]], dict[str, Any]]) -> Ontology:
+def read_nodes(path: str | Path, name_field: str,
+               node_fields: Callable[[dict[str, Any]], tuple[list[str] | None, dict[str, Any]]]) -> Ontology:
     """Build an Ontology from a JSONL file of node rows, each naming its event
     in ``name_field`` and its parent's in ``parent``. ``node_fields`` gives a
-    row's fields for ``build_ontology`` or raises ValueError naming what is
-    wrong. A row gets every check of its own as it is read, so the first bad
-    row fails before a later line is decoded."""
-    def rows() -> Iterator[tuple[int, object, object, dict[str, Any]]]:
+    row's child names (or None) and node fields for ``build_ontology``, or
+    raises ValueError naming what is wrong. A row gets every check of its own
+    as it is read, so the first bad row fails before a later line is decoded."""
+    def rows() -> Iterator[tuple[int, object, object, list[str] | None, dict[str, Any]]]:
         for lineno, obj in jsonl.read_rows(path):
             if name_field not in obj:
                 raise OntologyFormatError(path, lineno, f"missing required field {name_field!r}")
             try:
-                fields = node_fields(obj)
+                children, fields = node_fields(obj)
             except ValueError as exc:
                 raise OntologyFormatError(path, lineno, str(exc)) from exc
-            yield lineno, obj[name_field], obj.get("parent"), fields
+            yield lineno, obj[name_field], obj.get("parent"), children, fields
 
     return build_ontology(rows(), str(path))
 
@@ -234,7 +236,7 @@ def load_ontology(path: str | Path) -> Ontology:
     File order defines tree order and the order of children under a parent.
     Each row is checked as it is read (``read_nodes``).
     """
-    return read_nodes(path, "name", lambda row: {"external_id": row.get("external_id")})
+    return read_nodes(path, "name", lambda row: (None, {"external_id": row.get("external_id")}))
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> int:

@@ -75,7 +75,7 @@ def thread_starts(monkeypatch) -> list[threading.Thread]:
 
 def ontology_of(rows: list[tuple[str, str | None, str | None]], origin: str = "<memory>") -> Ontology:
     """An ontology from (name, parent name, external id) rows in file order."""
-    return build_ontology(((line, name, parent, {"external_id": external_id})
+    return build_ontology(((line, name, parent, None, {"external_id": external_id})
                            for line, (name, parent, external_id) in enumerate(rows, start=1)), origin)
 
 

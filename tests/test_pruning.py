@@ -16,6 +16,7 @@ from dived import pruning
 from dived.cli import main
 from dived.curation import GeneratedSample, read_dataset
 from dived.jsonl import read_rows
+from dived.ontology import normalize_name
 from dived.errors import EventInputError
 from dived.pruning import OverlapRecord, overlap_ratio, prune_dataset, prune_tree, write_audit
 
@@ -293,7 +294,7 @@ def test_planted_copies_make_one_comparison_each(overlap_calls):
 # each kind of row but "good" has one defect; about four rows in five are good
 ROW_KINDS = ["good"] * 36 + [
     "no_samples", "bad_sample", "samples_not_list", "definitions_not_list", "empty_event", "list_line", "bad_json",
-    "duplicate_name", "unknown_parent",
+    "duplicate_name", "unknown_parent", "wrong_children",
 ]
 MALFORMED_SAMPLES = [
     "oops",
@@ -307,11 +308,12 @@ MALFORMED_SAMPLES = [
 @st.composite
 def dataset_rows(draw):
     """JSONL lines of a dataset of 1-8 events: names padded with blanks now
-    and then, parents that may refer to later rows or form cycles, and now and
-    then a row with one defect (see ROW_KINDS)."""
+    and then, parents that may refer to later rows or form cycles, ``children``
+    derived from the parents in file order, and now and then a row with one
+    defect (see ROW_KINDS)."""
     size = draw(st.integers(min_value=1, max_value=8))
     names = [draw(st.sampled_from([f"e{i}", f" e{i}", f"E{i}"])) for i in range(size)]
-    lines = []
+    rows, kinds = [], []
     for i, event in enumerate(names):
         kind = draw(st.sampled_from(ROW_KINDS))
         if kind == "duplicate_name" and i > 0:
@@ -324,12 +326,19 @@ def dataset_rows(draw):
         row = {
             "event": "" if kind == "empty_event" else event,
             "parent": "ghost" if kind == "unknown_parent" else parent,
-            "children": [],
+            "children": None,
             "definitions": "oops" if kind == "definitions_not_list" else [f"{event} def"],
             "samples": {"no_samples": [], "samples_not_list": "oops"}.get(kind, samples),
         }
-        lines.append({"list_line": json.dumps([row]), "bad_json": "{not json"}.get(kind, json.dumps(row)))
-    return lines
+        rows.append(row)
+        kinds.append(kind)
+    for row, kind in zip(rows, kinds):
+        row["children"] = [child["event"] for child in rows if child["parent"] is not None
+                           and normalize_name(child["parent"]) == normalize_name(row["event"])]
+        if kind == "wrong_children":
+            row["children"].append("ghost")
+    return [{"list_line": json.dumps([row]), "bad_json": "{not json"}.get(kind, json.dumps(row))
+            for row, kind in zip(rows, kinds)]
 
 
 @given(dataset_rows(), st.sampled_from(["0", "0.5", "1"]))
