@@ -1,7 +1,7 @@
 """Toolkit for generating, pruning, assembling, and scoring definition-driven
 event-detection datasets."""
 
-from .assembly import SliceSpec, TrainingInstance, assemble, render_instance
+from .assembly import SliceSpec, TrainingInstance, render_instance
 from .curation import (
     CurationReport,
     GeneratedSample,
@@ -57,7 +57,6 @@ __all__ = [
     "SliceSpec",
     "TemplateId",
     "TrainingInstance",
-    "assemble",
     "complete_batch",
     "drop_rate",
     "filter_heldout",

@@ -7,24 +7,15 @@ ablation variant. All sampling is seeded per event and per positive, so
 output is a pure function of (dataset, spec) regardless of scheduling, and a
 smaller slice lies inside a larger one.
 
-Each positive draws its negatives from its own RNG, out of four pools that
-leave out the events holding its sentence (a sentence index keeps, for
-each selected sentence, the distinct events that hold it): hard negatives
-from the event's free siblings, a cousin fill for their shortfall, plain
-negatives by rejection from the candidate list, and a top-up from the free
-siblings left over when the plain ones run out. One draw loop makes every
-draw of a slice and every choice of a row: its id, event, definition,
-target and kind (``_context`` gives its ontology context). ``iter_instances`` builds
-``TrainingInstance``s from those rows, one at a time; ``write_slice``, which
-``dived assemble`` runs, turns the same rows straight into JSONL lines, the
-bytes of ``json.dumps`` of each instance, and encodes a negative event's
-name, definition and context part (``_part``) once per slice. Neither holds
-the slice.
+One draw loop (``_draws``) chooses each row of a slice: its id, event,
+definition, target and kind. ``write_slice``, which ``dived assemble`` runs,
+is its one consumer: it writes the rows as JSONL without holding the slice,
+and its docstring states the slice's rules and their cost. ``read_jsonl``
+reads a slice back as the ``TrainingInstance``s ``render_instance`` takes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import random
@@ -126,66 +117,11 @@ def _cousin_pool(node: EventTypeNode) -> list[EventTypeNode]:
     return pool
 
 
-def assemble(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
-    """All instances of one slice of the dataset, as a list (see ``iter_instances``)."""
-    return list(iter_instances(dataset, spec))
-
-
-def iter_instances(dataset: Ontology, spec: SliceSpec) -> Iterator[TrainingInstance]:
-    """Build instances for one slice of the dataset, one at a time.
-
-    Only events with at least one sample are drawn, as positives or as
-    negatives; the others are ontology context only. The n_events events,
-    and per chosen event its n_definitions definitions and n_samples
-    samples, are each the prefix of one seeded permutation. Events come in
-    pre-order, samples in permutation order (``s{si}`` is a sample's place
-    in it), and definitions are assigned to positives round-robin so the
-    instance count is invariant along the definition axis. Every positive is
-    followed by n_negatives negatives that reuse its sentence with target
-    "None": the first n_hard_negatives drawn from siblings in the ontology,
-    the rest from non-sibling events with no gold sample for this sentence.
-    When an event has fewer siblings than requested, the shortfall is filled
-    from cousins and then random non-occurring events; those fillers are
-    plain negatives (kind "negative"), since only true siblings count as
-    hard negatives. Each positive draws them from its own RNG, seeded by its
-    event and its sample's index in ``node.samples``. So slices nest: growing
-    n_events or n_samples keeps every row of the smaller slice unchanged, and
-    growing n_definitions only adds definitions to each event's rotation.
-
-    The slice checks that need no instance (event count, definitions and
-    samples per chosen event, negative candidates) run when this is called,
-    before the first instance is asked for. Running out of negative
-    candidates for one sentence is found only when its turn comes, and
-    raised from the iteration; so is a chosen sample whose trigger is
-    "None", the negative target (an EventInputError).
-
-    Cost: the sentence index is built once. A positive draws from four
-    pools, in this order: hard negatives from its free siblings (the
-    event's candidate siblings that do not hold the sentence, listed once
-    per positive); the cousin fill from the cousins that do not hold it;
-    plain negatives, each a uniform pick from the whole candidate list drawn
-    again while it falls in the skip set (the event and its siblings, a set
-    built once per event, then the sentence's holders, the cousin fill and
-    the plain negatives already drawn), or all candidates outside that set
-    in pre-order when no more lie outside it than are needed; and the top-up
-    from the free siblings not drawn as hard negatives. A positive costs
-    about its siblings, skip set and draws; in one wide tree, where siblings
-    are most candidates, the draws are mostly rejected or scan them all. An
-    event's cousin pool is built the first time one of its positives is
-    short of siblings. Each row's id, definition, target and kind are chosen
-    in the draw loop, which this wraps in a ``TrainingInstance`` per row
-    (``write_slice`` writes the same rows without one). No instance is kept
-    once yielded: memory follows the dataset and the slice's picks.
-    """
-    return _instances(spec, _draws(dataset, spec))
-
-
 def _draws(dataset: Ontology, spec: SliceSpec) -> Iterator[tuple]:
     """Run the slice checks, then return its draw loop. Per positive, in
     output order, the loop yields (stem, sentence, rows) for the positive,
     then draws its negatives and yields them the same way, hard ones first.
-    Each row is (suffix, node, definition, target, kind), its instance id
-    is stem + suffix and its ontology context ``_context(spec, node)``."""
+    Each row is (suffix, node, definition, target, kind), its id stem + suffix."""
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
         raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
@@ -282,24 +218,6 @@ def _draw_loop(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Ite
         logger.info("hard-negative fallback used for %d slots (not enough siblings)", fallback_count)
 
 
-def _context(spec: SliceSpec, node: EventTypeNode) -> OntologyContext | None:
-    """The ontology context of a row of the slice that names the node."""
-    if not spec.with_ontology:
-        return None
-    return OntologyContext(
-        parent=node.parent.name if node.parent is not None else None,
-        children=tuple(c.name for c in node.children),
-    )
-
-
-def _instances(spec: SliceSpec, draws: Iterator[tuple]) -> Iterator[TrainingInstance]:
-    """The instances of ``iter_instances``, built from the draw loop's rows."""
-    context = functools.cache(functools.partial(_context, spec))
-    for stem, sentence, rows in draws:
-        for suffix, node, definition, target, kind in rows:
-            yield TrainingInstance(stem + suffix, node.name, definition, context(node), sentence, target, kind)
-
-
 # ---------------------------------------------------------------------------
 # Instance rendering
 # ---------------------------------------------------------------------------
@@ -327,23 +245,62 @@ def render_instance(instance: TrainingInstance) -> tuple[str, str]:
 _STRING_FIELDS = ("instance_id", "event_name", "definition", "sentence", "target", "kind")
 
 
-def _part(event_name: str, definition: str, ctx: OntologyContext | None) -> str:
-    """The event name / definition / ontology context members of an instance line."""
-    return jsonl.encode_row({
-        "event_name": event_name,
-        "definition": definition,
-        "ontology_context": None if ctx is None else {"parent": ctx.parent, "children": list(ctx.children)},
-    })[1:-1]
+def _part(spec: SliceSpec, node: EventTypeNode, definition: str) -> str:
+    """The event name / definition / ontology context members of the node's rows."""
+    parent = node.parent.name if node.parent is not None else None
+    context = {"parent": parent, "children": [c.name for c in node.children]} if spec.with_ontology else None
+    return jsonl.encode_row({"event_name": node.name, "definition": definition, "ontology_context": context})[1:-1]
 
 
 def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[str, int]:
-    """Write the instances of ``iter_instances(dataset, spec)`` as JSONL, each
-    line the bytes of ``json.dumps(row, ensure_ascii=False)``, straight from
-    the draw loop's rows, and return the row count per kind.
-    The slice checks run before the output opens. Each group of rows the loop
-    yields (a positive, or its negatives) has its stem and sentence encoded
-    once and goes out in one write. A negative event recurs across positives,
-    so a negative row's part is kept once per event and definition."""
+    """Write one slice of the dataset as JSONL and return its row count per kind.
+
+    Only events with at least one sample are drawn, as positives or as
+    negatives; the others are ontology context only. The n_events events,
+    and per chosen event its n_definitions definitions and n_samples
+    samples, are each the prefix of one seeded permutation. Events come in
+    pre-order, samples in permutation order (``s{si}`` is a sample's place
+    in it), and definitions are assigned to positives round-robin so the
+    instance count is invariant along the definition axis. Every positive is
+    followed by n_negatives negatives that reuse its sentence with target
+    "None": the first n_hard_negatives drawn from siblings in the ontology,
+    the rest from non-sibling events with no gold sample for this sentence.
+    When an event has fewer siblings than requested, the shortfall is filled
+    from cousins and then random non-occurring events; those fillers are
+    plain negatives (kind "negative"), since only true siblings count as
+    hard negatives. Each positive draws them from its own RNG, seeded by its
+    event and its sample's index in ``node.samples``. So slices nest: growing
+    n_events or n_samples keeps every row of the smaller slice unchanged, and
+    growing n_definitions only adds definitions to each event's rotation.
+
+    Each line is the bytes of ``json.dumps(row, ensure_ascii=False)`` of the
+    row's ``TrainingInstance``, made without building one; ``read_jsonl``
+    reads them back. The checks that need no row (event count, definitions and
+    samples per chosen event, negative candidates) run before the output
+    opens. A sentence short of negative candidates, or a chosen sample whose
+    trigger is "None", the negative target (an EventInputError), is found only
+    when its turn comes, and leaves ``path`` as it was.
+
+    Cost: the sentence index (for each selected sentence, the distinct events
+    that hold it) is built once. A positive draws from four pools, in this
+    order: hard negatives from its free siblings (the event's candidate
+    siblings that do not hold the sentence, listed once per positive); the
+    cousin fill from the cousins that do not hold it; plain negatives, each a
+    uniform pick from the whole candidate list drawn again while it falls in
+    the skip set (the event and its siblings, a set built once per event, then
+    the sentence's holders, the cousin fill and the plain negatives already
+    drawn), or all candidates outside that set in pre-order when no more lie
+    outside it than are needed; and the top-up from the free siblings not
+    drawn as hard negatives. A positive costs about its siblings, skip set and
+    draws; in one wide tree, where siblings are most candidates, the draws are
+    mostly rejected or scan them all. An event's cousin pool is built the
+    first time one of its positives is short of siblings. Each group of rows
+    the loop yields (a positive, or its negatives) has its stem and sentence
+    encoded once and goes out in one write. A negative event recurs across
+    positives, so a negative row's part is kept once per event and definition.
+    No row is kept once written: memory follows the dataset and the slice's
+    picks.
+    """
     counts = dict.fromkeys(KINDS, 0)
     literals = {text: _encode(text) for text in (*KINDS, NONE_TARGET)}
     neg_parts: dict[tuple[EventTypeNode, str], str] = {}
@@ -354,9 +311,9 @@ def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[st
             lines = []
             for suffix, node, definition, target, kind in rows:
                 if kind == "positive":
-                    part = _part(node.name, definition, _context(spec, node))
+                    part = _part(spec, node, definition)
                 elif (part := neg_parts.get((node, definition))) is None:
-                    part = neg_parts[node, definition] = _part(node.name, definition, _context(spec, node))
+                    part = neg_parts[node, definition] = _part(spec, node, definition)
                 lines.append(f'{{"instance_id": {ids}{suffix}", {part}, "sentence": {sentence}, '
                              f'"target": {literals.get(target) or _encode(target)}, "kind": {literals[kind]}}}')
                 counts[kind] += 1

@@ -23,6 +23,8 @@ from pathlib import Path
 from . import assembly, curation, evaluation, jsonl, pruning
 from .errors import DivedError, EventInputError
 from .llm_client import (
+    DEFAULT_MAX_IN_FLIGHT,
+    DEFAULT_RETRY_LIMIT,
     MAX_IN_FLIGHT,
     MAX_RETRY_LIMIT,
     BackendConfigError,
@@ -301,9 +303,9 @@ def _add_backend_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for the mock backend and any sampling")
     sub.add_argument("--endpoint", help="HTTP backend: chat-completion endpoint URL")
     sub.add_argument("--model", help="HTTP backend: model name")
-    sub.add_argument("--max-in-flight", type=_int_in(1, MAX_IN_FLIGHT), default=4,
+    sub.add_argument("--max-in-flight", type=_int_in(1, MAX_IN_FLIGHT), default=DEFAULT_MAX_IN_FLIGHT,
                      help=f"max concurrent requests to a server, 1-{MAX_IN_FLIGHT} (default %(default)s)")
-    sub.add_argument("--retry-limit", type=_int_in(0, MAX_RETRY_LIMIT), default=3,
+    sub.add_argument("--retry-limit", type=_int_in(0, MAX_RETRY_LIMIT), default=DEFAULT_RETRY_LIMIT,
                      help=f"retries per request on transient failures, 0-{MAX_RETRY_LIMIT} (default %(default)s)")
 
 

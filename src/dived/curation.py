@@ -30,6 +30,8 @@ from . import jsonl, ontology
 from .errors import EventInputError
 from .llm_client import (
     DEFAULT_EXAMPLES,
+    DEFAULT_MAX_IN_FLIGHT,
+    DEFAULT_RETRY_LIMIT,
     Backend,
     GenFailure,
     GenRequest,
@@ -269,6 +271,12 @@ def _keep_better(kept: dict[str, _Parse], parses: dict[str, _Parse]) -> None:
             kept[name] = parsed
 
 
+def _require_definitions(nodes: Iterable[EventTypeNode]) -> None:
+    for node in nodes:
+        if not node.definitions:
+            raise EventInputError(node.name, f"event {node.name!r} has no definition; run definition curation first")
+
+
 # ---------------------------------------------------------------------------
 # Step 2: definition curation (one request per tree)
 # ---------------------------------------------------------------------------
@@ -277,8 +285,8 @@ def _keep_better(kept: dict[str, _Parse], parses: dict[str, _Parse]) -> None:
 def curate_definitions_for_trees(
     trees: Sequence[EventTypeNode],
     backend: Backend,
-    max_in_flight: int = 4,
-    retry_limit: int = 3,
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
+    retry_limit: int = DEFAULT_RETRY_LIMIT,
 ) -> CurationReport:
     """Curate one definition per node for every tree, one prompt per tree so
     sibling definitions are generated together and stay mutually distinct.
@@ -306,8 +314,8 @@ def curate_samples_for_trees(
     trees: Sequence[EventTypeNode],
     backend: Backend,
     per_event: int = 10,
-    max_in_flight: int = 4,
-    retry_limit: int = 3,
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
+    retry_limit: int = DEFAULT_RETRY_LIMIT,
     regenerate: int = 0,
 ) -> CurationReport:
     """Generate per_event validated samples for every event of every tree.
@@ -325,9 +333,7 @@ def curate_samples_for_trees(
     if regenerate < 0:
         raise ValueError("regenerate must be a non-negative integer")
     nodes = [node for tree in trees for node in tree.iter_preorder()]
-    for node in nodes:
-        if not node.definitions:
-            raise EventInputError(node.name, f"event {node.name!r} has no definition; run definition curation first")
+    _require_definitions(nodes)
     units = [(sample_request(tree, per_event), *(node.name for node in tree.iter_preorder())) for tree in trees]
     parse = functools.partial(parse_samples, per_event=per_event)
     best, report = _generate(units, parse, per_event, backend, max_in_flight, retry_limit, rounds=1 + regenerate)
@@ -345,8 +351,8 @@ def expand_definitions_for_nodes(
     nodes: Sequence[EventTypeNode],
     backend: Backend,
     count: int = 10,
-    max_in_flight: int = 4,
-    retry_limit: int = 3,
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
+    retry_limit: int = DEFAULT_RETRY_LIMIT,
 ) -> CurationReport:
     """Paraphrase each node's seed definition count times and append the new,
     deduplicated paraphrases to node.definitions (so len <= 1 + count).
@@ -357,9 +363,7 @@ def expand_definitions_for_nodes(
     """
     if count < 1:
         raise ValueError("count must be a positive integer")
-    for node in nodes:
-        if not node.definitions:
-            raise EventInputError(node.name, f"event {node.name!r} has no definition; run definition curation first")
+    _require_definitions(nodes)
     units = [(expansion_request(node, count), node.name) for node in nodes]
     best, report = _generate(units, parse_paraphrases, count, backend, max_in_flight, retry_limit)
     report.parsed = 0

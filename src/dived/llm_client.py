@@ -386,13 +386,15 @@ BACKOFF_BASE_S = 0.5  # seconds; the first wait without a usable Retry-After, do
 MAX_RETRY_AFTER = 300.0  # seconds; a server that asks for a longer wait fails the request
 MAX_IN_FLIGHT = 64  # the most requests in flight at once, each on its own thread
 MAX_RETRY_LIMIT = 10  # the most retries per request
+DEFAULT_MAX_IN_FLIGHT = 4  # every batch's max_in_flight unless given, and --max-in-flight's default
+DEFAULT_RETRY_LIMIT = 3  # every batch's retry_limit unless given, and --retry-limit's default
 
 
 def complete_batch(
     requests_: Sequence[GenRequest],
     backend: Backend,
-    max_in_flight: int = 4,
-    retry_limit: int = 3,
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
+    retry_limit: int = DEFAULT_RETRY_LIMIT,
 ) -> list[BatchResult]:
     """Run requests and return one result per request, in request order.
 

@@ -1,5 +1,5 @@
-"""Event-type ontology: dependency trees of event types with parent/child/sibling
-queries and held-out filtering.
+"""Event-type ontology: dependency trees of event types with parent, child and
+ancestor queries and held-out filtering.
 
 An ontology is a forest of event-type trees. Its structure (names, parent
 links, child order) is fixed once built; the pipeline stages fill each node's

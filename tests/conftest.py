@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
 
 from dived import llm_client
+from dived.assembly import SliceSpec, TrainingInstance, read_jsonl, write_slice
 from dived.curation import GeneratedSample
 from dived.llm_client import Backend, MockBackend
 from dived.ontology import EventTypeNode, Ontology, build_ontology, load_ontology
@@ -124,6 +126,15 @@ def grid_dataset(
             node.definitions = [f"{node.name} definition number {d}" for d in range(n_definitions)]
             node.samples = [make_sample(node.name, s) for s in range(n_samples)]
     return dataset
+
+
+def assembled(dataset: Ontology, spec: SliceSpec) -> list[TrainingInstance]:
+    """The instances of a slice as ``dived assemble`` ships them: the file
+    ``write_slice`` writes, read back with ``read_jsonl``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "slice.jsonl"
+        write_slice(dataset, spec, path)
+        return read_jsonl(path)
 
 
 def instance_bytes(instances) -> bytes:

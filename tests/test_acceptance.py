@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from dived import cli
-from dived.assembly import SliceSpec, assemble, read_jsonl, write_slice
+from dived.assembly import SliceSpec, read_jsonl, write_slice
 from dived.cli import main
 from dived.curation import read_dataset
 from dived.evaluation import ScoreReport, Scores, drop_rate, match_and_score
@@ -23,8 +23,8 @@ from dived.jsonl import JsonlError
 from dived.ontology import OntologyFormatError, load_ontology, save_ontology
 from dived.pruning import overlap_ratio, prune_dataset
 
-from conftest import (FIXTURES, TOY_ONTOLOGY, WaitingMockBackend, grid_dataset, instance_bytes, make_dataset,
-                      make_sample, names, siblings)
+from conftest import (FIXTURES, TOY_ONTOLOGY, WaitingMockBackend, assembled, grid_dataset, instance_bytes,
+                      make_dataset, make_sample, names, siblings)
 from test_evaluation import gold, oracle_scores, pred, random_case
 from test_pruning import brute_force_max_ratio, record
 
@@ -118,7 +118,7 @@ def test_criterion_4_assembly_counts_across_sweeps():
             n_events=n_events, n_definitions=n_definitions, n_samples=n_samples,
             n_negatives=n_negatives, n_hard_negatives=n_hard, seed=1729,
         )
-        instances = assemble(dataset, spec)
+        instances = assembled(dataset, spec)
         counts = Counter(inst.kind for inst in instances)
         assert counts["positive"] == n_events * n_samples
         assert counts["negative"] + counts["hard_negative"] == n_events * n_samples * n_negatives
@@ -209,8 +209,8 @@ def test_criterion_6_ablation_field_diff_and_drop_rate():
     dataset = grid_dataset(n_trees=2, children_per_tree=6)
     kwargs = dict(n_events=6, n_definitions=4, n_samples=5, n_negatives=6, n_hard_negatives=3,
                   with_ontology=True, seed=23)
-    baseline = assemble(dataset, SliceSpec(with_definition=True, **kwargs))
-    ablated = assemble(dataset, SliceSpec(with_definition=False, **kwargs))
+    baseline = assembled(dataset, SliceSpec(with_definition=True, **kwargs))
+    ablated = assembled(dataset, SliceSpec(with_definition=False, **kwargs))
     assert len(baseline) == len(ablated)
     for a, b in zip(baseline, ablated):
         assert b.definition == ""
@@ -280,7 +280,7 @@ def test_criterion_8_round_trips_and_corrupt_files(tmp_path):
                      n_hard_negatives=1, with_ontology=True, seed=5)
     path = tmp_path / "instances.jsonl"
     write_slice(dataset, spec, path)
-    assert instance_bytes(read_jsonl(path)) == path.read_bytes() == instance_bytes(assemble(dataset, spec))
+    assert instance_bytes(read_jsonl(path)) == path.read_bytes() == instance_bytes(assembled(dataset, spec))
 
     # three canned corrupt files, each rejected with a line number
     with pytest.raises(JsonlError) as err:

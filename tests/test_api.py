@@ -198,10 +198,27 @@ def test_only_jsonl_opens_and_decodes_json_files():
     assert calls == [("llm_client.py", "json.loads(body)")]
 
 
-# The converters, and the instance writer that ``write_slice`` replaced, which
-# ROADMAP item 1 drops from the tracer; every other hook must name a function
-# the program still has, or its layer reads 0.
-TRACER_HOOKS_GONE = {"ontology_from_dataset", "records_from_ontology", "dataset_to_trees", "write_jsonl"}
+def test_the_second_slice_path_is_gone():
+    """A slice is drawn only to be written: ``write_slice`` is the one caller
+    of the draw loop, and ``read_jsonl`` the one way back to instances."""
+    assert "assemble" not in dived.__all__ and not hasattr(dived, "assemble")
+    for name in ("assemble", "iter_instances", "_instances", "_context"):
+        assert not hasattr(assembly, name), name
+    callers = []
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [(path.name, func.name) for node in ast.walk(func)
+                            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("_draws", "assembly._draws")]
+    assert callers == [("assembly.py", "write_slice")]
+
+
+# Functions the bench tracer still patches that the program no longer has: the
+# record/ontology converters, and ``write_jsonl`` and ``assemble``, the
+# instance writer and the slice-as-a-list that ``write_slice`` replaced.
+# ROADMAP item 1 drops them from the tracer. Every other hook must name a
+# function the program still has, or its layer reads 0.
+TRACER_HOOKS_GONE = {"ontology_from_dataset", "records_from_ontology", "dataset_to_trees", "write_jsonl", "assemble"}
 
 
 def _tracer_hooks() -> list[tuple[str, str]]:

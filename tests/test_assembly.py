@@ -20,8 +20,6 @@ from dived.assembly import (
     OntologyContext,
     SliceSpec,
     TrainingInstance,
-    assemble,
-    iter_instances,
     read_jsonl,
     render_instance,
     write_slice,
@@ -30,7 +28,7 @@ from dived.assembly import _cousin_pool, _rng
 from dived.curation import GeneratedSample, read_dataset, write_dataset
 from dived.jsonl import JsonlError
 
-from conftest import grid_dataset, instance_bytes, make_dataset, make_sample, siblings
+from conftest import assembled, grid_dataset, instance_bytes, make_dataset, make_sample, siblings
 
 
 def small_dataset():
@@ -57,7 +55,7 @@ def group_by_positive(instances):
 def test_counts_match_spec_example():
     dataset = small_dataset()
     spec = SliceSpec(n_events=2, n_definitions=1, n_samples=2, n_negatives=1, n_hard_negatives=0, seed=7)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     assert len(instances) == 8
     counts = Counter(inst.kind for inst in instances)
     assert counts["positive"] == 4
@@ -68,7 +66,7 @@ def test_counts_match_spec_example():
 def test_output_order_event_sample_negative_index():
     dataset = small_dataset()
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=2, n_negatives=2, seed=1)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     ids = [inst.instance_id for inst in instances]
     expected = []
     for event in ("A", "B", "C"):
@@ -80,7 +78,7 @@ def test_output_order_event_sample_negative_index():
 def test_hard_negatives_are_siblings_exact_count():
     dataset = grid_dataset(n_trees=4, children_per_tree=10)
     spec = SliceSpec(n_events=4, n_definitions=2, n_samples=2, n_negatives=10, n_hard_negatives=3, seed=3)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     counts = Counter(inst.kind for inst in instances)
     assert counts["positive"] == 8
     assert counts["hard_negative"] == 8 * 3
@@ -109,16 +107,14 @@ def test_hard_negatives_are_siblings_exact_count():
         assert len(names) == len(set(names))
 
 
-def test_sibling_fallback_fills_with_plain_negatives(tmp_path, caplog):
+def test_sibling_fallback_fills_with_plain_negatives(caplog):
     dataset = small_dataset()
     # B has exactly one sibling (C); asking for 2 hard negatives forces fallback
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=1, n_negatives=2, n_hard_negatives=2, seed=5)
     with caplog.at_level("INFO", logger="dived.assembly"):
-        instances = assemble(dataset, spec)
-        write_slice(dataset, spec, tmp_path / "instances.jsonl")
-    # one line per slice, from either writer: A has no sibling, B and C one each
-    message = "hard-negative fallback used for 4 slots (not enough siblings)"
-    assert [r.getMessage() for r in caplog.records] == [message, message]
+        instances = assembled(dataset, spec)
+    # one line per slice: A has no sibling, B and C one each
+    assert [r.getMessage() for r in caplog.records] == ["hard-negative fallback used for 4 slots (not enough siblings)"]
     for prefix, group in group_by_positive(instances).items():
         assert len(group) == 3  # positive + 2 negatives
         hard = [i for i in group if i.kind == "hard_negative"]
@@ -136,7 +132,7 @@ def test_negative_candidates_exclude_events_containing_sentence():
         ("C", None, ["dC"], [make_sample("C", 0)]),
     ])
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=1, n_negatives=1, seed=2)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     for prefix, group in group_by_positive(instances).items():
         gold = group[0]
         for negative in group[1:]:
@@ -161,13 +157,13 @@ def test_sentence_listed_twice_and_shared_by_two_events(tmp_path):
     ])
     spec = SliceSpec(n_events=7, n_definitions=1, n_samples=3, n_negatives=4, n_hard_negatives=2,
                      with_ontology=True, seed=5)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     groups = [group for group in group_by_positive(instances).values() if group[0].sentence == shared]
     assert sorted(group[0].event_name for group in groups) == ["A", "A", "B"]
     for group in groups:
         assert len(group) == 5 and not {neg.event_name for neg in group[1:]} & {"A", "B"}
     write_slice(dataset, spec, tmp_path / "slice.jsonl")
-    assert (tmp_path / "slice.jsonl").read_bytes() == instance_bytes(iter_instances(dataset, spec))
+    assert (tmp_path / "slice.jsonl").read_bytes() == instance_bytes(instances)
     digest = hashlib.sha256((tmp_path / "slice.jsonl").read_bytes()).hexdigest()
     assert digest == "9984ba8de07c51625629987c14e6295b42d9be5c42781388e7b2f8af2d07d893"
 
@@ -175,7 +171,7 @@ def test_sentence_listed_twice_and_shared_by_two_events(tmp_path):
 def test_no_negative_candidates_error():
     dataset = make_dataset([("solo", None, ["d"], [make_sample("solo", 0)])])
     with pytest.raises(NoNegativeCandidatesError):
-        assemble(dataset, SliceSpec(n_events=1, n_definitions=1, n_samples=1, n_negatives=1, seed=0))
+        assembled(dataset, SliceSpec(n_events=1, n_definitions=1, n_samples=1, n_negatives=1, seed=0))
 
 
 @pytest.mark.parametrize(
@@ -189,7 +185,7 @@ def test_no_negative_candidates_error():
 def test_insufficient_errors_name_the_shortfall(spec_kwargs, message_bit):
     dataset = small_dataset()
     with pytest.raises(InsufficientDataError) as err:
-        assemble(dataset, SliceSpec(seed=0, **spec_kwargs))
+        assembled(dataset, SliceSpec(seed=0, **spec_kwargs))
     assert message_bit in str(err.value)
 
 
@@ -210,7 +206,7 @@ def test_slice_spec_validation():
 def test_definitions_assigned_round_robin():
     dataset = grid_dataset(n_trees=1, children_per_tree=4, n_definitions=10, n_samples=6)
     spec = SliceSpec(n_events=4, n_definitions=3, n_samples=6, n_negatives=0, seed=11)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     by_event = defaultdict(list)
     for inst in instances:
         by_event[inst.event_name].append(inst.definition)
@@ -240,7 +236,7 @@ def test_smaller_slices_nest_in_larger_ones(shape, axis, data):
     small = SliceSpec(**spec, n_negatives=n_negatives, n_hard_negatives=data.draw(st.integers(0, n_negatives)),
                       seed=data.draw(st.integers(0, 50), label="seed"))
     large = dataclasses.replace(small, **{axis: data.draw(st.integers(spec[axis], limits[axis]), label="larger")})
-    small_rows, large_rows = assemble(dataset, small), assemble(dataset, large)
+    small_rows, large_rows = assembled(dataset, small), assembled(dataset, large)
     if axis != "n_definitions":
         assert _rows(small_rows) <= _rows(large_rows)
         return
@@ -256,7 +252,7 @@ def test_definition_count_never_changes_instance_count():
     base = None
     for n_defs in (1, 2, 4, 8, 10):
         spec = SliceSpec(n_events=5, n_definitions=n_defs, n_samples=4, n_negatives=5, n_hard_negatives=2, seed=9)
-        instances = assemble(dataset, spec)
+        instances = assembled(dataset, spec)
         if base is None:
             base = len(instances)
         assert len(instances) == base
@@ -270,8 +266,8 @@ def test_definition_count_never_changes_instance_count():
 def test_ablation_differs_only_in_definition_field():
     dataset = grid_dataset(n_trees=2, children_per_tree=4)
     kwargs = dict(n_events=4, n_definitions=3, n_samples=3, n_negatives=4, n_hard_negatives=2, seed=13)
-    with_def = assemble(dataset, SliceSpec(with_definition=True, **kwargs))
-    without_def = assemble(dataset, SliceSpec(with_definition=False, **kwargs))
+    with_def = assembled(dataset, SliceSpec(with_definition=True, **kwargs))
+    without_def = assembled(dataset, SliceSpec(with_definition=False, **kwargs))
     assert len(with_def) == len(without_def)
     for a, b in zip(with_def, without_def):
         assert b.definition == ""
@@ -284,7 +280,7 @@ def test_ablation_differs_only_in_definition_field():
 def test_with_ontology_attaches_parent_and_children():
     dataset = small_dataset()
     spec = SliceSpec(n_events=3, n_definitions=1, n_samples=1, n_negatives=0, with_ontology=True, seed=1)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     ctx = {inst.event_name: inst.ontology_context for inst in instances}
     assert ctx["A"] == OntologyContext(parent=None, children=("B", "C"))
     assert ctx["B"] == OntologyContext(parent="A", children=())
@@ -295,11 +291,11 @@ def test_events_without_samples_are_context_only():
     dataset = grid_dataset(n_trees=2, children_per_tree=3)
     spec = SliceSpec(n_events=6, n_definitions=1, n_samples=2, n_negatives=5, n_hard_negatives=2,
                      with_ontology=True, seed=4)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     assert not any(inst.event_name.startswith("root") for inst in instances)
     assert {inst.ontology_context.parent for inst in instances} == {"root0", "root1"}
     with pytest.raises(InsufficientDataError):
-        assemble(dataset, SliceSpec(n_events=7, n_definitions=1, n_samples=1, seed=0))
+        assembled(dataset, SliceSpec(n_events=7, n_definitions=1, n_samples=1, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +309,13 @@ def test_same_spec_same_bytes(tmp_path):
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_slice(dataset, spec, first)
     write_slice(dataset, spec, second)
-    assert first.read_bytes() == second.read_bytes() == instance_bytes(assemble(dataset, spec))
+    assert first.read_bytes() == second.read_bytes() == instance_bytes(assembled(dataset, spec))
 
 
 def test_ten_thousand_instances_write_deterministically(tmp_path):
     dataset = grid_dataset(n_trees=2, children_per_tree=10, n_definitions=2, n_samples=50)
     spec = SliceSpec(n_events=20, n_definitions=2, n_samples=50, n_negatives=10, seed=8)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     assert len(instances) == 20 * 50 * 11
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_slice(dataset, spec, first)
@@ -433,7 +429,7 @@ def test_render_instance_equals_the_template_engine(event, definition, context, 
 def test_instance_round_trip(tmp_path):
     dataset = small_dataset()
     spec = SliceSpec(n_events=2, n_definitions=1, n_samples=2, n_negatives=1, with_ontology=True, seed=7)
-    instances = assemble(dataset, spec)
+    instances = assembled(dataset, spec)
     path = tmp_path / "instances.jsonl"
     write_slice(dataset, spec, path)
     loaded = read_jsonl(path)
@@ -507,7 +503,7 @@ def test_instance_invariants_at_construction():
 
 
 # ---------------------------------------------------------------------------
-# assemble against the list-based reference
+# the written slice against the list-based reference
 # ---------------------------------------------------------------------------
 
 
@@ -671,8 +667,8 @@ def deep_slice_cases(draw):
 @given(st.one_of(slice_cases(), deep_slice_cases()))
 @settings(max_examples=200, deadline=None)
 def test_dived_assemble_writes_the_bytes_of_the_assembled_list(case):
-    """The command writes its rows straight from the draws; they are the
-    json.dumps rows of assemble(...), and its manifest counts their kinds.
+    """The command writes the rows ``write_slice`` writes for the dataset it
+    reads; they are json.dumps rows, and its manifest counts their kinds.
     A slice the dataset cannot fill fails the command the same way."""
     dataset, spec = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -686,7 +682,7 @@ def test_dived_assemble_writes_the_bytes_of_the_assembled_list(case):
             "--definition" if spec.with_definition else "--no-definition", "--seed", str(spec.seed), "--out", str(out),
         ])
         try:
-            instances = assemble(read_dataset(path), spec)
+            instances = assembled(read_dataset(path), spec)
         except AssemblyError:
             assert code == 1 and not out.exists()
             return
@@ -710,7 +706,7 @@ def _outcome(assemble_fn, dataset, spec):
 @settings(max_examples=200, deadline=None)
 def test_assemble_matches_list_based_oracle(case):
     dataset, spec = case
-    assert _outcome(assemble, dataset, spec) == _outcome(list_based_assemble, dataset, spec)
+    assert _outcome(assembled, dataset, spec) == _outcome(list_based_assemble, dataset, spec)
 
 
 @given(slice_cases())
@@ -723,7 +719,7 @@ def test_each_positives_negatives_follow_the_draw_rules(case):
     definitions)."""
     dataset, spec = case
     try:
-        instances = assemble(dataset, spec)
+        instances = assembled(dataset, spec)
     except AssemblyError:
         return
     groups: list[tuple[TrainingInstance, list[TrainingInstance]]] = []
@@ -812,7 +808,7 @@ def test_write_slice_bytes_equal_json_dumps(case):
     """``write_slice`` encodes its lines itself (``_part``); they are
     the json.dumps rows of the same instances, for any text in them."""
     dataset, spec = case
-    instances = list(iter_instances(dataset, spec))
+    instances = assembled(dataset, spec)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "slice.jsonl"
         assert sum(write_slice(dataset, spec, path).values()) == len(instances)

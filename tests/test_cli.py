@@ -15,7 +15,8 @@ from dived.curation import GeneratedSample, read_dataset, write_dataset
 from dived.llm_client import PermanentBackendError
 from dived.ontology import load_ontology
 
-from conftest import TOY_ONTOLOGY, ScriptedBackend, grid_dataset, instance_bytes, make_dataset, make_sample
+from conftest import (TOY_ONTOLOGY, ScriptedBackend, assembled, grid_dataset, instance_bytes, make_dataset,
+                      make_sample)
 
 
 def run(args: list[str]) -> int:
@@ -690,7 +691,7 @@ def test_assemble_streams_the_bytes_of_the_assembled_list(tmp_path, flags):
         n_hard_negatives=args.hard_negatives, with_ontology=args.with_ontology,
         with_definition=args.with_definition, seed=args.seed,
     )
-    instances = assembly.assemble(read_dataset(dataset), spec)
+    instances = assembled(read_dataset(dataset), spec)
     assert out.read_bytes() == instance_bytes(instances)
     kinds = Counter(inst.kind for inst in instances)
     assert json.loads(manifest_path(out).read_text())["counts"] == {
@@ -703,7 +704,9 @@ def test_assemble_streams_the_bytes_of_the_assembled_list(tmp_path, flags):
 
 def test_running_out_of_negatives_partway_leaves_no_output(tmp_path, capsys):
     """A has negatives to spare; B's sentence is held by B, C and D, which
-    leaves it one candidate for two negatives."""
+    leaves it one candidate for two negatives. That is found only after A's
+    rows are written, and it leaves the output file as it was before, with
+    no temporary file beside it."""
     shared = "The fire spread to the hall."
     dataset = make_dataset([
         ("A", None, ["A def"], [make_sample("A", 0)]),
@@ -711,19 +714,20 @@ def test_running_out_of_negatives_partway_leaves_no_output(tmp_path, capsys):
     ])
     path = tmp_path / "dataset.jsonl"
     write_dataset(dataset, path)
-    spec = assembly.SliceSpec(n_events=4, n_definitions=1, n_samples=1, n_negatives=2)
-    streamed = []
-    with pytest.raises(assembly.InsufficientDataError) as err:
-        streamed.extend(assembly.iter_instances(read_dataset(path), spec))
-    assert len(streamed) == 4 and "negative candidates" in str(err.value)  # A's three instances, then B's positive
-
     out = tmp_path / "out" / "instances.jsonl"
     out.parent.mkdir()
+    out.write_bytes(b"an earlier slice\n")
+    spec = assembly.SliceSpec(n_events=4, n_definitions=1, n_samples=1, n_negatives=2)
+    with pytest.raises(assembly.InsufficientDataError) as err:
+        assembly.write_slice(read_dataset(path), spec, out)
+    assert str(err.value) == "event 'B', sample 0: need 1 more negative candidates than the dataset offers"
+    assert out.read_bytes() == b"an earlier slice\n" and list(out.parent.iterdir()) == [out]
+
     code = run(["assemble", "--dataset", str(path), "--events", "4", "--definitions", "1", "--samples", "1",
                 "--negatives", "2", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
-    assert list(out.parent.iterdir()) == []
+    assert out.read_bytes() == b"an earlier slice\n" and list(out.parent.iterdir()) == [out]
 
 
 def test_a_sample_whose_trigger_is_the_negative_target_exits_1_naming_its_line(tmp_path, capsys):
@@ -736,11 +740,12 @@ def test_a_sample_whose_trigger_is_the_negative_target_exits_1_naming_its_line(t
     ])
     path = tmp_path / "dataset.jsonl"
     write_dataset(dataset, path)
-    with pytest.raises(ValueError, match="'B'"):
-        list(assembly.iter_instances(read_dataset(path), assembly.SliceSpec(3, 1, 1, n_negatives=1)))
-
     out = tmp_path / "out" / "instances.jsonl"
     out.parent.mkdir()
+    with pytest.raises(ValueError, match="'B'"):
+        assembly.write_slice(read_dataset(path), assembly.SliceSpec(3, 1, 1, n_negatives=1), out)
+    assert list(out.parent.iterdir()) == []
+
     code = run(["assemble", "--dataset", str(path), "--events", "3", "--definitions", "1", "--samples", "1",
                 "--negatives", "1", "--out", str(out)])
     assert code == 1
