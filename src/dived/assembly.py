@@ -7,11 +7,11 @@ ablation variant. All sampling is seeded per event and per positive, so
 output is a pure function of (dataset, spec) regardless of scheduling, and a
 smaller slice lies inside a larger one.
 
-One draw loop (``_draws``) chooses each row of a slice: its id, event,
-definition, target and kind. ``write_slice``, which ``dived assemble`` runs,
-is its one consumer: it writes the rows as JSONL without holding the slice,
-and its docstring states the slice's rules and their cost. ``read_jsonl``
-reads a slice back as the ``TrainingInstance``s ``render_instance`` takes.
+``write_slice``, which ``dived assemble`` runs, chooses each row of a slice
+(its id, event, definition, target and kind) and writes it as JSONL without
+holding the slice; its docstring states the slice's rules and their cost.
+``read_jsonl`` reads a slice back as the ``TrainingInstance``s
+``render_instance`` takes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from . import jsonl
 from .errors import DivedError, EventInputError
@@ -117,107 +116,6 @@ def _cousin_pool(node: EventTypeNode) -> list[EventTypeNode]:
     return pool
 
 
-def _draws(dataset: Ontology, spec: SliceSpec) -> Iterator[tuple]:
-    """Run the slice checks, then return its draw loop. Per positive, in
-    output order, the loop yields (stem, sentence, rows) for the positive,
-    then draws its negatives and yields them the same way, hard ones first.
-    Each row is (suffix, node, definition, target, kind), its id stem + suffix."""
-    events = [node for node in dataset.iter_nodes() if node.samples]
-    if len(events) < spec.n_events:
-        raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
-    if spec.n_negatives > 0 and len(events) < 2:
-        raise NoNegativeCandidatesError("negative instances need at least 2 events in the dataset")
-
-    order = list(range(len(events)))  # each permutation is the same for every slice size
-    _rng(spec.seed, "select").shuffle(order)
-    picks = []  # (event, its chosen definitions, the indices of its chosen samples)
-    for node in (events[i] for i in sorted(order[: spec.n_events])):
-        if len(node.definitions) < spec.n_definitions:
-            raise InsufficientDataError(
-                f"event {node.name!r} has {len(node.definitions)} definitions, need {spec.n_definitions}"
-            )
-        if len(node.samples) < spec.n_samples:
-            raise InsufficientDataError(f"event {node.name!r} has {len(node.samples)} samples, need {spec.n_samples}")
-        definitions, sample_ids = list(node.definitions), list(range(len(node.samples)))
-        _rng(spec.seed, node.name, "defs").shuffle(definitions)
-        _rng(spec.seed, node.name, "samples").shuffle(sample_ids)
-        picks.append((node, definitions[: spec.n_definitions], sample_ids[: spec.n_samples]))
-    return _draw_loop(spec, events, picks)
-
-
-def _draw_loop(spec: SliceSpec, events: list[EventTypeNode], picks: list) -> Iterator[tuple]:
-    """The draw loop of ``_draws``, once its checks have passed."""
-    candidates = [node for node in events if node.definitions]
-    is_candidate = set(candidates)
-    holders: dict[str, set[EventTypeNode]] = {node.samples[i].sentence: set() for node, _, ids in picks for i in ids}
-    for node in candidates:
-        for s in node.samples:
-            if s.sentence in holders:
-                holders[s.sentence].add(node)
-    suffixes = [f"n{ni}" for ni in range(spec.n_negatives)]
-
-    fallback_count = 0
-    for node, sel_defs, sample_ids in picks:
-        event = node.name
-        siblings = [c for c in (node.parent.children if node.parent else ()) if c is not node and c in is_candidate]
-        own = {node, *siblings}
-        cousins: list[EventTypeNode] | None = None  # built on the first shortfall of siblings
-
-        for si, sample_index in enumerate(sample_ids):
-            sample = node.samples[sample_index]
-            if sample.trigger == NONE_TARGET:
-                raise EventInputError(event, f"event {event!r}: sample {sample.sentence!r} has trigger "
-                                             f"{NONE_TARGET!r}, which is the target of a negative instance")
-            stem = f"{event}|s{si}|"
-            definition = sel_defs[si % spec.n_definitions] if spec.with_definition else ""
-            yield stem, sample.sentence, [("p", node, definition, sample.trigger, "positive")]
-            if spec.n_negatives == 0:
-                continue
-
-            negatives_rng = _rng(spec.seed, event, "negatives", str(sample_index))
-            held_by = holders[sample.sentence]
-            free_siblings = [c for c in siblings if c not in held_by]
-            hard = negatives_rng.sample(free_siblings, min(spec.n_hard_negatives, len(free_siblings)))
-            fill: list[EventTypeNode] = []
-            shortfall = spec.n_hard_negatives - len(hard)
-            if shortfall > 0:
-                fallback_count += shortfall
-                if cousins is None:
-                    cousins = [c for c in _cousin_pool(node) if c in is_candidate]
-                free_cousins = [c for c in cousins if c not in held_by]
-                fill = negatives_rng.sample(free_cousins, min(shortfall, len(free_cousins)))
-
-            plain_needed = spec.n_negatives - len(hard) - len(fill)
-            skip = own.union(held_by, fill)  # every set here holds candidates only
-            if len(candidates) - len(skip) <= plain_needed:
-                plain = [c for c in candidates if c not in skip]
-            else:
-                plain = []
-                while len(plain) < plain_needed:
-                    neg = candidates[negatives_rng.randrange(len(candidates))]
-                    if neg not in skip:
-                        skip.add(neg)
-                        plain.append(neg)
-            if len(plain) < plain_needed:
-                # Non-sibling candidates exhausted (small trees): top up from
-                # the free siblings left over, still as plain negatives.
-                rest = [c for c in free_siblings if c not in hard]
-                plain += negatives_rng.sample(rest, min(plain_needed - len(plain), len(rest)))
-            if len(plain) < plain_needed:
-                raise InsufficientDataError(
-                    f"event {event!r}, sample {si}: need {plain_needed - len(plain)} more "
-                    f"negative candidates than the dataset offers"
-                )
-            yield stem, sample.sentence, [
-                (suffixes[ni], neg, neg.definitions[0] if spec.with_definition else "", NONE_TARGET,
-                 "hard_negative" if ni < len(hard) else "negative")
-                for ni, neg in enumerate(hard + fill + plain)
-            ]
-
-    if fallback_count:
-        logger.info("hard-negative fallback used for %d slots (not enough siblings)", fallback_count)
-
-
 # ---------------------------------------------------------------------------
 # Instance rendering
 # ---------------------------------------------------------------------------
@@ -266,12 +164,13 @@ def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[st
     "None": the first n_hard_negatives drawn from siblings in the ontology,
     the rest from non-sibling events with no gold sample for this sentence.
     When an event has fewer siblings than requested, the shortfall is filled
-    from cousins and then random non-occurring events; those fillers are
-    plain negatives (kind "negative"), since only true siblings count as
-    hard negatives. Each positive draws them from its own RNG, seeded by its
-    event and its sample's index in ``node.samples``. So slices nest: growing
-    n_events or n_samples keeps every row of the smaller slice unchanged, and
-    growing n_definitions only adds definitions to each event's rotation.
+    from cousins, descendants of the nearest ancestor first, and then random
+    non-occurring events; those fillers are plain negatives (kind
+    "negative"), since only true siblings count as hard negatives. Each
+    positive draws them from its own RNG, seeded by its event and its
+    sample's index in ``node.samples``. So slices nest: growing n_events or
+    n_samples keeps every row of the smaller slice unchanged, and growing
+    n_definitions only adds definitions to each event's rotation.
 
     Each line is the bytes of ``json.dumps(row, ensure_ascii=False)`` of the
     row's ``TrainingInstance``, made without building one; ``read_jsonl``
@@ -294,30 +193,111 @@ def write_slice(dataset: Ontology, spec: SliceSpec, path: str | Path) -> dict[st
     drawn as hard negatives. A positive costs about its siblings, skip set and
     draws; in one wide tree, where siblings are most candidates, the draws are
     mostly rejected or scan them all. An event's cousin pool is built the
-    first time one of its positives is short of siblings. Each group of rows
-    the loop yields (a positive, or its negatives) has its stem and sentence
-    encoded once and goes out in one write. A negative event recurs across
-    positives, so a negative row's part is kept once per event and definition.
-    No row is kept once written: memory follows the dataset and the slice's
-    picks.
+    first time one of its positives is short of siblings. A positive has its
+    id stem and sentence encoded once and goes out with its negatives in one
+    write. A negative event recurs across positives, so a negative row's part
+    is kept once per event and definition. No row is kept once written:
+    memory follows the dataset and the slice's picks.
     """
+    events = [node for node in dataset.iter_nodes() if node.samples]
+    if len(events) < spec.n_events:
+        raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
+    if spec.n_negatives > 0 and len(events) < 2:
+        raise NoNegativeCandidatesError("negative instances need at least 2 events in the dataset")
+
+    order = list(range(len(events)))  # each permutation is the same for every slice size
+    _rng(spec.seed, "select").shuffle(order)
+    picks = []  # (event, its chosen definitions, the indices of its chosen samples)
+    for node in (events[i] for i in sorted(order[: spec.n_events])):
+        if len(node.definitions) < spec.n_definitions:
+            raise InsufficientDataError(
+                f"event {node.name!r} has {len(node.definitions)} definitions, need {spec.n_definitions}"
+            )
+        if len(node.samples) < spec.n_samples:
+            raise InsufficientDataError(f"event {node.name!r} has {len(node.samples)} samples, need {spec.n_samples}")
+        definitions, sample_ids = list(node.definitions), list(range(len(node.samples)))
+        _rng(spec.seed, node.name, "defs").shuffle(definitions)
+        _rng(spec.seed, node.name, "samples").shuffle(sample_ids)
+        picks.append((node, definitions[: spec.n_definitions], sample_ids[: spec.n_samples]))
+
+    candidates = [node for node in events if node.definitions]
+    is_candidate = set(candidates)
+    holders: dict[str, set[EventTypeNode]] = {node.samples[i].sentence: set() for node, _, ids in picks for i in ids}
+    for node in candidates:
+        for s in node.samples:
+            if s.sentence in holders:
+                holders[s.sentence].add(node)
+    suffixes = [f"n{ni}" for ni in range(spec.n_negatives)]
     counts = dict.fromkeys(KINDS, 0)
     literals = {text: _encode(text) for text in (*KINDS, NONE_TARGET)}
     neg_parts: dict[tuple[EventTypeNode, str], str] = {}
-    draws = _draws(dataset, spec)
+    fallback_count = 0
     with jsonl.open_atomic(path) as fh:
-        for stem, sentence, rows in draws:
-            ids, sentence = _encode(stem)[:-1], _encode(sentence)
-            lines = []
-            for suffix, node, definition, target, kind in rows:
-                if kind == "positive":
-                    part = _part(spec, node, definition)
-                elif (part := neg_parts.get((node, definition))) is None:
-                    part = neg_parts[node, definition] = _part(spec, node, definition)
-                lines.append(f'{{"instance_id": {ids}{suffix}", {part}, "sentence": {sentence}, '
-                             f'"target": {literals.get(target) or _encode(target)}, "kind": {literals[kind]}}}')
-                counts[kind] += 1
-            fh.write("\n".join(lines) + "\n")
+        for node, sel_defs, sample_ids in picks:
+            event = node.name
+            siblings = [c for c in (node.parent.children if node.parent else ()) if c is not node and c in is_candidate]
+            own = {node, *siblings}
+            cousins: list[EventTypeNode] | None = None  # built on the first shortfall of siblings
+
+            for si, sample_index in enumerate(sample_ids):
+                sample = node.samples[sample_index]
+                if sample.trigger == NONE_TARGET:
+                    raise EventInputError(event, f"event {event!r}: sample {sample.sentence!r} has trigger "
+                                                 f"{NONE_TARGET!r}, which is the target of a negative instance")
+                ids, sentence = _encode(f"{event}|s{si}|")[:-1], _encode(sample.sentence)
+                definition = sel_defs[si % spec.n_definitions] if spec.with_definition else ""
+                lines = [f'{{"instance_id": {ids}p", {_part(spec, node, definition)}, "sentence": {sentence}, '
+                         f'"target": {_encode(sample.trigger)}, "kind": {literals["positive"]}}}\n']
+                counts["positive"] += 1
+                if spec.n_negatives == 0:
+                    fh.write(lines[0])
+                    continue
+                negatives_rng = _rng(spec.seed, event, "negatives", str(sample_index))
+                held_by = holders[sample.sentence]
+                free_siblings = [c for c in siblings if c not in held_by]
+                hard = negatives_rng.sample(free_siblings, min(spec.n_hard_negatives, len(free_siblings)))
+                fill: list[EventTypeNode] = []
+                shortfall = spec.n_hard_negatives - len(hard)
+                if shortfall > 0:
+                    fallback_count += shortfall
+                    if cousins is None:
+                        cousins = [c for c in _cousin_pool(node) if c in is_candidate]
+                    free_cousins = [c for c in cousins if c not in held_by]
+                    fill = negatives_rng.sample(free_cousins, min(shortfall, len(free_cousins)))
+
+                plain_needed = spec.n_negatives - len(hard) - len(fill)
+                skip = own.union(held_by, fill)  # every set here holds candidates only
+                if len(candidates) - len(skip) <= plain_needed:
+                    plain = [c for c in candidates if c not in skip]
+                else:
+                    plain = []
+                    while len(plain) < plain_needed:
+                        neg = candidates[negatives_rng.randrange(len(candidates))]
+                        if neg not in skip:
+                            skip.add(neg)
+                            plain.append(neg)
+                if len(plain) < plain_needed:
+                    # Non-sibling candidates exhausted (small trees): top up from
+                    # the free siblings left over, still as plain negatives.
+                    rest = [c for c in free_siblings if c not in hard]
+                    plain += negatives_rng.sample(rest, min(plain_needed - len(plain), len(rest)))
+                if len(plain) < plain_needed:
+                    raise InsufficientDataError(
+                        f"event {event!r}, sample {si}: need {plain_needed - len(plain)} more "
+                        f"negative candidates than the dataset offers"
+                    )
+                for ni, neg in enumerate(hard + fill + plain):
+                    kind = "hard_negative" if ni < len(hard) else "negative"
+                    definition = neg.definitions[0] if spec.with_definition else ""
+                    if (part := neg_parts.get((neg, definition))) is None:
+                        part = neg_parts[neg, definition] = _part(spec, neg, definition)
+                    lines.append(f'{{"instance_id": {ids}{suffixes[ni]}", {part}, "sentence": {sentence}, '
+                                 f'"target": {literals[NONE_TARGET]}, "kind": {literals[kind]}}}\n')
+                    counts[kind] += 1
+                fh.write("".join(lines))
+
+    if fallback_count:
+        logger.info("hard-negative fallback used for %d slots (not enough siblings)", fallback_count)
     return counts
 
 

@@ -413,9 +413,6 @@ def main(argv: list[str] | None = None) -> int:
         if outputs:
             write_manifests(args.command, resolved, inputs, outputs, counts)
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BackendConfigError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 2

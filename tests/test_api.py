@@ -199,18 +199,14 @@ def test_only_jsonl_opens_and_decodes_json_files():
 
 
 def test_the_second_slice_path_is_gone():
-    """A slice is drawn only to be written: ``write_slice`` is the one caller
-    of the draw loop, and ``read_jsonl`` the one way back to instances."""
+    """A slice is drawn only to be written, in one plain function:
+    ``write_slice`` draws and writes each row, no generator in ``assembly``
+    yields rows for it, and ``read_jsonl`` is the one way back to instances."""
     assert "assemble" not in dived.__all__ and not hasattr(dived, "assemble")
-    for name in ("assemble", "iter_instances", "_instances", "_context"):
+    for name in ("assemble", "iter_instances", "_instances", "_context", "_draws", "_draw_loop"):
         assert not hasattr(assembly, name), name
-    callers = []
-    for path in MODULES:
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                callers += [(path.name, func.name) for node in ast.walk(func)
-                            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("_draws", "assembly._draws")]
-    assert callers == [("assembly.py", "write_slice")]
+    tree = ast.parse(Path(assembly.__file__).read_text(encoding="utf-8"))
+    assert [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Yield, ast.YieldFrom))] == []
 
 
 # Functions the bench tracer still patches that the program no longer has: the

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import re
 import tempfile
 from collections import Counter, defaultdict
@@ -24,7 +25,6 @@ from dived.assembly import (
     render_instance,
     write_slice,
 )
-from dived.assembly import _cousin_pool, _rng
 from dived.curation import GeneratedSample, read_dataset, write_dataset
 from dived.jsonl import JsonlError
 
@@ -507,11 +507,34 @@ def test_instance_invariants_at_construction():
 # ---------------------------------------------------------------------------
 
 
+def cousins_nearest_first(dataset, node):
+    """For each ancestor, nearest first, its descendants in pre-order, less
+    the node's own subtree, its ancestors, its siblings and any cousin
+    already taken."""
+    def subtree(top):
+        return [top, *(d for child in top.children for d in subtree(child))]
+
+    ancestors, up = [], node.parent
+    while up is not None:
+        ancestors.append(up)
+        up = up.parent
+    taken = set(subtree(node)) | set(ancestors) | set(siblings(dataset, node.name))
+    cousins = []
+    for ancestor in ancestors:
+        for desc in subtree(ancestor):
+            if desc not in taken:
+                taken.add(desc)
+                cousins.append(desc)
+    return cousins
+
+
 def list_based_assemble(dataset, spec):
     """Reference oracle: every negative pool is a filtered list, rescanned for
     each sentence, and each instance gets its own ontology context. A plain
     negative is a uniform pick from all candidates, redrawn until it lies in
-    that list and is new; a list no longer than the need is taken whole."""
+    that list and is new; a list no longer than the need is taken whole. It
+    seeds its RNGs and orders the cousins itself, sharing no helper with
+    ``write_slice``."""
     events = [node for node in dataset.iter_nodes() if node.samples]
     if len(events) < spec.n_events:
         raise InsufficientDataError(f"need {spec.n_events} events, dataset has {len(events)}")
@@ -521,9 +544,12 @@ def list_based_assemble(dataset, spec):
     candidate_list = [node for node in events if node.definitions]
     candidates = set(candidate_list)
 
+    def seeded(*scope):
+        return random.Random("|".join([str(spec.seed), *scope]))
+
     def permuted(items, *scope):
         items = list(items)
-        _rng(spec.seed, *scope).shuffle(items)
+        seeded(*scope).shuffle(items)
         return items
 
     selected = [events[i] for i in sorted(permuted(range(len(events)), "select")[:spec.n_events])]
@@ -548,11 +574,11 @@ def list_based_assemble(dataset, spec):
         sample_ids = permuted(range(len(node.samples)), event, "samples")[:spec.n_samples]
         all_siblings = siblings(dataset, event)
         sibling_pool = [s for s in all_siblings if s in candidates]
-        cousins = [c for c in _cousin_pool(node) if c in candidates]
+        cousins = [c for c in cousins_nearest_first(dataset, node) if c in candidates]
         non_siblings = [c for c in events if c not in set(all_siblings) and c in candidates]
         for si, index in enumerate(sample_ids):
             sample = node.samples[index]
-            negatives_rng = _rng(spec.seed, event, "negatives", str(index))
+            negatives_rng = seeded(event, "negatives", str(index))
             instances.append(TrainingInstance(
                 f"{event}|s{si}|p", event, sel_defs[si % spec.n_definitions] if spec.with_definition else "",
                 context(node), sample.sentence, sample.trigger, "positive",
@@ -706,6 +732,17 @@ def _outcome(assemble_fn, dataset, spec):
 @settings(max_examples=200, deadline=None)
 def test_assemble_matches_list_based_oracle(case):
     dataset, spec = case
+    assert _outcome(assembled, dataset, spec) == _outcome(list_based_assemble, dataset, spec)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_assemble_matches_list_based_oracle_on_a_cousin_fill(seed):
+    """R→U→U1 and R→P→{N, S→S1}: S1 has no siblings, so its three hard
+    negatives all come from cousins, and the order of its cousin pool (N,
+    under its parent's parent, before U and U1) decides which row each takes."""
+    tree = [("R", None), ("U", "R"), ("U1", "U"), ("P", "R"), ("N", "P"), ("S", "P"), ("S1", "S")]
+    dataset = make_dataset([(event, parent, [f"{event} def"], [make_sample(event, 0)]) for event, parent in tree])
+    spec = SliceSpec(7, 1, 1, n_negatives=3, n_hard_negatives=3, seed=seed)
     assert _outcome(assembled, dataset, spec) == _outcome(list_based_assemble, dataset, spec)
 
 
