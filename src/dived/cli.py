@@ -165,12 +165,8 @@ def _backend(resolved: dict):
         return MockBackend(seed=resolved["seed"])
     if not resolved.get("endpoint") or not resolved.get("model"):
         raise BackendConfigError("http backend needs --endpoint and --model")
-    return HttpBackend(endpoint=resolved["endpoint"], model=resolved["model"])
-
-
-def _batch(resolved: dict) -> dict:
-    """The generation commands' options for ``complete_batch``."""
-    return {"max_in_flight": resolved["max_in_flight"], "retry_limit": resolved["retry_limit"]}
+    return HttpBackend(endpoint=resolved["endpoint"], model=resolved["model"],
+                       max_in_flight=resolved["max_in_flight"], retry_limit=resolved["retry_limit"])
 
 
 def _generated(resolved: dict, source: str, dataset, report: curation.CurationReport, counts: dict, summary: str):
@@ -202,7 +198,7 @@ def cmd_ingest(resolved: dict):
 
 def cmd_curate_defs(resolved: dict):
     ontology = load_ontology(resolved["ontology"])
-    report = curation.curate_definitions_for_trees(ontology.trees, _backend(resolved), **_batch(resolved))
+    report = curation.curate_definitions_for_trees(ontology.trees, _backend(resolved))
     summary = f"curate-defs: {report.parsed}/{report.requested} definitions"
     return _generated(resolved, "ontology", ontology, report, {"definitions": report.parsed}, summary)
 
@@ -210,7 +206,7 @@ def cmd_curate_defs(resolved: dict):
 def cmd_curate_samples(resolved: dict):
     dataset = curation.read_dataset(resolved["dataset"])
     report = curation.curate_samples_for_trees(dataset.trees, _backend(resolved), per_event=resolved["per_event"],
-                                               regenerate=resolved["regenerate"], **_batch(resolved))
+                                               regenerate=resolved["regenerate"])
     summary = (f"curate-samples: {report.parsed} samples for {len(dataset)} events "
                f"({report.dropped_invalid} invalid dropped)")
     counts = {"samples": report.parsed, "dropped_invalid": report.dropped_invalid}
@@ -220,7 +216,7 @@ def cmd_curate_samples(resolved: dict):
 def cmd_expand_defs(resolved: dict):
     dataset = curation.read_dataset(resolved["dataset"])
     report = curation.expand_definitions_for_nodes(list(dataset.iter_nodes()), _backend(resolved),
-                                                   count=resolved["count"], **_batch(resolved))
+                                                   count=resolved["count"])
     summary = f"expand-defs: {report.parsed} paraphrases added across {len(dataset)} events"
     return _generated(resolved, "dataset", dataset, report, {"paraphrases_added": report.parsed}, summary)
 

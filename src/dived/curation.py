@@ -30,8 +30,6 @@ from . import jsonl, ontology
 from .errors import EventInputError
 from .llm_client import (
     DEFAULT_EXAMPLES,
-    DEFAULT_MAX_IN_FLIGHT,
-    DEFAULT_RETRY_LIMIT,
     Backend,
     GenFailure,
     GenRequest,
@@ -229,8 +227,6 @@ def _generate(
     parse: Callable[[str, Sequence[str]], dict[str, _Parse]],
     target: int,
     backend: Backend,
-    max_in_flight: int,
-    retry_limit: int,
     rounds: int = 1,
 ) -> tuple[dict[str, _Parse], CurationReport]:
     """The loop of the module docstring. A unit is a ``(request, *names)``
@@ -245,7 +241,7 @@ def _generate(
             break
         round_best: dict[str, _Parse] = {}
         for _ in range(2):  # the round's requests, then one retry of the units left short
-            results = complete_batch([unit[0] for unit in todo], backend, max_in_flight, retry_limit=retry_limit)
+            results = complete_batch([unit[0] for unit in todo], backend)
             short = []
             for unit, result in zip(todo, results):
                 names = unit[1:]
@@ -285,8 +281,6 @@ def _require_definitions(nodes: Iterable[EventTypeNode]) -> None:
 def curate_definitions_for_trees(
     trees: Sequence[EventTypeNode],
     backend: Backend,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    retry_limit: int = DEFAULT_RETRY_LIMIT,
 ) -> CurationReport:
     """Curate one definition per node for every tree, one prompt per tree so
     sibling definitions are generated together and stay mutually distinct.
@@ -297,7 +291,7 @@ def curate_definitions_for_trees(
     ``definitions[0]``.
     """
     units = [(definition_request(tree), *(node.name for node in tree.iter_preorder())) for tree in trees]
-    best, report = _generate(units, parse_definitions, 1, backend, max_in_flight, retry_limit)
+    best, report = _generate(units, parse_definitions, 1, backend)
     for tree in trees:
         for node in tree.iter_preorder():
             if best[node.name].value is not None:
@@ -314,8 +308,6 @@ def curate_samples_for_trees(
     trees: Sequence[EventTypeNode],
     backend: Backend,
     per_event: int = 10,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    retry_limit: int = DEFAULT_RETRY_LIMIT,
     regenerate: int = 0,
 ) -> CurationReport:
     """Generate per_event validated samples for every event of every tree.
@@ -336,7 +328,7 @@ def curate_samples_for_trees(
     _require_definitions(nodes)
     units = [(sample_request(tree, per_event), *(node.name for node in tree.iter_preorder())) for tree in trees]
     parse = functools.partial(parse_samples, per_event=per_event)
-    best, report = _generate(units, parse, per_event, backend, max_in_flight, retry_limit, rounds=1 + regenerate)
+    best, report = _generate(units, parse, per_event, backend, rounds=1 + regenerate)
     for node in nodes:
         node.samples = best[node.name].value or []
     return report
@@ -351,8 +343,6 @@ def expand_definitions_for_nodes(
     nodes: Sequence[EventTypeNode],
     backend: Backend,
     count: int = 10,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    retry_limit: int = DEFAULT_RETRY_LIMIT,
 ) -> CurationReport:
     """Paraphrase each node's seed definition count times and append the new,
     deduplicated paraphrases to node.definitions (so len <= 1 + count).
@@ -365,7 +355,7 @@ def expand_definitions_for_nodes(
         raise ValueError("count must be a positive integer")
     _require_definitions(nodes)
     units = [(expansion_request(node, count), node.name) for node in nodes]
-    best, report = _generate(units, parse_paraphrases, count, backend, max_in_flight, retry_limit)
+    best, report = _generate(units, parse_paraphrases, count, backend)
     report.parsed = 0
     for node in nodes:
         existing = {d.strip() for d in node.definitions}

@@ -154,17 +154,23 @@ DEFAULT_EXAMPLES: dict[TemplateId, str] = {
 }
 
 
+DEFAULT_MAX_IN_FLIGHT = 4  # a backend's max_in_flight unless it sets its own, and --max-in-flight's default
+DEFAULT_RETRY_LIMIT = 3  # a backend's retry_limit unless it sets its own, and --retry-limit's default
+
+
 class Backend:
     """Interface for text-generation backends.
 
-    ``waits_on_io`` says whether ``generate`` waits on something outside the
-    process, such as a server. complete_batch then runs up to max_in_flight
-    calls at once on worker threads, so such a backend must be safe to call
-    from multiple threads. A backend that sets it to False only computes, and
-    each batch runs on the calling thread.
+    A backend carries its own batch limits: complete_batch runs up to
+    ``max_in_flight`` calls at once and retries a transient failure up to
+    ``retry_limit`` times. Above 1, the calls run on worker threads, so a
+    backend that waits on something outside the process, such as a server,
+    must be safe to call from multiple threads. A backend that only computes
+    sets ``max_in_flight = 1``, and each batch runs on the calling thread.
     """
 
-    waits_on_io = True
+    max_in_flight = DEFAULT_MAX_IN_FLIGHT
+    retry_limit = DEFAULT_RETRY_LIMIT
 
     def generate(self, request: GenRequest) -> str:
         raise NotImplementedError
@@ -283,9 +289,9 @@ def mock_generate(seed: int, request: GenRequest) -> str:
 
 
 class MockBackend(Backend):
-    """Offline backend: wraps mock_generate with a fixed seed."""
+    """Offline backend: wraps mock_generate with a fixed seed; it only computes."""
 
-    waits_on_io = False
+    max_in_flight = 1
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -316,21 +322,25 @@ def _parse_retry_after(value: str | None) -> float | None:
     return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
+API_KEY_ENV = "DIVED_API_KEY"  # the environment variable that holds the credential
+REQUEST_TIMEOUT_S = 60.0  # seconds; each request's socket timeout
+
+
 @dataclass
 class HttpBackend(Backend):
     """Chat-completion style JSON-over-HTTP backend.
 
-    Reads the credential from the environment (``DIVED_API_KEY`` by default)
-    at request time so batches fail fast with a configuration error. An
-    endpoint that is not an absolute http(s) URL with a host is rejected when
-    the backend is built. Proxies are read from ``HTTP(S)_PROXY`` then too,
-    ``NO_PROXY`` on each request.
+    Reads the credential from the environment variable API_KEY_ENV at request
+    time so batches fail fast with a configuration error. An endpoint that is
+    not an absolute http(s) URL with a host is rejected when the backend is
+    built. Proxies are read from ``HTTP(S)_PROXY`` then too, ``NO_PROXY`` on
+    each request. max_in_flight and retry_limit are the server's limits.
     """
 
     endpoint: str
     model: str
-    api_key_env: str = "DIVED_API_KEY"
-    timeout: float = 60.0
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
+    retry_limit: int = DEFAULT_RETRY_LIMIT
 
     def __post_init__(self) -> None:
         try:  # .port raises ValueError on a port that is not a number up to 65535
@@ -343,9 +353,9 @@ class HttpBackend(Backend):
         self._opener = urllib.request.build_opener()
 
     def generate(self, request: GenRequest) -> str:
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
-            raise BackendConfigError(f"environment variable {self.api_key_env} is not set")
+            raise BackendConfigError(f"environment variable {API_KEY_ENV} is not set")
         prompt = render(request.template_id, request.variables)
         payload = {
             "model": self.model,
@@ -357,7 +367,7 @@ class HttpBackend(Backend):
         req.add_unredirected_header("Authorization", f"Bearer {api_key}")  # never sent on to a redirect's target
         try:
             try:
-                resp = self._opener.open(req, timeout=self.timeout)
+                resp = self._opener.open(req, timeout=REQUEST_TIMEOUT_S)
             except urllib.error.HTTPError as exc:  # a 3xx-5xx reply; it reads like a response
                 resp = exc
             with resp:
@@ -386,32 +396,24 @@ BACKOFF_BASE_S = 0.5  # seconds; the first wait without a usable Retry-After, do
 MAX_RETRY_AFTER = 300.0  # seconds; a server that asks for a longer wait fails the request
 MAX_IN_FLIGHT = 64  # the most requests in flight at once, each on its own thread
 MAX_RETRY_LIMIT = 10  # the most retries per request
-DEFAULT_MAX_IN_FLIGHT = 4  # every batch's max_in_flight unless given, and --max-in-flight's default
-DEFAULT_RETRY_LIMIT = 3  # every batch's retry_limit unless given, and --retry-limit's default
 
 
-def complete_batch(
-    requests_: Sequence[GenRequest],
-    backend: Backend,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    retry_limit: int = DEFAULT_RETRY_LIMIT,
-) -> list[BatchResult]:
+def complete_batch(requests_: Sequence[GenRequest], backend: Backend) -> list[BatchResult]:
     """Run requests and return one result per request, in request order.
 
-    For a backend that waits on I/O (``backend.waits_on_io``), up to
-    max_in_flight requests run at once, each on a worker thread. Any other
-    backend's requests run one after another on the calling thread, since
-    threads would overlap no waiting; max_in_flight is then only checked.
-    Transient failures are retried up to retry_limit extra attempts. Before
-    each retry it waits the server's ``Retry-After`` when the error carries
-    one (0 retries at once), and otherwise BACKOFF_BASE_S * 2**(attempt - 1)
-    seconds (no jitter, for reproducibility). A ``Retry-After`` above
-    MAX_RETRY_AFTER ends the request at that attempt, without a wait. A
-    request that still fails yields a GenFailure in its slot instead of
-    aborting the batch.
+    Up to ``backend.max_in_flight`` requests run at once, each on a worker
+    thread; with 1, they run one after another on the calling thread.
+    Transient failures are retried up to ``backend.retry_limit`` extra
+    attempts. Before each retry it waits the server's ``Retry-After`` when the
+    error carries one (0 retries at once), and otherwise
+    BACKOFF_BASE_S * 2**(attempt - 1) seconds (no jitter, for
+    reproducibility). A ``Retry-After`` above MAX_RETRY_AFTER ends the request
+    at that attempt, without a wait. A request that still fails yields a
+    GenFailure in its slot instead of aborting the batch.
     A max_in_flight outside 1..MAX_IN_FLIGHT or a retry_limit outside
     0..MAX_RETRY_LIMIT raises ValueError before any request starts.
     """
+    max_in_flight, retry_limit = backend.max_in_flight, backend.retry_limit
     if not (1 <= max_in_flight <= MAX_IN_FLIGHT and 0 <= retry_limit <= MAX_RETRY_LIMIT):
         raise ValueError(f"max_in_flight must be 1 to {MAX_IN_FLIGHT} and retry_limit 0 to {MAX_RETRY_LIMIT},"
                          f" not {max_in_flight} and {retry_limit}")
@@ -440,7 +442,7 @@ def complete_batch(
                 logger.warning("request failed permanently: %s", exc)
                 return GenFailure(error=str(exc), attempts=attempts)
 
-    workers = min(max_in_flight, len(requests_)) if backend.waits_on_io else 1
+    workers = min(max_in_flight, len(requests_))
     if workers <= 1:  # also an empty batch, which gets []
         return [run_one(r) for r in requests_]
     with ThreadPoolExecutor(max_workers=workers) as pool:

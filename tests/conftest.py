@@ -38,7 +38,9 @@ def sleeps(monkeypatch) -> list[float]:
 
 class ScriptedBackend(Backend):
     """Test backend that replays a fixed list of responses (or raises the
-    exception found in the list) in call order."""
+    exception found in the list) in call order, so one call at a time."""
+
+    max_in_flight = 1
 
     def __init__(self, script: list):
         self.script = list(script)
@@ -58,7 +60,7 @@ class WaitingMockBackend(MockBackend):
     """MockBackend's replies, sent through complete_batch's worker threads as a
     backend that waits on a server would be."""
 
-    waits_on_io = True
+    max_in_flight = llm_client.DEFAULT_MAX_IN_FLIGHT
 
 
 @pytest.fixture

@@ -192,6 +192,7 @@ def test_criterion_5_pipeline_determinism_on_worker_threads(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "MockBackend", WaitingMockBackend)
     runs = {"first": 8, "second": 8, "narrow": 1}
     for name, mif in runs.items():
+        monkeypatch.setattr(WaitingMockBackend, "max_in_flight", mif)
         run_pipeline(tmp_path / name, seed=11, max_in_flight=mif)
     assert thread_starts, "the generation stages ran on worker threads"
     for filename in PIPELINE_FILES:

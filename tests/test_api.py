@@ -51,15 +51,23 @@ def test_removed_request_and_result_fields_are_gone():
 def test_removed_knobs_are_gone():
     """One instance prompt, one back-off base, one set of trigger delimiters,
     only the packaged prompt templates, one per-kind instance count, one
-    parse result type, which each parser returns per expected event, and one
-    error type per kind of bad input."""
+    parse result type, which each parser returns per expected event, one
+    error type per kind of bad input, and one place for a backend's batch
+    limits: the backend."""
     assert list(inspect.signature(assembly.render_instance).parameters) == ["instance"]
     assert not hasattr(assembly, "DEFAULT_INSTANCE_TEMPLATE")
-    assert list(inspect.signature(llm_client.complete_batch).parameters) == [
-        "requests_", "backend", "max_in_flight", "retry_limit"]
+    assert list(inspect.signature(llm_client.complete_batch).parameters) == ["requests_", "backend"]
+    for step, params in [(curation.curate_definitions_for_trees, ["trees", "backend"]),
+                         (curation.curate_samples_for_trees, ["trees", "backend", "per_event", "regenerate"]),
+                         (curation.expand_definitions_for_nodes, ["nodes", "backend", "count"])]:
+        assert list(inspect.signature(step).parameters) == params
+    assert [f.name for f in dataclasses.fields(llm_client.HttpBackend)] == [
+        "endpoint", "model", "max_in_flight", "retry_limit"]
+    assert not hasattr(llm_client.Backend, "waits_on_io") and not hasattr(llm_client.MockBackend, "waits_on_io")
+    assert llm_client.MockBackend.max_in_flight == 1
+    assert not hasattr(cli, "_batch")
     assert list(inspect.signature(evaluation.parse_model_output).parameters) == ["raw"]
     assert list(inspect.signature(llm_client.render).parameters) == ["template_id", "variables"]
-    assert "templates_dir" not in {f.name for f in dataclasses.fields(llm_client.HttpBackend)}
     assert not hasattr(llm_client, "TemplateNotFoundError")
     assert not hasattr(assembly, "count_kinds")
     assert not hasattr(pruning, "PruneInputError") and not hasattr(curation, "InvalidSampleError")

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from datetime import datetime
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
@@ -840,6 +843,95 @@ def test_mock_generation_starts_no_thread(tmp_path, thread_starts, command):
     assert run([*generation_run(tmp_path, command), "--backend", "mock", "--max-in-flight", "8", "--out", str(out)]) == 0
     assert out.exists()
     assert thread_starts == []
+
+
+class _DefinitionsServer(ThreadingHTTPServer):
+    """Answers every POST with a definition line for each toy event and counts
+    the requests and the most in flight at once. With ``reject_first`` a
+    body's first attempt gets 503 with ``Retry-After: 0``; with ``barrier``
+    each request first waits there for the others; ``hold`` is how long a
+    request stays in flight."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _DefinitionsHandler)
+        self.reply = json.dumps({"choices": [{"message": {"content": "\n".join(
+            f"{node.name}\tdefinition: A toy definition of {node.name}."
+            for node in load_ontology(TOY_ONTOLOGY).iter_nodes())}}]}).encode()
+        self.lock = threading.Lock()
+        self.bodies: set[bytes] = set()
+        self.requests = self.in_flight = self.peak = 0
+        self.reject_first, self.barrier, self.hold = False, None, 0.0
+
+
+class _DefinitionsHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with server.lock:
+            server.requests += 1
+            server.in_flight += 1
+            server.peak = max(server.peak, server.in_flight)
+            first = body not in server.bodies
+            server.bodies.add(body)
+        status, payload = (503, b"{}") if server.reject_first and first else (200, server.reply)
+        try:
+            if server.barrier is not None:
+                server.barrier.wait()
+            time.sleep(server.hold)
+        except threading.BrokenBarrierError:
+            status, payload = 400, b"fewer requests in flight than the barrier waits for"
+        finally:
+            with server.lock:
+                server.in_flight -= 1
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Retry-After", "0")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def definitions_server(monkeypatch):
+    monkeypatch.setenv("DIVED_API_KEY", "secret")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.delenv("no_proxy", raising=False)
+    server = _DefinitionsServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def curate_defs_over_http(server, tmp_path, *flags) -> int:
+    """``dived curate-defs`` of the toy ontology, 3 trees so 3 requests, against server."""
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    return run(["curate-defs", "--ontology", str(TOY_ONTOLOGY), "--backend", "http", "--endpoint", endpoint,
+                "--model", "m", *flags, "--out", str(tmp_path / "defs.jsonl")])
+
+
+@pytest.mark.parametrize("retry_limit, code, requests", [("0", 2, 3), ("1", 0, 6)])
+def test_retry_limit_reaches_the_http_backend(definitions_server, tmp_path, retry_limit, code, requests):
+    definitions_server.reject_first = True
+    assert curate_defs_over_http(definitions_server, tmp_path, "--retry-limit", retry_limit) == code
+    assert definitions_server.requests == requests
+
+
+def test_max_in_flight_reaches_the_http_backend(definitions_server, tmp_path):
+    definitions_server.barrier = threading.Barrier(3, timeout=10)
+    assert curate_defs_over_http(definitions_server, tmp_path, "--max-in-flight", "3", "--retry-limit", "0") == 0
+    assert definitions_server.requests == 3 and definitions_server.peak == 3
+
+
+def test_max_in_flight_1_sends_one_request_at_a_time(definitions_server, tmp_path):
+    definitions_server.hold = 0.1
+    assert curate_defs_over_http(definitions_server, tmp_path, "--max-in-flight", "1") == 0
+    assert definitions_server.requests == 3 and definitions_server.peak == 1
 
 
 def test_missing_required_option_exits_1(tmp_path, capsys):

@@ -71,7 +71,7 @@ def samples_of(tree):
 def expand_one(node, backend, count):
     """Expand one node; returns the paraphrases added and the report."""
     before = len(node.definitions)
-    report = expand_definitions_for_nodes([node], backend, count=count, max_in_flight=1)
+    report = expand_definitions_for_nodes([node], backend, count=count)
     assert report.parsed == len(node.definitions) - before
     return node.definitions[before:], report
 
@@ -100,7 +100,7 @@ def test_sample_invariants_enforced_at_construction():
 
 def test_curate_definitions_with_mock():
     tree = small_tree()
-    report = curate_definitions_for_trees([tree], MockBackend(seed=5), max_in_flight=1)
+    report = curate_definitions_for_trees([tree], MockBackend(seed=5))
     defs = definitions_of(tree)
     assert sorted(defs) == ["attack", "conflict", "protest"]
     assert all(defs[name] for name in defs)
@@ -120,7 +120,7 @@ def test_curate_definitions_missing_line_recorded_after_retry():
     response = "conflict\tdefinition: root def\nattack\tdefinition: attack def"
     backend = ScriptedBackend([response, response])  # primary + one retry with same prompt
     tree = small_tree()
-    report = curate_definitions_for_trees([tree], backend, max_in_flight=1)
+    report = curate_definitions_for_trees([tree], backend)
     defs = definitions_of(tree)
     assert backend.calls == 2
     assert sorted(defs) == ["attack", "conflict"]
@@ -131,8 +131,8 @@ def test_curate_definitions_missing_line_recorded_after_retry():
 
 def test_curate_definitions_deterministic_with_mock():
     one, two = small_tree(), small_tree()
-    curate_definitions_for_trees([one], MockBackend(seed=13), max_in_flight=1)
-    curate_definitions_for_trees([two], MockBackend(seed=13), max_in_flight=1)
+    curate_definitions_for_trees([one], MockBackend(seed=13))
+    curate_definitions_for_trees([two], MockBackend(seed=13))
     assert definitions_of(one) == definitions_of(two)
 
 
@@ -143,7 +143,7 @@ def test_curate_definitions_deterministic_with_mock():
 
 def test_curate_samples_with_mock():
     tree = tree_with_defs()
-    report = curate_samples_for_trees([tree], MockBackend(seed=5), per_event=10, max_in_flight=1)
+    report = curate_samples_for_trees([tree], MockBackend(seed=5), per_event=10)
     samples = samples_of(tree)
     assert len(samples) == 30
     assert report.requested == 30 and report.parsed == 30 and report.dropped_invalid == 0
@@ -192,7 +192,7 @@ def test_curate_samples_drops_invalid_trigger():
     )
     backend = ScriptedBackend([response, response])
     tree = tree_with_defs()
-    report = curate_samples_for_trees([tree], backend, per_event=1, max_in_flight=1)
+    report = curate_samples_for_trees([tree], backend, per_event=1)
     samples = samples_of(tree)
     assert len(samples) == 2
     assert report.parsed == 2
@@ -205,7 +205,7 @@ def test_curate_samples_shortfall_recorded():
     response = "conflict\tsentence: The war escalated.\nconflict\ttrigger: escalated"
     backend = ScriptedBackend([response, response])
     tree = tree_with_defs()
-    report = curate_samples_for_trees([tree], backend, per_event=2, max_in_flight=1)
+    report = curate_samples_for_trees([tree], backend, per_event=2)
     samples = samples_of(tree)
     assert len(samples) == 1
     assert report.requested == 6
@@ -215,8 +215,8 @@ def test_curate_samples_shortfall_recorded():
 
 def test_curate_samples_deterministic_with_mock():
     one, two = tree_with_defs(), tree_with_defs()
-    curate_samples_for_trees([one], MockBackend(seed=21), per_event=5, max_in_flight=1)
-    curate_samples_for_trees([two], MockBackend(seed=21), per_event=5, max_in_flight=1)
+    curate_samples_for_trees([one], MockBackend(seed=21), per_event=5)
+    curate_samples_for_trees([two], MockBackend(seed=21), per_event=5)
     assert samples_of(one) == samples_of(two)
 
 
@@ -224,9 +224,9 @@ def test_regenerate_rounds_stop_once_every_event_is_full():
     """Rounds after the one that fills every event request nothing, so they
     are not run: ten million of them cost what none do."""
     full, plain = tree_with_defs(), tree_with_defs()
-    curate_samples_for_trees([plain], MockBackend(seed=21), per_event=5, max_in_flight=1)
+    curate_samples_for_trees([plain], MockBackend(seed=21), per_event=5)
     start = time.perf_counter()
-    report = curate_samples_for_trees([full], MockBackend(seed=21), per_event=5, max_in_flight=1, regenerate=10**7)
+    report = curate_samples_for_trees([full], MockBackend(seed=21), per_event=5, regenerate=10**7)
     assert time.perf_counter() - start < 1.0
     assert samples_of(full) == samples_of(plain)
     assert report.failures == []
@@ -729,7 +729,7 @@ DEFS_SHORTER = _definitions_reply("shorter", ["conflict"])
 def test_curate_definitions_retry_keeps_best(script, calls, definitions, parsed, failures):
     tree = small_tree()
     backend = ScriptedBackend(script)
-    report = curate_definitions_for_trees([tree], backend, max_in_flight=1)
+    report = curate_definitions_for_trees([tree], backend)
     assert backend.calls == calls
     assert [n.definitions[0] if n.definitions else None for n in tree.iter_preorder()] == definitions
     assert (report.requested, report.parsed, report.dropped_invalid) == (3, parsed, 0)
@@ -764,7 +764,7 @@ SHORT_FAILURES = [("protest", "response contained 1 of 2 sample records")]
 def test_curate_samples_retry_keeps_best(script, calls, triggers, parsed, dropped, failures):
     tree = tree_with_defs()
     backend = ScriptedBackend(script)
-    report = curate_samples_for_trees([tree], backend, per_event=2, max_in_flight=1)
+    report = curate_samples_for_trees([tree], backend, per_event=2)
     assert backend.calls == calls
     assert {n.name: [s.trigger for s in n.samples] for n in tree.iter_preorder()} == triggers
     assert (report.requested, report.parsed, report.dropped_invalid) == (6, parsed, dropped)
@@ -816,10 +816,10 @@ def found_paraphrases(text, event):
     return parse_paraphrases(text, [event])[event].value
 
 
-def oracle_curate_definitions(trees, backend, max_in_flight=4, retry_limit=3):
+def oracle_curate_definitions(trees, backend):
     report = CurationReport(requested=sum(len(list(t.iter_preorder())) for t in trees))
     requests = [definition_request(t) for t in trees]
-    results = complete_batch(requests, backend, max_in_flight, retry_limit=retry_limit)
+    results = complete_batch(requests, backend)
     found: dict[str, str] = {}
     retry_idx: list[int] = []
     for i, (tree, result) in enumerate(zip(trees, results)):
@@ -831,7 +831,7 @@ def oracle_curate_definitions(trees, backend, max_in_flight=4, retry_limit=3):
         if any(name not in found for name in names):
             retry_idx.append(i)
     if retry_idx:
-        retry_results = complete_batch([requests[i] for i in retry_idx], backend, max_in_flight, retry_limit=retry_limit)
+        retry_results = complete_batch([requests[i] for i in retry_idx], backend)
         for i, result in zip(retry_idx, retry_results):
             names = [n.name for n in trees[i].iter_preorder()]
             if isinstance(result, GenFailure):
@@ -851,11 +851,11 @@ def oracle_curate_definitions(trees, backend, max_in_flight=4, retry_limit=3):
     return found, report
 
 
-def oracle_curate_samples(trees, backend, per_event=10, max_in_flight=4, retry_limit=3):
+def oracle_curate_samples(trees, backend, per_event=10):
     all_nodes = [node for tree in trees for node in tree.iter_preorder()]
     report = CurationReport(requested=per_event * len(all_nodes))
     requests = [sample_request(t, per_event) for t in trees]
-    results = complete_batch(requests, backend, max_in_flight, retry_limit=retry_limit)
+    results = complete_batch(requests, backend)
     stats = {}
     failed_events: set[str] = set()
     retry_idx: list[int] = []
@@ -871,7 +871,7 @@ def oracle_curate_samples(trees, backend, per_event=10, max_in_flight=4, retry_l
         if any(len(st.value) < per_event for st in tree_stats.values()):
             retry_idx.append(i)
     if retry_idx:
-        retry_results = complete_batch([requests[i] for i in retry_idx], backend, max_in_flight, retry_limit=retry_limit)
+        retry_results = complete_batch([requests[i] for i in retry_idx], backend)
         for i, result in zip(retry_idx, retry_results):
             if isinstance(result, GenFailure):
                 continue
@@ -893,9 +893,9 @@ def oracle_curate_samples(trees, backend, per_event=10, max_in_flight=4, retry_l
     return samples, report
 
 
-def oracle_regenerate(dataset, backend, per_event, regenerate, max_in_flight=4, retry_limit=3):
+def oracle_regenerate(dataset, backend, per_event, regenerate):
     """``curate-samples --regenerate``: returns (dropped_invalid, failures)."""
-    _, report = oracle_curate_samples(dataset.trees, backend, per_event, max_in_flight, retry_limit)
+    _, report = oracle_curate_samples(dataset.trees, backend, per_event)
     dropped_invalid = report.dropped_invalid
     failures = dict(report.failures)
     for _ in range(regenerate):
@@ -903,7 +903,7 @@ def oracle_regenerate(dataset, backend, per_event, regenerate, max_in_flight=4, 
         if not trees:
             break
         before = {node: node.samples for tree in trees for node in tree.iter_preorder()}
-        _, report = oracle_curate_samples(trees, backend, per_event, max_in_flight, retry_limit)
+        _, report = oracle_curate_samples(trees, backend, per_event)
         dropped_invalid += report.dropped_invalid
         round_failures = dict(report.failures)
         for node, old in before.items():
@@ -916,11 +916,11 @@ def oracle_regenerate(dataset, backend, per_event, regenerate, max_in_flight=4, 
     return dropped_invalid, list(failures.items())
 
 
-def oracle_expand_definitions(nodes, backend, count=10, max_in_flight=4, retry_limit=3):
+def oracle_expand_definitions(nodes, backend, count=10):
     """Returns (added, failures)."""
     failures = []
     requests = [expansion_request(n, count) for n in nodes]
-    results = complete_batch(requests, backend, max_in_flight, retry_limit=retry_limit)
+    results = complete_batch(requests, backend)
     texts: dict[str, str | None] = {}
     retry_idx: list[int] = []
     for i, (node, result) in enumerate(zip(nodes, results)):
@@ -932,7 +932,7 @@ def oracle_expand_definitions(nodes, backend, count=10, max_in_flight=4, retry_l
         if len(found_paraphrases(result.text, node.name)) < count:
             retry_idx.append(i)
     if retry_idx:
-        retry_results = complete_batch([requests[i] for i in retry_idx], backend, max_in_flight, retry_limit=retry_limit)
+        retry_results = complete_batch([requests[i] for i in retry_idx], backend)
         for i, result in zip(retry_idx, retry_results):
             node = nodes[i]
             if isinstance(result, GenFailure):
@@ -960,7 +960,10 @@ class UnitScriptedBackend(Backend):
     by its root) of a curation request or the event of an expansion request,
     so the replies a unit gets do not depend on request order. Each reply
     text is written for the unit's events and tagged with the unit's own
-    call number, which does not depend on thread timing either."""
+    call number, which does not depend on thread timing either. So the
+    loops run it two calls at once, on worker threads."""
+
+    max_in_flight = 2
 
     def __init__(self, scripts: dict[str, list[str]], per_event: int):
         self.scripts = {unit: list(kinds) for unit, kinds in scripts.items()}
@@ -1027,8 +1030,8 @@ def test_curate_definitions_matches_the_old_loop(case):
     rows, scripts, _ = case
     old, new = _forest(rows, False), _forest(rows, False)
     old_backend, new_backend = UnitScriptedBackend(scripts, 1), UnitScriptedBackend(scripts, 1)
-    _, expected = oracle_curate_definitions(old.trees, old_backend, max_in_flight=2)
-    report = curate_definitions_for_trees(new.trees, new_backend, max_in_flight=2)
+    _, expected = oracle_curate_definitions(old.trees, old_backend)
+    report = curate_definitions_for_trees(new.trees, new_backend)
     assert _state(new) == _state(old)
     assert (report.requested, report.parsed, report.dropped_invalid) == (
         expected.requested, expected.parsed, expected.dropped_invalid)
@@ -1042,8 +1045,8 @@ def test_curate_samples_matches_the_old_loop(case):
     rows, scripts, per_event = case
     old, new = _forest(rows, True), _forest(rows, True)
     old_backend, new_backend = UnitScriptedBackend(scripts, per_event), UnitScriptedBackend(scripts, per_event)
-    _, expected = oracle_curate_samples(old.trees, old_backend, per_event, max_in_flight=2)
-    report = curate_samples_for_trees(new.trees, new_backend, per_event=per_event, max_in_flight=2)
+    _, expected = oracle_curate_samples(old.trees, old_backend, per_event)
+    report = curate_samples_for_trees(new.trees, new_backend, per_event=per_event)
     assert _state(new) == _state(old)
     assert (report.requested, report.parsed, report.dropped_invalid) == (
         expected.requested, expected.parsed, expected.dropped_invalid)
@@ -1057,8 +1060,8 @@ def test_expand_definitions_matches_the_old_loop(case):
     rows, scripts, count = case
     old, new = _forest(rows, True), _forest(rows, True)
     old_backend, new_backend = UnitScriptedBackend(scripts, count), UnitScriptedBackend(scripts, count)
-    expected_added, expected_failures = oracle_expand_definitions(list(old.iter_nodes()), old_backend, count, 2)
-    report = expand_definitions_for_nodes(list(new.iter_nodes()), new_backend, count=count, max_in_flight=2)
+    expected_added, expected_failures = oracle_expand_definitions(list(old.iter_nodes()), old_backend, count)
+    report = expand_definitions_for_nodes(list(new.iter_nodes()), new_backend, count=count)
     assert _state(new) == _state(old)
     assert report.parsed == sum(len(added) for added in expected_added.values())
     assert sorted(report.failures) == sorted(expected_failures)
@@ -1071,7 +1074,7 @@ def test_curate_samples_regenerate_matches_the_old_cli_loop(case):
     regenerate, (rows, scripts, per_event) = case
     old = _forest(rows, True)
     old_backend, new_backend = UnitScriptedBackend(scripts, per_event), UnitScriptedBackend(scripts, per_event)
-    dropped_invalid, failures = oracle_regenerate(old, old_backend, per_event, regenerate, max_in_flight=2)
+    dropped_invalid, failures = oracle_regenerate(old, old_backend, per_event, regenerate)
 
     logged: list[str] = []
     handler = logging.Handler()
@@ -1085,7 +1088,7 @@ def test_curate_samples_regenerate_matches_the_old_cli_loop(case):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cli, "_backend", lambda resolved: new_backend)
                 code = cli.main(["curate-samples", "--dataset", str(dataset), "--per-event", str(per_event),
-                                 "--regenerate", str(regenerate), "--max-in-flight", "2", "--out", str(out)])
+                                 "--regenerate", str(regenerate), "--out", str(out)])
             new = read_dataset(out)
             counts = json.loads(cli.manifest_path(out).read_text(encoding="utf-8"))["counts"]
     finally:

@@ -161,9 +161,15 @@ def test_mock_expansion_past_the_paraphrase_forms_numbers_each_one_and_all_parse
 # ---------------------------------------------------------------------------
 
 
+def _waiting_mock(seed: int, max_in_flight: int) -> WaitingMockBackend:
+    backend = WaitingMockBackend(seed=seed)
+    backend.max_in_flight = max_in_flight
+    return backend
+
+
 def test_complete_batch_preserves_request_order():
     requests = [_sample_request(events=f"event{i}") for i in range(5)]
-    results = complete_batch(requests, MockBackend(seed=1), max_in_flight=2)
+    results = complete_batch(requests, _waiting_mock(1, 2))
     assert len(results) == 5
     for i, result in enumerate(results):
         assert isinstance(result, GenResponse)
@@ -172,36 +178,42 @@ def test_complete_batch_preserves_request_order():
 
 def test_complete_batch_mock_independent_of_max_in_flight():
     requests = [_sample_request(events=f"event{i}") for i in range(8)]
-    one = complete_batch(requests, MockBackend(seed=3), max_in_flight=1)
-    eight = complete_batch(requests, MockBackend(seed=3), max_in_flight=8)
+    one = complete_batch(requests, MockBackend(seed=3))
+    eight = complete_batch(requests, _waiting_mock(3, 8))
     assert [r.text for r in one] == [r.text for r in eight]
 
 
 def test_complete_batch_waiting_mock_independent_of_max_in_flight(thread_starts):
     requests = [_sample_request(events=f"event{i}") for i in range(8)]
-    one = complete_batch(requests, WaitingMockBackend(seed=3), max_in_flight=1)
+    one = complete_batch(requests, _waiting_mock(3, 1))
     assert thread_starts == []
-    eight = complete_batch(requests, WaitingMockBackend(seed=3), max_in_flight=8)
+    eight = complete_batch(requests, _waiting_mock(3, 8))
     assert thread_starts, "a batch of 8 on a backend that waits runs on worker threads"
-    on_caller = complete_batch(requests, MockBackend(seed=3), max_in_flight=8)
+    on_caller = complete_batch(requests, MockBackend(seed=3))
     assert [r.text for r in one] == [r.text for r in eight] == [r.text for r in on_caller]
 
 
 def test_complete_batch_rejects_bad_max_in_flight():
+    backend = MockBackend(seed=0)
+    backend.max_in_flight = 0
     with pytest.raises(ValueError):
-        complete_batch([_sample_request()], MockBackend(seed=0), max_in_flight=0)
+        complete_batch([_sample_request()], backend)
 
 
 def test_complete_batch_rejects_a_negative_retry_limit():
+    backend = MockBackend(seed=0)
+    backend.retry_limit = -1
     with pytest.raises(ValueError, match="retry_limit"):
-        complete_batch([_sample_request()], MockBackend(seed=0), retry_limit=-1)
+        complete_batch([_sample_request()], backend)
 
 
 class _ThreadRecordingBackend(llm_client.Backend):
     """Replies "ok" and records the thread of every call."""
 
-    def __init__(self, waits_on_io: bool):
-        self.waits_on_io = waits_on_io
+    def __init__(self, max_in_flight: int = llm_client.DEFAULT_MAX_IN_FLIGHT,
+                 retry_limit: int = llm_client.DEFAULT_RETRY_LIMIT):
+        self.max_in_flight = max_in_flight
+        self.retry_limit = retry_limit
         self.threads: list[int] = []
 
     def generate(self, request):
@@ -214,37 +226,36 @@ class _ThreadRecordingBackend(llm_client.Backend):
     {"retry_limit": llm_client.MAX_RETRY_LIMIT + 1}, {"retry_limit": 10**9},
 ], ids=["max_in_flight_65", "max_in_flight_huge", "retry_limit_11", "retry_limit_huge"])
 def test_complete_batch_rejects_values_above_the_caps_before_any_call(kwargs, thread_starts):
-    backend = _ThreadRecordingBackend(waits_on_io=True)
+    backend = _ThreadRecordingBackend(**kwargs)
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        complete_batch([_sample_request()] * 2, backend, **kwargs)
+        complete_batch([_sample_request()] * 2, backend)
     assert backend.threads == [] and thread_starts == []
 
 
 def test_complete_batch_accepts_the_caps():
-    backend = _ThreadRecordingBackend(waits_on_io=True)
-    results = complete_batch([_sample_request()] * 2, backend, max_in_flight=llm_client.MAX_IN_FLIGHT,
-                             retry_limit=llm_client.MAX_RETRY_LIMIT)
+    backend = _ThreadRecordingBackend(max_in_flight=llm_client.MAX_IN_FLIGHT, retry_limit=llm_client.MAX_RETRY_LIMIT)
+    results = complete_batch([_sample_request()] * 2, backend)
     assert [r.text for r in results] == ["ok", "ok"] and len(backend.threads) == 2
 
 
 def test_a_backend_that_does_not_wait_runs_every_call_on_the_calling_thread(thread_starts):
-    backend = _ThreadRecordingBackend(waits_on_io=False)
-    results = complete_batch([_sample_request()] * 6, backend, max_in_flight=8)
+    backend = _ThreadRecordingBackend(max_in_flight=1)
+    results = complete_batch([_sample_request()] * 6, backend)
     assert [r.text for r in results] == ["ok"] * 6
     assert backend.threads == [threading.get_ident()] * 6
     assert thread_starts == []
 
 
-@pytest.mark.parametrize("backend", [_ThreadRecordingBackend(waits_on_io=True), MockBackend(seed=0)],
-                         ids=["waits_on_io", "mock"])
+@pytest.mark.parametrize("backend", [_ThreadRecordingBackend(max_in_flight=8), MockBackend(seed=0)],
+                         ids=["max_in_flight_8", "mock"])
 def test_an_empty_batch_returns_nothing_and_starts_no_thread(thread_starts, backend):
-    assert complete_batch([], backend, max_in_flight=8) == []
+    assert complete_batch([], backend) == []
     assert thread_starts == []
 
 
 def test_a_one_request_batch_starts_no_thread(thread_starts):
-    backend = _ThreadRecordingBackend(waits_on_io=True)
-    assert complete_batch([_sample_request()], backend, max_in_flight=4)[0].text == "ok"
+    backend = _ThreadRecordingBackend(max_in_flight=4)
+    assert complete_batch([_sample_request()], backend)[0].text == "ok"
     assert backend.threads == [threading.get_ident()]
     assert thread_starts == []
 
@@ -258,6 +269,8 @@ def test_a_waiting_backend_has_max_in_flight_calls_in_flight_at_once():
     threads: set[int] = set()
 
     class Waiting(llm_client.Backend):
+        max_in_flight = 3
+
         def generate(self, request):
             with lock:
                 call = state["calls"]
@@ -271,7 +284,7 @@ def test_a_waiting_backend_has_max_in_flight_calls_in_flight_at_once():
                 state["in_flight"] -= 1
             return f"ok-{call}"
 
-    results = complete_batch([_sample_request()] * 7, Waiting(), max_in_flight=3)
+    results = complete_batch([_sample_request()] * 7, Waiting())
     assert all(isinstance(r, GenResponse) for r in results)
     assert state["calls"] == 7
     assert state["peak"] == 3
@@ -282,7 +295,7 @@ def test_complete_batch_scripted_failure_does_not_abort_batch():
     from dived.llm_client import PermanentBackendError
 
     backend = ScriptedBackend(["ok-1", PermanentBackendError("HTTP 400"), "ok-3"])
-    results = complete_batch([_sample_request()] * 3, backend, max_in_flight=1)
+    results = complete_batch([_sample_request()] * 3, backend)
     assert isinstance(results[0], GenResponse) and results[0].text == "ok-1"
     assert isinstance(results[1], GenFailure) and "400" in results[1].error
     assert isinstance(results[2], GenResponse) and results[2].text == "ok-3"
@@ -292,7 +305,7 @@ def test_complete_batch_retries_transient_then_succeeds(sleeps):
     from dived.llm_client import TransientBackendError
 
     backend = ScriptedBackend([TransientBackendError("HTTP 429"), TransientBackendError("HTTP 429"), "ok"])
-    results = complete_batch([_sample_request()], backend, max_in_flight=1)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenResponse)
     assert results[0].attempts == 3
     assert sleeps == [0.5, 1.0]
@@ -361,8 +374,8 @@ def test_http_backend_requires_credential(stub_server, monkeypatch):
 def test_http_backend_retries_429_then_succeeds(stub_server, monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(429, {}), (429, {}), (200, _ok_body("generated text"))]
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1)
+    backend = HttpBackend(endpoint=stub_server, model="test-model", max_in_flight=1)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenResponse)
     assert results[0].text == "generated text"
     assert results[0].attempts == 3
@@ -374,8 +387,8 @@ def test_http_backend_retries_429_then_succeeds(stub_server, monkeypatch, sleeps
 def test_http_backend_retry_exhaustion_yields_failure_record(stub_server, monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(500, {})] * 10
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2)
+    backend = HttpBackend(endpoint=stub_server, model="test-model", max_in_flight=1, retry_limit=2)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenFailure)
     assert results[0].attempts == 3  # retry limit 2 = three attempts total
     assert "500" in results[0].error
@@ -385,8 +398,8 @@ def test_http_backend_retry_exhaustion_yields_failure_record(stub_server, monkey
 def test_http_backend_client_error_is_permanent(stub_server, monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(404, {})]
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3)
+    backend = HttpBackend(endpoint=stub_server, model="test-model", max_in_flight=1, retry_limit=3)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenFailure)
     assert results[0].attempts == 1
     assert sleeps == []
@@ -396,8 +409,8 @@ def test_http_backend_client_error_is_permanent(stub_server, monkeypatch, sleeps
 def test_http_backend_non_string_content_is_permanent(stub_server, monkeypatch, sleeps, content):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(200, {"choices": [{"message": {"content": content}}]})]
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3)
+    backend = HttpBackend(endpoint=stub_server, model="test-model", max_in_flight=1, retry_limit=3)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenFailure)
     assert results[0].attempts == 1 and "content" in results[0].error
     assert sleeps == []
@@ -421,8 +434,8 @@ def test_null_content_makes_a_generation_command_exit_2(stub_server, monkeypatch
 def _retry_once(stub_server, monkeypatch, first: tuple) -> GenResponse:
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [first, (200, _ok_body("generated text"))]
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1)
+    backend = HttpBackend(endpoint=stub_server, model="test-model", max_in_flight=1)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenResponse) and results[0].attempts == 2
     return results[0]
 
@@ -463,8 +476,8 @@ def test_retry_after_http_date_in_the_future_waits_until_then(stub_server, monke
 def test_missing_or_bad_retry_after_keeps_exponential_backoff(stub_server, monkeypatch, sleeps, headers):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(429, {}, headers), (500, {}, headers), (200, _ok_body("generated text"))]
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1)
+    backend = HttpBackend(endpoint=stub_server, model="test-model", max_in_flight=1)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenResponse) and results[0].attempts == 3
     assert sleeps == [0.5, 1.0]
 
@@ -472,8 +485,8 @@ def test_missing_or_bad_retry_after_keeps_exponential_backoff(stub_server, monke
 def test_retry_after_does_not_change_the_attempt_limit(stub_server, monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     _StubHandler.script = [(429, {}, {"Retry-After": "1"})] * 10
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2)
+    backend = HttpBackend(endpoint=stub_server, model="test-model", max_in_flight=1, retry_limit=2)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenFailure) and results[0].attempts == 3
     assert sleeps == [1.0, 1.0]
 
@@ -488,8 +501,8 @@ def test_retry_after_above_the_cap_fails_the_request_without_sleeping(stub_serve
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     headers = {"Retry-After": retry_after or _far_future()}
     _StubHandler.script = [(429, {}, headers), (200, _ok_body("generated text"))]
-    backend = HttpBackend(endpoint=stub_server, model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=3)
+    backend = HttpBackend(endpoint=stub_server, model="test-model", max_in_flight=1, retry_limit=3)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenFailure) and results[0].attempts == 1
     assert results[0].error.startswith("HTTP 429: Retry-After ") and "cap" in results[0].error
     assert sleeps == [] and len(_StubHandler.seen_payloads) == 1
@@ -625,8 +638,9 @@ def test_a_redirect_target_on_another_host_never_sees_the_credential(stub_server
 
 def test_refused_connection_is_a_transient_network_error(monkeypatch, sleeps):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
-    backend = HttpBackend(endpoint=f"http://127.0.0.1:{_closed_port()}/v1/chat/completions", model="test-model")
-    results = complete_batch([_sample_request()], backend, max_in_flight=1, retry_limit=2)
+    backend = HttpBackend(endpoint=f"http://127.0.0.1:{_closed_port()}/v1/chat/completions", model="test-model",
+                          max_in_flight=1, retry_limit=2)
+    results = complete_batch([_sample_request()], backend)
     assert isinstance(results[0], GenFailure) and results[0].attempts == 3
     assert results[0].error.startswith("network error")
     assert sleeps == [0.5, 1.0]
@@ -655,11 +669,12 @@ class _CutShortHandler(BaseHTTPRequestHandler):
 def test_a_body_cut_short_is_a_transient_network_error(monkeypatch, hold):
     monkeypatch.setenv("DIVED_API_KEY", "secret")
     monkeypatch.setattr(_CutShortHandler, "hold", hold)
+    monkeypatch.setattr(llm_client, "REQUEST_TIMEOUT_S", 0.1)
     server = HTTPServer(("127.0.0.1", 0), _CutShortHandler)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
-        backend = HttpBackend(endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1", model="m", timeout=0.1)
+        backend = HttpBackend(endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1", model="m")
         with pytest.raises(llm_client.TransientBackendError, match="^network error"):
             backend.generate(_sample_request())
     finally:
